@@ -17,7 +17,6 @@ from .qpoly import (
     RatFn,
     coprime_basis,
     mobius_tilde,
-    poly_divmod,
     poly_gcd,
     split_over_rationals,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Poly",
     "FactoredPoly",
     "RatFn",
-    "poly_divmod",
     "poly_gcd",
     "split_over_rationals",
     "mobius_tilde",

@@ -15,7 +15,7 @@ from .qpoly import ONE, ZERO, RatFn, poly_lcm, root_multiplicity
 from .polymat import (
     PolyMatrix,
     column_reduce,
-    is_unimodular,
+    rank,
     reversal,
     smith_form,
 )
@@ -157,27 +157,27 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     return basis, tuple(c[4] for c in cols)
 
 
-def subspace_minimal_basis(P: PolyMatrix, which: str):
-    """Minimal basis and indices (descending) of one fundamental subspace.
+def _raw_basis(P: PolyMatrix, sm, which: str) -> PolyMatrix:
+    """Basis of one fundamental subspace of P read off its Smith form sm:
+    span bases from the inverse transformers, null bases from the trailing
+    transformer columns."""
+    r = sm.rank
+    if which == "colspan":
+        return sm.left_inv.submatrix(range(P.m), range(r))
+    if which == "rowspan":
+        return sm.right_inv.submatrix(range(r), range(P.n)).transpose()
+    if which == "rightnull":
+        return sm.right.submatrix(range(P.n), range(r, P.n))
+    return sm.left.submatrix(range(r, P.m), range(P.m)).transpose()
 
-    Routes through the Smith transformers: span bases from the inverse
-    transformers, null bases from the trailing transformer columns.
-    """
+
+def subspace_minimal_basis(P: PolyMatrix, which: str):
+    """Minimal basis and indices (descending) of one fundamental subspace."""
     if which not in SUBSPACES:
         raise ValueError(f"unknown subspace {which!r}")
     if P.is_zero:
         raise ZeroMatrix("subspaces of the zero matrix are not extracted")
-    sm = smith_form(P)
-    r = sm.rank
-    if which == "colspan":
-        raw = sm.left_inv.submatrix(range(P.m), range(r))
-    elif which == "rowspan":
-        raw = sm.right_inv.submatrix(range(r), range(P.n)).transpose()
-    elif which == "rightnull":
-        raw = sm.right.submatrix(range(P.n), range(r, P.n))
-    else:  # leftnull
-        raw = sm.left.submatrix(range(r, P.m), range(P.m)).transpose()
-    return _normalize_basis(raw)
+    return _normalize_basis(_raw_basis(P, smith_form(P), which))
 
 
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
@@ -188,16 +188,10 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     r = sm.rank
     d, f, q = inf_structure(P)
 
-    col_basis, k_idx = _normalize_basis(sm.left_inv.submatrix(range(P.m), range(r)))
-    row_basis, l_idx = _normalize_basis(
-        sm.right_inv.submatrix(range(r), range(P.n)).transpose()
-    )
-    rnull_basis, d_idx = _normalize_basis(
-        sm.right.submatrix(range(P.n), range(r, P.n))
-    )
-    lnull_basis, v_idx = _normalize_basis(
-        sm.left.submatrix(range(r, P.m), range(P.m)).transpose()
-    )
+    col_basis, k_idx = _normalize_basis(_raw_basis(P, sm, "colspan"))
+    row_basis, l_idx = _normalize_basis(_raw_basis(P, sm, "rowspan"))
+    rnull_basis, d_idx = _normalize_basis(_raw_basis(P, sm, "rightnull"))
+    lnull_basis, v_idx = _normalize_basis(_raw_basis(P, sm, "leftnull"))
 
     deg_alpha = sum(int(a.degree) for a in sm.diag)
     assert sum(v_idx) == sum(k_idx), "left-null/col-span sums must agree"
@@ -301,20 +295,18 @@ class VerificationReport:
 
 
 def spans_equal(computed: PolyMatrix, supplied: PolyMatrix) -> bool:
-    """Span equality of two minimal bases via a unimodular change of basis."""
+    """Whether two minimal bases of the same shape span the same module.
+
+    Both arguments must be minimal bases. A minimal basis has a trivial Smith
+    form, so it spans the whole module V ∩ Q[s]^m of the polynomial vectors
+    in its rational span V (Forney 1975, "Minimal bases of rational vector
+    spaces"). Two minimal bases therefore span the same module exactly when
+    their rational spans agree, that is when placing them side by side does
+    not raise the rank above the number of columns of one.
+    """
     if (computed.m, computed.n) != (supplied.m, supplied.n):
         return False
-    if computed.n == 0:
-        return True
-    sm = smith_form(computed)
-    if sm.rank != computed.n or any(a != ONE for a in sm.diag):
-        return False
-    lifted = sm.left @ supplied
-    top = lifted.submatrix(range(computed.n), range(supplied.n))
-    change = sm.right @ top
-    if computed @ change != supplied:
-        return False
-    return is_unimodular(change)
+    return rank(PolyMatrix.hstack(computed, supplied)) == computed.n
 
 
 def verify(matrix, prescription) -> VerificationReport:
@@ -323,7 +315,6 @@ def verify(matrix, prescription) -> VerificationReport:
     from .feasibility import Prescription  # local import to avoid a cycle
 
     p: Prescription = prescription
-    p.validate()
     mismatches = []
 
     if p.is_rational:

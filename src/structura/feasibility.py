@@ -86,13 +86,18 @@ class FeasibilityReport:
         return self.conditions[key].status
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prescription:
     """Prescribed structural data for one of the six problem variants.
 
     Polynomial variants carry (alpha, f, d); rational ones (epsilon, psi, q).
     Span data is either explicit bases (spans variants) or index partitions;
     the full variants add right/left null index partitions.
+
+    A prescription is validated when it is built and is immutable after, so
+    malformed data raises MalformedPrescription at construction and every
+    consumer may rely on a valid one. Use dataclasses.replace to derive a
+    changed copy; it is validated in turn.
     """
 
     variant: str
@@ -111,6 +116,9 @@ class Prescription:
     left: Optional[tuple] = None
     K: Optional[PolyMatrix] = None
     Lt: Optional[PolyMatrix] = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def is_rational(self) -> bool:
@@ -237,7 +245,6 @@ class Prescription:
 
 def check_feasibility(p: Prescription) -> FeasibilityReport:
     """Evaluate every applicable existence condition for the prescription."""
-    p.validate()
     k, l = p.span_degrees()
     g = g_sequence(k, l)
     r = p.r

@@ -25,6 +25,13 @@ def fraction_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def int_from_json(v, name: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
 def fraction_from_json(v) -> Fraction:
     if isinstance(v, bool):
         raise ParseError(f"not a rational scalar: {v!r}")
@@ -60,7 +67,10 @@ def factored_from_json(v) -> FactoredPoly:
     try:
         return FactoredPoly(
             fraction_from_json(v["leading"]),
-            [(fraction_from_json(r), int(m)) for r, m in v.get("factors", [])],
+            [
+                (fraction_from_json(r), int_from_json(m, "multiplicity"))
+                for r, m in v.get("factors", [])
+            ],
             poly_from_json(v.get("cofactor", [1])),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -103,10 +113,11 @@ def rationalmatrix_to_json(R: RationalMatrix) -> dict:
 def matrix_from_json(obj):
     """PolyMatrix or RationalMatrix, keyed on the entry encoding."""
     try:
-        m, n = int(obj["m"]), int(obj["n"])
+        m, n = obj["m"], obj["n"]
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError("matrix object needs m, n, entries") from exc
+    m, n = int_from_json(m, "m"), int_from_json(n, "n")
     if not isinstance(entries, list) or len(entries) != m * n:
         raise ParseError(f"expected {m * n} row-major entries")
     rational = any(isinstance(e, dict) for e in entries)
@@ -135,22 +146,26 @@ def matrix_from_json(obj):
 def int_list(v, name: str) -> tuple:
     if v is None:
         return None
-    if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+    if not isinstance(v, list):
         raise ParseError(f"{name} must be a list of integers")
-    return tuple(v)
+    return tuple(int_from_json(x, f"{name} entry") for x in v)
 
 
 def prescription_from_json(obj) -> Prescription:
     if not isinstance(obj, dict):
         raise ParseError("prescription must be a JSON object")
     try:
-        variant = obj["variant"]
-        m, n, r = int(obj["m"]), int(obj["n"]), int(obj["r"])
-    except (KeyError, TypeError, ValueError) as exc:
+        variant, m, n, r = obj["variant"], obj["m"], obj["n"], obj["r"]
+    except KeyError as exc:
         raise ParseError("prescription needs variant, m, n, r") from exc
-    kwargs = dict(variant=variant, m=m, n=n, r=r)
+    kwargs = dict(
+        variant=variant,
+        m=int_from_json(m, "m"),
+        n=int_from_json(n, "n"),
+        r=int_from_json(r, "r"),
+    )
     if "d" in obj and obj["d"] is not None:
-        kwargs["d"] = int(obj["d"])
+        kwargs["d"] = int_from_json(obj["d"], "d")
     if "alpha" in obj:
         kwargs["alpha"] = poly_list_from_json(obj["alpha"])
     if "epsilon" in obj:

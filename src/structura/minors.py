@@ -8,6 +8,7 @@ all admissible pairs doubles as the test oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -31,19 +32,14 @@ def star_dual(Z: Sequence[int], r: int) -> tuple:
     return tuple(r - z + 1 for z in reversed(Z))
 
 
-_CHAIN_CACHE: dict = {}
-
-
-def _dependency_chain(E: PolyMatrix):
-    """Reduction chain [(matrix, u)] down to size 2; u marks the first column
-    of the top r-1 rows that depends on its predecessors.
+@functools.lru_cache(maxsize=64)
+def _dependency_chain(E: PolyMatrix) -> tuple:
+    """Reduction chain ((matrix, u), ...) down to size 2; u marks the first
+    column of the top r-1 rows that depends on its predecessors.
 
     The chain depends only on the matrix, not on the index tuple, so it is
-    cached and shared across queries.
+    cached and shared across queries on equal matrices.
     """
-    cached = _CHAIN_CACHE.get(E)
-    if cached is not None:
-        return cached
     chain = []
     cur = E
     while cur.m >= 3:
@@ -58,10 +54,7 @@ def _dependency_chain(E: PolyMatrix):
         chain.append((cur, u))
         cur = cur.submatrix(range(r - 1), [j for j in range(r) if j != u - 1])
     chain.append((cur, None))
-    if len(_CHAIN_CACHE) > 64:
-        _CHAIN_CACHE.clear()
-    _CHAIN_CACHE[E] = chain
-    return chain
+    return tuple(chain)
 
 
 def _select(chain, level: int, Z: tuple):

@@ -208,12 +208,22 @@ def _exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def _bareiss(rows, need_det: bool):
-    """Fraction-free elimination; returns (rank, det-or-None).
+def _find_pivot(S, t, m, n):
+    """(degree, row, col) of the minimal-degree nonzero entry in rows t..m-1
+    and columns t..n-1 of S, ties to the smallest (row, col); None when that
+    block is zero."""
+    best = None
+    for i in range(t, m):
+        for j in range(t, n):
+            e = S[i][j]
+            if not e.is_zero and (best is None or e.degree < best[0]):
+                best = (e.degree, i, j)
+    return best
 
-    Pivot rule: minimal-degree nonzero entry of the trailing block, ties to
-    the smallest (row, col).
-    """
+
+def _bareiss(rows, need_det: bool):
+    """Fraction-free elimination with the _find_pivot rule; returns
+    (rank, det-or-None)."""
     M = [list(r) for r in rows]
     m = len(M)
     n = len(M[0]) if m else 0
@@ -221,12 +231,7 @@ def _bareiss(rows, need_det: bool):
     sign = 1
     k = 0
     while k < min(m, n):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                e = M[i][j]
-                if not e.is_zero and (best is None or e.degree < best[0]):
-                    best = (e.degree, i, j)
+        best = _find_pivot(M, k, m, n)
         if best is None:
             break
         _, pi, pj = best
@@ -300,16 +305,6 @@ class SmithDecomposition:
         for i, a in enumerate(self.diag):
             rows[i][i] = a
         return PolyMatrix(rows, n=n)
-
-
-def _find_pivot(S, t, m, n):
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            e = S[i][j]
-            if not e.is_zero and (best is None or e.degree < best[0]):
-                best = (e.degree, i, j)
-    return best
 
 
 def _content_scale(polys) -> Fraction:
@@ -738,14 +733,7 @@ def reversal(P: PolyMatrix) -> PolyMatrix:
     if P.is_zero:
         raise ZeroMatrix("reversal of the zero matrix")
     d = int(P.degree)
-
-    def rev_entry(e: Poly) -> Poly:
-        out = [Fraction(0)] * (d + 1)
-        for k, c in enumerate(e.coeffs):
-            out[d - k] = c
-        return Poly(out)
-
-    return P.map_entries(rev_entry)
+    return P.map_entries(lambda e: e.reverse(d))
 
 
 def mobius_frame(P: PolyMatrix, a, d: int) -> PolyMatrix:
@@ -780,22 +768,8 @@ def scale_basis_mobius(K: PolyMatrix, a, degs: Sequence[int]) -> PolyMatrix:
             raise DegreeMismatch(
                 f"column {j} has degree {K.col_degree(j)}, stated {dj}"
             )
-    cols = []
-    for j in range(K.n):
-        dj = int(degs[j])
-        col = []
-        for i in range(K.m):
-            e = K.rows[i][j]
-            if e.is_zero:
-                col.append(ZERO)
-                continue
-            shifted = e.shift(a)  # e in the (s - a) basis
-            deg_e = len(e.coeffs) - 1
-            rev = [Fraction(0)] * (deg_e + 1)
-            for t, c in enumerate(shifted.coeffs):
-                rev[deg_e - t] = c
-            col.append(Poly(rev) * Poly.monomial(1, dj - deg_e))
-        cols.append(col)
+    degs = [int(dj) for dj in degs]
     return PolyMatrix(
-        [[cols[j][i] for j in range(K.n)] for i in range(K.m)], n=K.n
+        [[e.shift(a).reverse(dj) for e, dj in zip(row, degs)] for row in K.rows],
+        n=K.n,
     )

@@ -6,6 +6,7 @@ threads. The degree of the zero polynomial is the sentinel NEG_INF.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -176,6 +177,14 @@ class Poly:
             acc = acc * lin + Poly.constant(c)
         return acc
 
+    def reverse(self, deg: int) -> "Poly":
+        """s^deg * p(1/s): the coefficients read backwards in a frame of
+        degree deg, which must be at least deg(p)."""
+        if deg < len(self.coeffs) - 1:
+            raise ValueError(f"reversal degree {deg} is below the degree of {self}")
+        pad = (Fraction(0),) * (deg + 1 - len(self.coeffs))
+        return Poly(pad + self.coeffs[::-1])
+
     def shift_down(self, k: int) -> "Poly":
         """Divide by s^k assuming the first k coefficients vanish."""
         assert all(c == 0 for c in self.coeffs[:k])
@@ -223,11 +232,6 @@ class Poly:
 ZERO = Poly()
 ONE = Poly((1,))
 X = Poly((0, 1))
-
-
-def poly_divmod(a: Poly, b: Poly):
-    """Euclidean division: a = q*b + r with deg r < deg b."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -322,14 +326,9 @@ def _divisors(n: int):
 
 def _rational_root_candidates(p: Poly):
     """Candidate rational roots of p via divisors of its extreme coefficients."""
-    denoms = [c.denominator for c in p.coeffs]
-    lcm = 1
-    for q in denoms:
-        lcm = lcm * q // _int_gcd(lcm, q)
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     a0, an = ints[0], ints[-1]
@@ -339,12 +338,6 @@ def _rational_root_candidates(p: Poly):
             cands.add(Fraction(num, den))
             cands.add(Fraction(-num, den))
     return sorted(cands)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def root_multiplicity(p: Poly, root: Scalar) -> int:
@@ -393,12 +386,7 @@ def mobius_tilde(p: Poly, a: Scalar):
     pa = p(a)
     if pa == 0:
         raise RootAtA(f"{a} is a root of the polynomial")
-    shifted = p.shift(a)
-    deg = len(p.coeffs) - 1
-    rev = [Fraction(0)] * (deg + 1)
-    for j, c in enumerate(shifted.coeffs):
-        rev[deg - j] = c
-    return Poly(rev), pa
+    return p.shift(a).reverse(p.degree), pa
 
 
 class RatFn:

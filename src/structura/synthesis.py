@@ -600,14 +600,10 @@ def _gate(p: Prescription) -> None:
 
 
 def realize_span_zero_inf(p: Prescription) -> PolyMatrix:
-    """Realize a spans prescription whose infinite structure is trivial."""
-    _gate(p)
-    if p.is_rational:
-        raise ValueError("polynomial prescription required")
-    if any(fi != 0 for fi in p.f):
+    """realize_span restricted to a trivial infinite structure (all f_i = 0)."""
+    if p.f is not None and any(fi != 0 for fi in p.f):
         raise Infeasible("nonzero infinite multiplicities; use realize_span")
-    K, Lt = _bases_for(p)
-    return _realize_zero_inf(p.alpha, p.d, K, Lt)
+    return realize_span(p)
 
 
 def _bases_for(p: Prescription):

@@ -152,6 +152,27 @@ class TestCli:
         path = write(tmp_path, "p.json", doc)
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"d": "x"},
+            {"d": 1.9},
+            {"m": "3"},
+            {"k": [5.0, 0]},
+            # feasible if the bools and the float were read as 1, 1 and 1
+            {"m": 2, "n": 1, "r": True, "d": 1.9, "alpha": [[1]], "f": [0],
+             "k": [True], "l": [0]},
+        ],
+    )
+    def test_check_non_integer_exit_two(self, tmp_path, changes):
+        path = write(tmp_path, "p.json", dict(WORKED_PRESCRIPTION, **changes))
+        assert main(["check", path]) == 2
+
+    @pytest.mark.parametrize("changes", [{"m": 1.0}, {"n": True}, {"m": "1"}])
+    def test_analyze_non_integer_shape_exit_two(self, tmp_path, changes):
+        doc = dict({"m": 1, "n": 1, "entries": [[0, 1]]}, **changes)
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+
     def test_construct_not_split_exit_three(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", WORKED_PRESCRIPTION)
         assert main(["construct", path]) == 3

@@ -1,6 +1,7 @@
 """Majorization machinery and the per-variant feasibility checker."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -101,8 +102,7 @@ class TestCheckFeasibility:
         assert c.rhs_partial_sums == (4, 4)
 
     def test_worked_example_lower_degree_fails(self):
-        p = paper_example_prescription()
-        p.d = 6
+        p = replace(paper_example_prescription(), d=6)
         rep = check_feasibility(p)
         assert not rep.feasible
         assert rep.status("eqprec") == FAIL
@@ -123,8 +123,7 @@ class TestCheckFeasibility:
         )
         rep = check_feasibility(p)
         assert rep.feasible
-        p.l = (1, 1)
-        assert not check_feasibility(p).feasible
+        assert not check_feasibility(replace(p, l=(1, 1))).feasible
 
     def test_eigenstructure_only_case_fails_index_sum(self):
         p = Prescription(
@@ -198,8 +197,8 @@ class TestCheckFeasibility:
         assert rep.feasible and rep.status("eqprec_rat") == PASS
         assert rep.conditions["eqprec_rat"].lhs_partial_sums == (0, -1)
         assert rep.conditions["eqprec_rat"].rhs_partial_sums == (1, -1)
-        p.q = (-1, 2)
-        assert not check_feasibility(p).feasible  # totals drift to 0 vs -1
+        # totals drift to 0 vs -1
+        assert not check_feasibility(replace(p, q=(-1, 2))).feasible
 
     def test_full_variant_checks_dual_sums(self):
         p = Prescription(
@@ -217,8 +216,7 @@ class TestCheckFeasibility:
         )
         rep = check_feasibility(p)
         assert rep.feasible and rep.status("eqsums") == PASS
-        p.left = (0,)
-        rep2 = check_feasibility(p)
+        rep2 = check_feasibility(replace(p, left=(0,)))
         assert not rep2.feasible and rep2.status("eqsums") == FAIL
 
     def test_x_and_y_conditions_bind_at_full_rank(self):
@@ -238,59 +236,54 @@ class TestCheckFeasibility:
 
 
 class TestMalformed:
-    def test_unsorted_partition(self):
+    def test_prescription_is_immutable(self):
         p = paper_example_prescription()
-        p.k = (0, 5)
+        with pytest.raises(FrozenInstanceError):
+            p.d = 6
+
+    def test_unsorted_partition(self):
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            replace(paper_example_prescription(), k=(0, 5))
 
     def test_broken_chain(self):
-        p = paper_example_prescription()
-        p.alpha = (S, S + ONE)
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            replace(paper_example_prescription(), alpha=(S, S + ONE))
 
     def test_descending_f(self):
-        p = paper_example_prescription()
-        p.f = (1, 0)
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            replace(paper_example_prescription(), f=(1, 0))
 
     def test_rank_out_of_range(self):
-        p = paper_example_prescription()
-        p.r = 4
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            replace(paper_example_prescription(), r=4)
 
     def test_reducible_rational_pair(self):
-        p = Prescription(
-            variant="R2_span_indices",
-            m=1,
-            n=1,
-            r=1,
-            epsilon=(S,),
-            psi=(S,),
-            q=(0,),
-            k=(0,),
-            l=(0,),
-        )
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            Prescription(
+                variant="R2_span_indices",
+                m=1,
+                n=1,
+                r=1,
+                epsilon=(S,),
+                psi=(S,),
+                q=(0,),
+                k=(0,),
+                l=(0,),
+            )
 
     def test_non_minimal_basis_rejected(self):
-        p = Prescription(
-            variant="P1_spans",
-            m=2,
-            n=2,
-            r=1,
-            d=1,
-            alpha=(S,),
-            f=(0,),
-            K=M([[S], [S]]),
-            Lt=M([[1], [0]]),
-        )
         with pytest.raises(MalformedPrescription):
-            check_feasibility(p)
+            Prescription(
+                variant="P1_spans",
+                m=2,
+                n=2,
+                r=1,
+                d=1,
+                alpha=(S,),
+                f=(0,),
+                K=M([[S], [S]]),
+                Lt=M([[1], [0]]),
+            )
 
 
 class TestNecessityDirection:

@@ -69,6 +69,17 @@ class TestSelect:
                 assert all(j <= b for j, b in zip(J, Z))
                 assert not minor_at(E, I, J).is_zero
 
+    def test_chain_reused_for_equal_matrices(self):
+        from structura.minors import _dependency_chain
+
+        E = random_nonsingular(random.Random(17), 5)
+        twin = PolyMatrix(E.rows, n=E.n)  # equal, but another object
+        _dependency_chain.cache_clear()
+        select_nonzero_minor(E, [1, 3])
+        select_nonzero_minor(twin, [2, 4])
+        info = _dependency_chain.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_singular_rejected(self):
         with pytest.raises(SingularInput):
             select_nonzero_minor(M([[S, S], [S, S]]), [1])

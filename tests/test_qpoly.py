@@ -17,7 +17,6 @@ from structura.qpoly import (
     atom_valuation,
     coprime_basis,
     mobius_tilde,
-    poly_divmod,
     poly_gcd,
     split_over_rationals,
 )
@@ -53,30 +52,40 @@ class TestPolyBasics:
         p = S * S - S.scale(3) + TWO
         assert p(1) == 0 and p(2) == 0 and p(0) == 2
 
+    def test_reverse(self):
+        p = Poly([3, 0, 2])  # 2s^2 + 3
+        assert p.reverse(2) == Poly([2, 0, 3])
+        # a frame above deg(p) pads with powers of s: s^4 * p(1/s)
+        assert p.reverse(4) == Poly([0, 0, 2, 0, 3])
+        assert (S * S).reverse(3) == S
+        assert Poly().reverse(3) == Poly()
+        with pytest.raises(ValueError):
+            p.reverse(1)
+
 
 class TestDivmod:
     def test_single_step(self):
-        q, r = poly_divmod(S * S + ONE, S)
+        q, r = divmod(S * S + ONE, S)
         assert q == S and r == ONE
 
     def test_identity_divisor(self):
         p = Poly([3, 0, -2, 1])
-        assert poly_divmod(p, ONE) == (p, Poly())
+        assert divmod(p, ONE) == (p, Poly())
 
     def test_cubic_case(self):
-        q, r = poly_divmod(Poly([5, -2, 0, 1]), Poly([-1, 0, 1]))
+        q, r = divmod(Poly([5, -2, 0, 1]), Poly([-1, 0, 1]))
         assert q == S and r == Poly([5, -1])
 
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZeroPoly):
-            poly_divmod(S, Poly())
+            divmod(S, Poly())
 
     @settings(max_examples=80, deadline=None)
     @given(small_polys, small_polys)
     def test_reconstruction(self, a, b):
         if b.is_zero:
             return
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
 
