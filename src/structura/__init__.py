@@ -27,6 +27,7 @@ from .polymat import (
     column_reduce,
     det,
     gcd_minors_oracle,
+    invariant_factors,
     is_minimal_basis,
     is_unimodular,
     max_minor_degree,
@@ -84,6 +85,7 @@ __all__ = [
     "SmithDecomposition",
     "ColumnReduction",
     "smith_form",
+    "invariant_factors",
     "gcd_minors_oracle",
     "column_reduce",
     "reversal",

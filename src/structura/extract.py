@@ -15,6 +15,7 @@ from .qpoly import ONE, ZERO, RatFn, poly_lcm, root_multiplicity
 from .polymat import (
     PolyMatrix,
     column_reduce,
+    invariant_factors,
     rank,
     reversal,
     smith_form,
@@ -115,10 +116,10 @@ class RatStructuralData:
 
 def partial_multiplicities(P: PolyMatrix, lam) -> tuple:
     """Valuations of the invariant factors at a rational point, ascending."""
-    sm = smith_form(P)
-    if sm.rank == 0:
+    diag = invariant_factors(P)
+    if not diag:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
-    return tuple(root_multiplicity(a, lam) for a in sm.diag)
+    return tuple(root_multiplicity(a, lam) for a in diag)
 
 
 def inf_structure(P: PolyMatrix):

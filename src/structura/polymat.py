@@ -1,5 +1,6 @@
-"""Polynomial-matrix kernel: Smith form with transformers, column reduction,
-reversal, Mobius frames, minor enumeration, and the minimal-basis test.
+"""Polynomial-matrix kernel: Smith form (with or without transformers), column
+reduction, reversal, Mobius frames, minor enumeration, and the minimal-basis
+test.
 
 All operations are pure; matrices are immutable value objects. Pivoting rules
 are deterministic (minimal degree, then smallest (row, col) lexicographically)
@@ -345,48 +346,58 @@ def _ext_gcd(a: Poly, b: Poly):
     return r0, s0, t0
 
 
-def smith_form(P: PolyMatrix) -> SmithDecomposition:
-    """Smith normal form over Q[s] with unimodular transformers and inverses.
+def _smith_core(P: PolyMatrix, track: bool):
+    """Smith elimination over Q[s]: (diag, U, Ui, V, Vi).
 
-    Entries are cleared with single-shot Bezout block transforms instead of
-    iterated remainder steps, and rows/columns are rescaled to primitive
-    integer form after every operation, which keeps coefficients tame.
+    The transformers U, V and their inverses Ui, Vi are updated alongside the
+    working matrix only when track is set, and are None otherwise; the
+    elimination on the working matrix, and so the diagonal, is the same
+    either way. Entries are cleared with single-shot Bezout block transforms
+    instead of iterated remainder steps, and rows/columns are rescaled to
+    primitive integer form after every operation, which keeps coefficients
+    tame.
     """
     m, n = P.m, P.n
     S = [list(row) for row in P.rows]
-    U = [list(row) for row in PolyMatrix.identity(m).rows]
-    Ui = [list(row) for row in PolyMatrix.identity(m).rows]
-    V = [list(row) for row in PolyMatrix.identity(n).rows]
-    Vi = [list(row) for row in PolyMatrix.identity(n).rows]
+    if track:
+        U = [list(row) for row in PolyMatrix.identity(m).rows]
+        Ui = [list(row) for row in PolyMatrix.identity(m).rows]
+        V = [list(row) for row in PolyMatrix.identity(n).rows]
+        Vi = [list(row) for row in PolyMatrix.identity(n).rows]
+    else:
+        U = Ui = V = Vi = None
 
     def swap_rows(a, b):
         if a == b:
             return
         S[a], S[b] = S[b], S[a]
-        U[a], U[b] = U[b], U[a]
-        for row in Ui:
-            row[a], row[b] = row[b], row[a]
+        if track:
+            U[a], U[b] = U[b], U[a]
+            for row in Ui:
+                row[a], row[b] = row[b], row[a]
 
     def swap_cols(a, b):
         if a == b:
             return
         for row in S:
             row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-        Vi[a], Vi[b] = Vi[b], Vi[a]
+        if track:
+            for row in V:
+                row[a], row[b] = row[b], row[a]
+            Vi[a], Vi[b] = Vi[b], Vi[a]
 
     def row_sub(i, t, q):
         # row_i -= q * row_t on S and U; inverse op on Ui columns
         for j in range(n):
             if not S[t][j].is_zero:
                 S[i][j] = S[i][j] - q * S[t][j]
-        for j in range(m):
-            if not U[t][j].is_zero:
-                U[i][j] = U[i][j] - q * U[t][j]
-        for row in Ui:
-            if not row[i].is_zero:
-                row[t] = row[t] + q * row[i]
+        if track:
+            for j in range(m):
+                if not U[t][j].is_zero:
+                    U[i][j] = U[i][j] - q * U[t][j]
+            for row in Ui:
+                if not row[i].is_zero:
+                    row[t] = row[t] + q * row[i]
 
     def block_rows(t, i, xx, yy, u, v):
         # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
@@ -394,26 +405,28 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
             a, b = S[t][j], S[i][j]
             S[t][j] = xx * a + yy * b
             S[i][j] = u * b - v * a
-        for j in range(m):
-            a, b = U[t][j], U[i][j]
-            U[t][j] = xx * a + yy * b
-            U[i][j] = u * b - v * a
-        for row in Ui:
-            a, b = row[t], row[i]
-            row[t] = u * a + v * b
-            row[i] = xx * b - yy * a
+        if track:
+            for j in range(m):
+                a, b = U[t][j], U[i][j]
+                U[t][j] = xx * a + yy * b
+                U[i][j] = u * b - v * a
+            for row in Ui:
+                a, b = row[t], row[i]
+                row[t] = u * a + v * b
+                row[i] = xx * b - yy * a
 
     def col_sub(j, t, q):
         # col_j -= q * col_t on S and V; inverse op on Vi rows
         for i in range(m):
             if not S[i][t].is_zero:
                 S[i][j] = S[i][j] - q * S[i][t]
-        for i in range(n):
-            if not V[i][t].is_zero:
-                V[i][j] = V[i][j] - q * V[i][t]
-        for jj in range(n):
-            if not Vi[j][jj].is_zero:
-                Vi[t][jj] = Vi[t][jj] + q * Vi[j][jj]
+        if track:
+            for i in range(n):
+                if not V[i][t].is_zero:
+                    V[i][j] = V[i][j] - q * V[i][t]
+            for jj in range(n):
+                if not Vi[j][jj].is_zero:
+                    Vi[t][jj] = Vi[t][jj] + q * Vi[j][jj]
 
     def block_cols(t, j, xx, yy, u, v):
         # [col_t, col_j] <- [col_t, col_j] @ [[xx, -v], [yy, u]], det 1
@@ -421,14 +434,15 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
             a, b = S[i][t], S[i][j]
             S[i][t] = a * xx + b * yy
             S[i][j] = b * u - a * v
-        for i in range(n):
-            a, b = V[i][t], V[i][j]
-            V[i][t] = a * xx + b * yy
-            V[i][j] = b * u - a * v
-        for jj in range(n):
-            a, b = Vi[t][jj], Vi[j][jj]
-            Vi[t][jj] = u * a + v * b
-            Vi[j][jj] = xx * b - yy * a
+        if track:
+            for i in range(n):
+                a, b = V[i][t], V[i][j]
+                V[i][t] = a * xx + b * yy
+                V[i][j] = b * u - a * v
+            for jj in range(n):
+                a, b = Vi[t][jj], Vi[j][jj]
+                Vi[t][jj] = u * a + v * b
+                Vi[j][jj] = xx * b - yy * a
 
     def row_add(t, i):
         minus_one = Poly.constant(-1)
@@ -437,20 +451,22 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
     def scale_row(t, c: Fraction):
         for j in range(n):
             S[t][j] = S[t][j].scale(c)
-        for j in range(m):
-            U[t][j] = U[t][j].scale(c)
-        inv = 1 / c
-        for row in Ui:
-            row[t] = row[t].scale(inv)
+        if track:
+            for j in range(m):
+                U[t][j] = U[t][j].scale(c)
+            inv = 1 / c
+            for row in Ui:
+                row[t] = row[t].scale(inv)
 
     def scale_col(t, c: Fraction):
         for i in range(m):
             S[i][t] = S[i][t].scale(c)
-        for i in range(n):
-            V[i][t] = V[i][t].scale(c)
-        inv = 1 / c
-        for j in range(n):
-            Vi[t][j] = Vi[t][j].scale(inv)
+        if track:
+            for i in range(n):
+                V[i][t] = V[i][t].scale(c)
+            inv = 1 / c
+            for j in range(n):
+                Vi[t][j] = Vi[t][j].scale(inv)
 
     def normalize_row(i):
         c = _content_scale(S[i])
@@ -462,13 +478,11 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
         if c != 1:
             scale_col(j, c)
 
-    def clear_column(t) -> bool:
-        touched = False
+    def clear_column(t):
         for i in range(t + 1, m):
             b = S[i][t]
             if b.is_zero:
                 continue
-            touched = True
             a = S[t][t]
             q, rem = divmod(b, a)
             if rem.is_zero:
@@ -478,15 +492,12 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
                 block_rows(t, i, xx, yy, a // g, b // g)
                 normalize_row(t)
             normalize_row(i)
-        return touched
 
-    def clear_row(t) -> bool:
-        touched = False
+    def clear_row(t):
         for j in range(t + 1, n):
             b = S[t][j]
             if b.is_zero:
                 continue
-            touched = True
             a = S[t][t]
             q, rem = divmod(b, a)
             if rem.is_zero:
@@ -496,7 +507,6 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
                 block_cols(t, j, xx, yy, a // g, b // g)
                 normalize_col(t)
             normalize_col(j)
-        return touched
 
     for i in range(m):
         normalize_row(i)
@@ -532,15 +542,30 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
             scale_row(t, 1 / lc)
         t += 1
 
-    diag = tuple(S[i][i] for i in range(t))
+    return tuple(S[i][i] for i in range(t)), U, Ui, V, Vi
+
+
+def smith_form(P: PolyMatrix) -> SmithDecomposition:
+    """Smith normal form over Q[s] with unimodular transformers and inverses.
+
+    The only entry point that builds the transformers; callers that read
+    just the diagonal use invariant_factors.
+    """
+    diag, U, Ui, V, Vi = _smith_core(P, track=True)
     return SmithDecomposition(
-        left=PolyMatrix(U, n=m),
+        left=PolyMatrix(U, n=P.m),
         diag=diag,
-        right=PolyMatrix(V, n=n),
-        rank=t,
-        left_inv=PolyMatrix(Ui, n=m),
-        right_inv=PolyMatrix(Vi, n=n),
+        right=PolyMatrix(V, n=P.n),
+        rank=len(diag),
+        left_inv=PolyMatrix(Ui, n=P.m),
+        right_inv=PolyMatrix(Vi, n=P.n),
     )
+
+
+def invariant_factors(P: PolyMatrix) -> tuple:
+    """Monic invariant factors of P, ascending in divisibility: the Smith
+    diagonal without the transformers; () for a zero matrix."""
+    return _smith_core(P, track=False)[0]
 
 
 # -- minors ------------------------------------------------------------------
@@ -719,8 +744,8 @@ def is_minimal_basis(K: PolyMatrix):
         return True, degs
     if K.m < K.n:
         return False, degs
-    sm = smith_form(K)
-    if sm.rank != K.n or any(a != ONE for a in sm.diag):
+    diag = invariant_factors(K)
+    if len(diag) != K.n or any(a != ONE for a in diag):
         return False, degs
     return is_column_proper(K), degs
 
@@ -764,10 +789,11 @@ def scale_basis_mobius(K: PolyMatrix, a, degs: Sequence[int]) -> PolyMatrix:
     if len(degs) != K.n:
         raise DegreeMismatch("one degree per column required")
     for j, dj in enumerate(degs):
-        if K.col_degree(j) != dj:
-            raise DegreeMismatch(
-                f"column {j} has degree {K.col_degree(j)}, stated {dj}"
-            )
+        cd = K.col_degree(j)
+        if cd == NEG_INF:
+            raise DegreeMismatch(f"column {j} is zero and has no degree")
+        if cd != dj:
+            raise DegreeMismatch(f"column {j} has degree {cd}, stated {dj}")
     degs = [int(dj) for dj in degs]
     return PolyMatrix(
         [[e.shift(a).reverse(dj) for e, dj in zip(row, degs)] for row in K.rows],

@@ -25,6 +25,7 @@ from .errors import (
     LengthMismatch,
     MajorizationFails,
     NonMonicDiagonal,
+    ParseError,
     PreconditionViolated,
     SearchExhausted,
     SumMismatch,
@@ -43,6 +44,7 @@ from .qpoly import (
 )
 from .polymat import (
     PolyMatrix,
+    invariant_factors,
     is_minimal_basis,
     mobius_frame,
     scale_basis_mobius,
@@ -56,11 +58,20 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 
 def _search_budget() -> int:
+    """Node budget from STRUCTURA_MAX_SEARCH, the default when it is unset;
+    anything but a positive integer is malformed input."""
     raw = os.environ.get("STRUCTURA_MAX_SEARCH", "")
-    try:
-        return int(raw) if raw else DEFAULT_SEARCH_BUDGET
-    except ValueError:
+    if not raw:
         return DEFAULT_SEARCH_BUDGET
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ParseError(
+            f"STRUCTURA_MAX_SEARCH must be a positive integer, got {raw!r}"
+        )
+    return limit
 
 
 class _Budget:
@@ -457,7 +468,7 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
                 rows.append(list(block.rows[i]) + [y.rows[i][0]])
             rows.append([ZERO] * size + [atom ** xr])
             T = PolyMatrix(rows, n=r)
-            if tuple(smith_form(T).diag) == target:
+            if invariant_factors(T) == target:
                 return T
     return None
 
@@ -484,7 +495,7 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
         return PolyMatrix([[delta[0]]])
     if r == 2:
         E = PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
-        assert tuple(smith_form(E).diag) == tuple(alpha)
+        assert invariant_factors(E) == tuple(alpha)
         return E
 
     atoms = coprime_basis(list(alpha) + list(delta))
@@ -502,7 +513,7 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
             )
         E = E @ T
     assert tuple(E.rows[i][i] for i in range(r)) == tuple(delta)
-    assert tuple(smith_form(E).diag) == tuple(alpha)
+    assert invariant_factors(E) == tuple(alpha)
     return E
 
 

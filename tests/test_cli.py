@@ -39,6 +39,19 @@ WORKED_PRESCRIPTION = {
     "l": [4, 1],
 }
 
+# construct spends three search nodes on it, so a budget of 1 runs out
+SEARCHING_PRESCRIPTION = {
+    "variant": "P2_span_indices",
+    "m": 2,
+    "n": 2,
+    "r": 2,
+    "d": 1,
+    "alpha": [[0, 1], [0, 1]],
+    "f": [0, 0],
+    "k": [0, 0],
+    "l": [0, 0],
+}
+
 
 class TestJson:
     def test_fraction_codec(self):
@@ -172,6 +185,17 @@ class TestCli:
     def test_analyze_non_integer_shape_exit_two(self, tmp_path, changes):
         doc = dict({"m": 1, "n": 1, "entries": [[0, 1]]}, **changes)
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+
+    @pytest.mark.parametrize(
+        "shape", [(-1, -1), (-1, 0), (0, -2), (-2, -2)]
+    )
+    def test_analyze_negative_shape_exit_two(self, tmp_path, capsys, shape):
+        # (-1, -1) and (-2, -2) match the entry count m * n
+        m, n = shape
+        doc = {"m": m, "n": n, "entries": [[1]] * (m * n)}
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"m={m}, n={n}" in err and "zero matrix" not in err
 
     def test_construct_not_split_exit_three(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", WORKED_PRESCRIPTION)
@@ -350,19 +374,16 @@ class TestCli:
         assert main(["analyze", path, "-o", str(tmp_path / "no" / "dir.json")]) == 2
 
     def test_search_budget_env(self, tmp_path, monkeypatch):
-        doc = {
-            "variant": "P2_span_indices",
-            "m": 2,
-            "n": 2,
-            "r": 2,
-            "d": 1,
-            "alpha": [[0, 1], [0, 1]],
-            "f": [0, 0],
-            "k": [0, 0],
-            "l": [0, 0],
-        }
-        path = write(tmp_path, "p.json", doc)
-        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "0")
+        path = write(tmp_path, "p.json", SEARCHING_PRESCRIPTION)
+        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "1")
         assert main(["construct", path]) == 4
         monkeypatch.delenv("STRUCTURA_MAX_SEARCH")
         assert main(["construct", path, "-o", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_invalid_search_budget_exit_two(self, tmp_path, monkeypatch, capsys, raw):
+        path = write(tmp_path, "p.json", SEARCHING_PRESCRIPTION)
+        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", raw)
+        assert main(["construct", path]) == 2
+        err = capsys.readouterr().err
+        assert "STRUCTURA_MAX_SEARCH" in err and repr(raw) in err

@@ -3,15 +3,18 @@
 Minimal indices are recovered from dimension counts of degree-bounded
 polynomial solution spaces (constant block-convolution systems over Q), and
 infinite orders from minor valuations; both routes share no code with the
-extraction pipeline they validate.
+extraction pipeline they validate. Where sympy is installed, both Smith paths
+are also compared with its invariant factors over Q[s].
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from structura.qpoly import ONE, X, Poly, RatFn
-from structura.polymat import PolyMatrix
+from structura.polymat import PolyMatrix, invariant_factors, smith_form
 from structura.extract import (
     RationalMatrix,
     extract_poly_structure,
@@ -258,3 +261,43 @@ class TestInfiniteOrdersOracle:
                 assert best is not None
                 assert sum(data.inf_orders[:k]) == -best
             done += 1
+
+
+class TestSmithAgainstSympy:
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors as sympy_if
+
+        s = sympy.symbols("s")
+
+        def to_sympy(P):
+            return sympy.Matrix(
+                P.m,
+                P.n,
+                [
+                    sum(c * s**k for k, c in enumerate(e.coeffs))
+                    for row in P.rows
+                    for e in row
+                ],
+            )
+
+        def monic_from_sympy(expr):
+            coeffs = sympy.Poly(expr, s, domain=sympy.QQ).all_coeffs()
+            return Poly(
+                [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
+            ).monic()
+
+        rng = random.Random(909)
+        for case in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            if case % 3:
+                P = random_matrix(rng, m, n, 2)
+            else:
+                P = random_low_rank_matrix(rng, m, n, min(m, n, rng.randint(1, 2)))
+            want = tuple(
+                monic_from_sympy(a)
+                for a in sympy_if(to_sympy(P), domain=sympy.QQ[s])
+                if a != 0
+            )
+            assert invariant_factors(P) == want
+            assert smith_form(P).diag == want

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from structura.errors import KOutOfRange, RankDeficient, ZeroMatrix
+from structura.errors import DegreeMismatch, KOutOfRange, RankDeficient, ZeroMatrix
 from structura.qpoly import ONE, X, Poly
 from structura.polymat import (
     PolyMatrix,
     column_reduce,
     det,
     gcd_minors_oracle,
+    invariant_factors,
     is_column_proper,
     is_minimal_basis,
     is_unimodular,
@@ -22,7 +23,7 @@ from structura.polymat import (
     scale_basis_mobius,
     smith_form,
 )
-from conftest import random_matrix, random_unimodular
+from conftest import random_low_rank_matrix, random_matrix, random_unimodular
 
 S = X
 M = PolyMatrix.from_scalar_rows
@@ -72,6 +73,27 @@ class TestSmith:
             for k in range(1, sm.rank + 1):
                 prod = prod * sm.diag[k - 1]
                 assert prod == gcd_minors_oracle(P, k)
+
+
+class TestInvariantFactors:
+    def test_zero_matrix(self):
+        assert invariant_factors(PolyMatrix.zeros(2, 3)) == ()
+        assert invariant_factors(PolyMatrix.zeros(0, 0)) == ()
+
+    def test_equals_smith_diagonal(self):
+        rng = random.Random(23)
+        cases = []
+        for _ in range(8):
+            k = rng.randint(1, 4)
+            cases.append(random_matrix(rng, k, k, 2))  # square
+            m, n = rng.sample(range(1, 5), 2)
+            cases.append(random_matrix(rng, m, n, 2))  # rectangular
+            m, n = rng.randint(2, 4), rng.randint(2, 4)
+            cases.append(random_low_rank_matrix(rng, m, n, 1))  # low rank
+        for P in cases:
+            variants = [P] if P.is_zero else [P, reversal(P)]
+            for Q in variants:
+                assert invariant_factors(Q) == smith_form(Q).diag
 
 
 class TestMinors:
@@ -275,6 +297,11 @@ class TestMobiusFrames:
 
     def test_scale_basis_column(self):
         assert scale_basis_mobius(M([[S], [1]]), 0, [1]) == M([[1], [S]])
+
+    def test_scale_basis_zero_column(self):
+        Z = PolyMatrix.zeros(2, 1)
+        with pytest.raises(DegreeMismatch, match="column 0"):
+            scale_basis_mobius(Z, 1, Z.column_degrees())
 
     def test_scale_basis_preserves_minimality_and_degrees(self):
         from structura.synthesis import build_minimal_basis
