@@ -2,7 +2,8 @@
 verify realizations, and demonstrate the bounded minor selection.
 
 Exit codes: 0 success/feasible/pass, 1 infeasible or verification failure,
-2 malformed input, 3 non-split invariant data, 4 search budget exhausted.
+2 malformed input, 3 non-split invariant data, 4 search budget exhausted,
+5 internal error (an identity the library checks on its own output failed).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import (
     CompletionSearchExhausted,
     FieldNotSplit,
     Infeasible,
+    InternalInvariantError,
     MalformedPrescription,
     ParseError,
     SearchExhausted,
@@ -47,6 +49,7 @@ EXIT_INFEASIBLE = 1
 EXIT_MALFORMED = 2
 EXIT_NOT_SPLIT = 3
 EXIT_SEARCH = 4
+EXIT_INTERNAL = 5
 
 
 def _load_json(path: str):
@@ -225,6 +228,9 @@ def main(argv=None) -> int:
     except (ParseError, MalformedPrescription, ZeroMatrix, SingularInput) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except StructuraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

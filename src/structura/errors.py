@@ -5,6 +5,17 @@ class StructuraError(Exception):
     """Base class for all structura-specific errors."""
 
 
+class InternalInvariantError(StructuraError):
+    """An identity the library guarantees failed on its own output: a defect
+    in structura, not in the input."""
+
+
+def require(cond, msg: str) -> None:
+    """Check an internal identity; unlike assert, it also runs under -O."""
+    if not cond:
+        raise InternalInvariantError(msg)
+
+
 # scalar layer
 class DivisionByZeroPoly(StructuraError):
     pass

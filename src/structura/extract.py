@@ -2,7 +2,7 @@
 
 Extracts invariant factors / invariant rational functions, the infinite
 structure, and minimal bases plus indices of all four fundamental subspaces.
-The index-sum and dual-sum identities are asserted on every extraction.
+The index-sum and dual-sum identities are checked on every extraction.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ShapeMismatch, ZeroMatrix
+from .errors import ShapeMismatch, ZeroMatrix, require
 from .qpoly import ONE, ZERO, RatFn, poly_lcm, root_multiplicity
 from .polymat import (
     PolyMatrix,
@@ -128,7 +128,7 @@ def inf_structure(P: PolyMatrix):
         raise ZeroMatrix("infinite structure of the zero matrix")
     d = int(P.degree)
     f = partial_multiplicities(reversal(P), 0)
-    assert f[0] == 0, "smallest partial multiplicity of infinity must vanish"
+    require(f[0] == 0, "smallest partial multiplicity of infinity must vanish")
     q = tuple(fi - d for fi in f)
     return d, f, q
 
@@ -182,7 +182,7 @@ def subspace_minimal_basis(P: PolyMatrix, which: str):
 
 
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
-    """Full structural data; every sum identity is asserted before returning."""
+    """Full structural data; every sum identity is checked before returning."""
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
     sm = smith_form(P)
@@ -195,14 +195,12 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     lnull_basis, v_idx = _normalize_basis(_raw_basis(P, sm, "leftnull"))
 
     deg_alpha = sum(int(a.degree) for a in sm.diag)
-    assert sum(v_idx) == sum(k_idx), "left-null/col-span sums must agree"
-    assert sum(d_idx) == sum(l_idx), "right-null/row-span sums must agree"
-    assert sum(k_idx) + sum(l_idx) + sum(f) + deg_alpha == r * d, (
-        "span index sum identity failed"
-    )
-    assert sum(d_idx) + sum(v_idx) + sum(f) + deg_alpha == r * d, (
-        "index sum theorem failed"
-    )
+    require(sum(v_idx) == sum(k_idx), "left-null/col-span sums must agree")
+    require(sum(d_idx) == sum(l_idx), "right-null/row-span sums must agree")
+    require(sum(k_idx) + sum(l_idx) + sum(f) + deg_alpha == r * d,
+            "span index sum identity failed")
+    require(sum(d_idx) + sum(v_idx) + sum(f) + deg_alpha == r * d,
+            "index sum theorem failed")
 
     return PolyStructuralData(
         m=P.m,
@@ -257,14 +255,15 @@ def extract_rational_structure(R: RationalMatrix) -> RatStructuralData:
         psi.append(fr.den)
     q1 = int(psi1.degree) - data.degree
     q = tuple(fi + q1 for fi in data.inf_partial_mults)
-    assert (
+    require(
         sum(data.colspan_indices)
         + sum(data.rowspan_indices)
         + sum(int(e.degree) for e in eps)
         - sum(int(p.degree) for p in psi)
         + sum(q)
-        == 0
-    ), "rational index sum identity failed"
+        == 0,
+        "rational index sum identity failed",
+    )
     return RatStructuralData(
         m=R.m,
         n=R.n,

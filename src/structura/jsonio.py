@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, require
 from .qpoly import FactoredPoly, Poly, RatFn
 from .polymat import PolyMatrix
 from .extract import (
@@ -277,7 +277,7 @@ def structural_report(data) -> dict:
             },
         )
     else:
-        assert isinstance(data, RatStructuralData)
+        require(isinstance(data, RatStructuralData), "unknown structural data type")
         common.update(
             kind="rational",
             numerators=[poly_to_json(a) for a in data.numerators],

@@ -12,7 +12,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from .errors import SingularInput
+from .errors import InternalInvariantError, SingularInput, require
 from .polymat import PolyMatrix, det, rank
 
 
@@ -50,7 +50,8 @@ def _dependency_chain(E: PolyMatrix) -> tuple:
             if rank(X.submatrix(range(r - 1), range(i))) == i - 1:
                 u = i
                 break
-        assert u is not None, "top rows of a nonsingular matrix must have a dependency"
+        require(u is not None,
+                "top rows of a nonsingular matrix must have a dependency")
         chain.append((cur, u))
         cur = cur.submatrix(range(r - 1), [j for j in range(r) if j != u - 1])
     chain.append((cur, None))
@@ -70,7 +71,7 @@ def _select(chain, level: int, Z: tuple):
             for j in range(z1):
                 if not E[i, j].is_zero:
                     return (i + 1,), (j + 1,)
-        raise AssertionError("full-rank matrix with a zero leading block")
+        raise InternalInvariantError("full-rank matrix with a zero leading block")
 
     w = 0
     for pos, z in enumerate(Z, start=1):
@@ -105,9 +106,9 @@ def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
         raise SingularInput("matrix is singular")
     I, J = _select(_dependency_chain(E), 0, Z)
     zs = star_dual(Z, r)
-    assert all(i <= b for i, b in zip(I, zs)), "row bound violated"
-    assert all(j <= b for j, b in zip(J, Z)), "column bound violated"
-    assert not minor_at(E, I, J).is_zero, "selected minor vanished"
+    require(all(i <= b for i, b in zip(I, zs)), "row bound violated")
+    require(all(j <= b for j, b in zip(J, Z)), "column bound violated")
+    require(not minor_at(E, I, J).is_zero, "selected minor vanished")
     return I, J
 
 

@@ -20,8 +20,11 @@ from .errors import (
     KOutOfRange,
     RankDeficient,
     ZeroMatrix,
+    require,
 )
 from .qpoly import NEG_INF, ONE, ZERO, Poly, as_fraction
+
+_MINUS_ONE = Poly.constant(-1)
 
 
 class PolyMatrix:
@@ -205,7 +208,7 @@ def _det_cofactor(rows) -> Poly:
 
 def _exact_div(a: Poly, b: Poly) -> Poly:
     q, r = divmod(a, b)
-    assert r.is_zero, "fraction-free elimination produced a nonzero remainder"
+    require(r.is_zero, "fraction-free elimination produced a nonzero remainder")
     return q
 
 
@@ -346,203 +349,149 @@ def _ext_gcd(a: Poly, b: Poly):
     return r0, s0, t0
 
 
+def _transposed(rows) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+# Elimination steps of the Smith core. Each is a row operation on the working
+# matrix W; side is None or the (transformer X, inverse Xi) pair of the side
+# being reduced, and then the same step is applied to the rows of X and its
+# inverse to the columns of Xi. Column steps on a matrix are these row steps
+# on its transpose (Kailath 1980, Linear Systems, 6.3).
+
+
+def _swap(W, side, a, b):
+    if a == b:
+        return
+    W[a], W[b] = W[b], W[a]
+    if side:
+        X, Xi = side
+        X[a], X[b] = X[b], X[a]
+        for row in Xi:
+            row[a], row[b] = row[b], row[a]
+
+
+def _row_sub(W, side, i, t, q):
+    # row_i -= q * row_t on W and X; col_t += q * col_i on Xi
+    rows = (W, side[0]) if side else (W,)
+    for M in rows:
+        dst = M[i]
+        for j, e in enumerate(M[t]):
+            if not e.is_zero:
+                dst[j] = dst[j] - q * e
+    if side:
+        for row in side[1]:
+            if not row[i].is_zero:
+                row[t] = row[t] + q * row[i]
+
+
+def _block(W, side, t, i, xx, yy, u, v):
+    # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
+    rows = (W, side[0]) if side else (W,)
+    for M in rows:
+        rt, ri = M[t], M[i]
+        for j, (a, b) in enumerate(zip(rt, ri)):
+            rt[j] = xx * a + yy * b
+            ri[j] = u * b - v * a
+    if side:
+        for row in side[1]:
+            a, b = row[t], row[i]
+            row[t] = u * a + v * b
+            row[i] = xx * b - yy * a
+
+
+def _scale(W, side, t, c: Fraction):
+    W[t] = [e.scale(c) for e in W[t]]
+    if side:
+        X, Xi = side
+        X[t] = [e.scale(c) for e in X[t]]
+        inv = 1 / c
+        for row in Xi:
+            row[t] = row[t].scale(inv)
+
+
+def _normalize(W, side, i):
+    c = _content_scale(W[i])
+    if c != 1:
+        _scale(W, side, i, c)
+
+
+def _clear_below(W, side, t):
+    """Clear column t of W below the pivot W[t][t] by row steps."""
+    for i in range(t + 1, len(W)):
+        b = W[i][t]
+        if b.is_zero:
+            continue
+        a = W[t][t]
+        q, rem = divmod(b, a)
+        if rem.is_zero:
+            _row_sub(W, side, i, t, q)
+        else:
+            g, xx, yy = _ext_gcd(a, b)
+            _block(W, side, t, i, xx, yy, a // g, b // g)
+            _normalize(W, side, t)
+        _normalize(W, side, i)
+
+
 def _smith_core(P: PolyMatrix, track: bool):
     """Smith elimination over Q[s]: (diag, U, Ui, V, Vi).
 
-    The transformers U, V and their inverses Ui, Vi are updated alongside the
-    working matrix only when track is set, and are None otherwise; the
-    elimination on the working matrix, and so the diagonal, is the same
-    either way. Entries are cleared with single-shot Bezout block transforms
-    instead of iterated remainder steps, and rows/columns are rescaled to
-    primitive integer form after every operation, which keeps coefficients
-    tame.
+    Every step is a row operation. The column half of each pivot step runs
+    on the transpose of the working matrix, where V and Vi act as the left
+    transformer V^T with inverse Vi^T; both are kept transposed and turned
+    back once at the end. The transformers are updated only when track is
+    set, and are None otherwise; the elimination on the working matrix, and
+    so the diagonal, is the same either way. Entries are cleared with
+    single-shot Bezout block transforms instead of iterated remainder steps,
+    and rows/columns are rescaled to primitive integer form after every
+    operation, which keeps coefficients tame.
     """
     m, n = P.m, P.n
-    S = [list(row) for row in P.rows]
     if track:
-        U = [list(row) for row in PolyMatrix.identity(m).rows]
-        Ui = [list(row) for row in PolyMatrix.identity(m).rows]
-        V = [list(row) for row in PolyMatrix.identity(n).rows]
-        Vi = [list(row) for row in PolyMatrix.identity(n).rows]
+        U, Ui, Vt, Vit = ([list(r) for r in PolyMatrix.identity(k).rows]
+                          for k in (m, m, n, n))
+        rows_side, cols_side = (U, Ui), (Vt, Vit)
     else:
-        U = Ui = V = Vi = None
-
-    def swap_rows(a, b):
-        if a == b:
-            return
-        S[a], S[b] = S[b], S[a]
-        if track:
-            U[a], U[b] = U[b], U[a]
-            for row in Ui:
-                row[a], row[b] = row[b], row[a]
-
-    def swap_cols(a, b):
-        if a == b:
-            return
-        for row in S:
-            row[a], row[b] = row[b], row[a]
-        if track:
-            for row in V:
-                row[a], row[b] = row[b], row[a]
-            Vi[a], Vi[b] = Vi[b], Vi[a]
-
-    def row_sub(i, t, q):
-        # row_i -= q * row_t on S and U; inverse op on Ui columns
-        for j in range(n):
-            if not S[t][j].is_zero:
-                S[i][j] = S[i][j] - q * S[t][j]
-        if track:
-            for j in range(m):
-                if not U[t][j].is_zero:
-                    U[i][j] = U[i][j] - q * U[t][j]
-            for row in Ui:
-                if not row[i].is_zero:
-                    row[t] = row[t] + q * row[i]
-
-    def block_rows(t, i, xx, yy, u, v):
-        # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
-        for j in range(n):
-            a, b = S[t][j], S[i][j]
-            S[t][j] = xx * a + yy * b
-            S[i][j] = u * b - v * a
-        if track:
-            for j in range(m):
-                a, b = U[t][j], U[i][j]
-                U[t][j] = xx * a + yy * b
-                U[i][j] = u * b - v * a
-            for row in Ui:
-                a, b = row[t], row[i]
-                row[t] = u * a + v * b
-                row[i] = xx * b - yy * a
-
-    def col_sub(j, t, q):
-        # col_j -= q * col_t on S and V; inverse op on Vi rows
-        for i in range(m):
-            if not S[i][t].is_zero:
-                S[i][j] = S[i][j] - q * S[i][t]
-        if track:
-            for i in range(n):
-                if not V[i][t].is_zero:
-                    V[i][j] = V[i][j] - q * V[i][t]
-            for jj in range(n):
-                if not Vi[j][jj].is_zero:
-                    Vi[t][jj] = Vi[t][jj] + q * Vi[j][jj]
-
-    def block_cols(t, j, xx, yy, u, v):
-        # [col_t, col_j] <- [col_t, col_j] @ [[xx, -v], [yy, u]], det 1
-        for i in range(m):
-            a, b = S[i][t], S[i][j]
-            S[i][t] = a * xx + b * yy
-            S[i][j] = b * u - a * v
-        if track:
-            for i in range(n):
-                a, b = V[i][t], V[i][j]
-                V[i][t] = a * xx + b * yy
-                V[i][j] = b * u - a * v
-            for jj in range(n):
-                a, b = Vi[t][jj], Vi[j][jj]
-                Vi[t][jj] = u * a + v * b
-                Vi[j][jj] = xx * b - yy * a
-
-    def row_add(t, i):
-        minus_one = Poly.constant(-1)
-        row_sub(t, i, minus_one)
-
-    def scale_row(t, c: Fraction):
-        for j in range(n):
-            S[t][j] = S[t][j].scale(c)
-        if track:
-            for j in range(m):
-                U[t][j] = U[t][j].scale(c)
-            inv = 1 / c
-            for row in Ui:
-                row[t] = row[t].scale(inv)
-
-    def scale_col(t, c: Fraction):
-        for i in range(m):
-            S[i][t] = S[i][t].scale(c)
-        if track:
-            for i in range(n):
-                V[i][t] = V[i][t].scale(c)
-            inv = 1 / c
-            for j in range(n):
-                Vi[t][j] = Vi[t][j].scale(inv)
-
-    def normalize_row(i):
-        c = _content_scale(S[i])
-        if c != 1:
-            scale_row(i, c)
-
-    def normalize_col(j):
-        c = _content_scale([S[i][j] for i in range(m)])
-        if c != 1:
-            scale_col(j, c)
-
-    def clear_column(t):
-        for i in range(t + 1, m):
-            b = S[i][t]
-            if b.is_zero:
-                continue
-            a = S[t][t]
-            q, rem = divmod(b, a)
-            if rem.is_zero:
-                row_sub(i, t, q)
-            else:
-                g, xx, yy = _ext_gcd(a, b)
-                block_rows(t, i, xx, yy, a // g, b // g)
-                normalize_row(t)
-            normalize_row(i)
-
-    def clear_row(t):
-        for j in range(t + 1, n):
-            b = S[t][j]
-            if b.is_zero:
-                continue
-            a = S[t][t]
-            q, rem = divmod(b, a)
-            if rem.is_zero:
-                col_sub(j, t, q)
-            else:
-                g, xx, yy = _ext_gcd(a, b)
-                block_cols(t, j, xx, yy, a // g, b // g)
-                normalize_col(t)
-            normalize_col(j)
-
-    for i in range(m):
-        normalize_row(i)
-    for j in range(n):
-        normalize_col(j)
-
+        rows_side = cols_side = None
+    W = [list(row) for row in P.rows]
     t = 0
+    if m and n:  # zip(*W) of a 0 x n matrix has no rows, not n empty ones
+        for i in range(m):
+            _normalize(W, rows_side, i)
+        W = _transposed(W)
+        for j in range(n):
+            _normalize(W, cols_side, j)
+        W = _transposed(W)
     while t < min(m, n):
-        piv = _find_pivot(S, t, m, n)
+        piv = _find_pivot(W, t, m, n)
         if piv is None:
             break
-        swap_rows(t, piv[1])
-        swap_cols(t, piv[2])
+        _swap(W, rows_side, t, piv[1])
+        W = _transposed(W)
+        _swap(W, cols_side, t, piv[2])
+        W = _transposed(W)
         while True:
-            clear_column(t)
-            clear_row(t)
-            if any(not S[i][t].is_zero for i in range(t + 1, m)):
+            _clear_below(W, rows_side, t)
+            W = _transposed(W)
+            _clear_below(W, cols_side, t)
+            W = _transposed(W)
+            if any(not W[i][t].is_zero for i in range(t + 1, m)):
                 continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not (S[i][j] % S[t][t]).is_zero:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            a = W[t][t]
+            bad = next((i for i in range(t + 1, m)
+                        if any(not (e % a).is_zero for e in W[i][t + 1:])), None)
             if bad is None:
                 break
-            row_add(t, bad)
-            normalize_row(t)
-        lc = S[t][t].lc
+            _row_sub(W, rows_side, t, bad, _MINUS_ONE)
+            _normalize(W, rows_side, t)
+        lc = W[t][t].lc
         if lc != 1:
-            scale_row(t, 1 / lc)
+            _scale(W, rows_side, t, 1 / lc)
         t += 1
-
-    return tuple(S[i][i] for i in range(t)), U, Ui, V, Vi
+    diag = tuple(W[i][i] for i in range(t))
+    if not track:
+        return diag, None, None, None, None
+    return diag, U, Ui, _transposed(Vt), _transposed(Vit)
 
 
 def smith_form(P: PolyMatrix) -> SmithDecomposition:

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BothZero, DivisionByZeroPoly, RootAtA
+from .errors import BothZero, DivisionByZeroPoly, RootAtA, require
 
 NEG_INF = float("-inf")
 
@@ -187,7 +187,8 @@ class Poly:
 
     def shift_down(self, k: int) -> "Poly":
         """Divide by s^k assuming the first k coefficients vanish."""
-        assert all(c == 0 for c in self.coeffs[:k])
+        require(all(c == 0 for c in self.coeffs[:k]),
+                "shift_down past a nonzero coefficient")
         return Poly(self.coeffs[k:])
 
     # -- comparisons and hashing -------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
     SumMismatch,
+    require,
 )
 from .qpoly import (
     ONE,
@@ -215,12 +216,12 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
     M = PolyMatrix(M_rows, n=r)
     N = PolyMatrix(N_rows, n=q)
 
-    assert (M.transpose() @ N).is_zero, "dual bases must annihilate each other"
+    require((M.transpose() @ N).is_zero, "dual bases must annihilate each other")
     okM, dM = is_minimal_basis(M)
     okN, dN = is_minimal_basis(N)
-    assert okM and okN, "constructed factors must be minimal bases"
-    assert sorted(dM, reverse=True) == sorted(dm, reverse=True)
-    assert sorted(dN, reverse=True) == sorted(dn, reverse=True)
+    require(okM and okN, "constructed factors must be minimal bases")
+    require(sorted(dM) == sorted(dm) and sorted(dN) == sorted(dn),
+            "constructed factors must have the prescribed degrees")
     return M, N
 
 
@@ -495,7 +496,8 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
         return PolyMatrix([[delta[0]]])
     if r == 2:
         E = PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
-        assert invariant_factors(E) == tuple(alpha)
+        require(invariant_factors(E) == tuple(alpha),
+                "2x2 realization has the wrong invariant factors")
         return E
 
     atoms = coprime_basis(list(alpha) + list(delta))
@@ -512,8 +514,10 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
                 f"no completion found for atom {atom}"
             )
         E = E @ T
-    assert tuple(E.rows[i][i] for i in range(r)) == tuple(delta)
-    assert invariant_factors(E) == tuple(alpha)
+    require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
+            "triangular realization has the wrong diagonal")
+    require(invariant_factors(E) == tuple(alpha),
+            "triangular realization has the wrong invariant factors")
     return E
 
 
@@ -587,7 +591,20 @@ def _mobius_point(alpha_last: Poly, avoid: Optional[Poly]) -> Fraction:
         a += 1
 
 
-def _realize_with_bases(alpha, f, d, K, Lt, avoid=None) -> PolyMatrix:
+def _realize_poly(p: Prescription, alpha, f, d: int, avoid=None) -> PolyMatrix:
+    """Realize (alpha, f, d) between minimal bases chosen for the span data
+    of p: dual bases when p prescribes null indices too, the given or the
+    bidiagonal ones otherwise. A nonzero f goes through a Mobius frame at a
+    point that is a root of neither alpha_r nor avoid."""
+    if p.uses_null_indices:
+        K = (PolyMatrix.identity(p.r) if p.m == p.r
+             else build_dual_minimal_bases(p.k, p.left)[0])
+        Lt = (PolyMatrix.identity(p.r) if p.n == p.r
+              else build_dual_minimal_bases(p.l, p.right)[0])
+    elif p.uses_bases:
+        K, Lt = p.K, p.Lt
+    else:
+        K, Lt = build_minimal_basis(p.k, p.m), build_minimal_basis(p.l, p.n)
     if all(fi == 0 for fi in f):
         return _realize_zero_inf(alpha, d, K, Lt)
     a = _mobius_point(alpha[-1], avoid)
@@ -604,6 +621,8 @@ def _realize_with_bases(alpha, f, d, K, Lt, avoid=None) -> PolyMatrix:
 
 
 def _gate(p: Prescription) -> None:
+    # a malformed budget is bad input even when the search never starts
+    _search_budget()
     rep = check_feasibility(p)
     if not rep.feasible:
         failing = [c.label for c in rep.conditions.values() if c.status == FAIL]
@@ -617,35 +636,20 @@ def realize_span_zero_inf(p: Prescription) -> PolyMatrix:
     return realize_span(p)
 
 
-def _bases_for(p: Prescription):
-    if p.uses_bases:
-        return p.K, p.Lt
-    return build_minimal_basis(p.k, p.m), build_minimal_basis(p.l, p.n)
-
-
-def realize_span(p: Prescription, *, _avoid: Optional[Poly] = None) -> PolyMatrix:
+def realize_span(p: Prescription) -> PolyMatrix:
     """Realize a spans or span-indices prescription (variants with alpha, f)."""
     _gate(p)
     if p.is_rational:
         raise ValueError("polynomial prescription required")
-    K, Lt = _bases_for(p)
-    return _realize_with_bases(p.alpha, p.f, p.d, K, Lt, avoid=_avoid)
+    return _realize_poly(p, p.alpha, p.f, p.d)
 
 
-def realize_full(p: Prescription, *, _avoid: Optional[Poly] = None) -> PolyMatrix:
+def realize_full(p: Prescription) -> PolyMatrix:
     """Realize a full polynomial prescription (all six data lists)."""
     _gate(p)
     if p.is_rational or not p.uses_null_indices:
         raise ValueError("full polynomial prescription required")
-    if p.m == p.r:
-        K = PolyMatrix.identity(p.r)
-    else:
-        K, _ = build_dual_minimal_bases(p.k, p.left)
-    if p.n == p.r:
-        Lt = PolyMatrix.identity(p.r)
-    else:
-        Lt, _ = build_dual_minimal_bases(p.l, p.right)
-    return _realize_with_bases(p.alpha, p.f, p.d, K, Lt, avoid=_avoid)
+    return _realize_poly(p, p.alpha, p.f, p.d)
 
 
 def realize_rational(p: Prescription) -> RationalMatrix:
@@ -657,33 +661,18 @@ def realize_rational(p: Prescription) -> RationalMatrix:
     psi1 = p.psi[0]
     alpha = []
     for eps, psi in zip(p.epsilon, p.psi):
-        num = psi1 * eps
-        quo, rem = divmod(num, psi)
-        assert rem.is_zero, "psi chain must divide the top denominator"
+        quo, rem = divmod(psi1 * eps, psi)
+        require(rem.is_zero, "psi chain must divide the top denominator")
         alpha.append(quo.monic())
-    q1 = p.q[0]
-    d = int(psi1.degree) - q1
-    f = tuple(qi - q1 for qi in p.q)
-    inner = Prescription(
-        variant={"R1_spans": "P1_spans", "R2_span_indices": "P2_span_indices",
-                 "R3_full": "P3_full"}[p.variant],
-        m=p.m,
-        n=p.n,
-        r=p.r,
-        d=d,
-        alpha=tuple(alpha),
-        f=f,
-        k=p.k,
-        l=p.l,
-        right=p.right,
-        left=p.left,
-        K=p.K,
-        Lt=p.Lt,
-    )
-    avoid = psi1 if psi1 != ONE else None
-    if inner.uses_null_indices:
-        A = realize_full(inner, _avoid=avoid)
-    else:
-        A = realize_span(inner, _avoid=avoid)
+    # The companion (alpha, f, d) with the same span data passes the
+    # polynomial gate whenever p passed the rational one, so it is not
+    # gated again: with d = deg psi_1 - q_1, both sides of eqprec are the
+    # sides of eqprec_rat shifted by d (d - g_i and deg alpha_i + f_i, as
+    # deg alpha_i = deg psi_1 + deg eps_i - deg psi_i), eqIST is the total of
+    # that majorization (so d >= 0), f = q - q_1 gives eqf1, and eqsums,
+    # eqx>0 and eqy>0 read only the span data, which is shared.
+    d = int(psi1.degree) - p.q[0]
+    f = tuple(qi - p.q[0] for qi in p.q)
+    A = _realize_poly(p, tuple(alpha), f, d, avoid=psi1 if psi1 != ONE else None)
     rows = [[RatFn(e, psi1) for e in row] for row in A.rows]
     return RationalMatrix(rows, n=A.n)

@@ -387,3 +387,40 @@ class TestCli:
         assert main(["construct", path]) == 2
         err = capsys.readouterr().err
         assert "STRUCTURA_MAX_SEARCH" in err and repr(raw) in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [dict(WORKED_PRESCRIPTION, d=6), WORKED_PRESCRIPTION],
+        ids=["infeasible", "not-split"],
+    )
+    def test_invalid_search_budget_read_before_gate(self, tmp_path, monkeypatch, doc):
+        # both stop before any search: at the gate, and at the split test
+        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "abc")
+        assert main(["construct", write(tmp_path, "p.json", doc)]) == 2
+
+    def test_internal_invariant_failure_exit_five(self, tmp_path, monkeypatch, capsys):
+        import structura.extract as extract
+
+        monkeypatch.setattr(
+            extract, "partial_multiplicities", lambda P, lam: (1,) * min(P.m, P.n)
+        )
+        mat = {"m": 1, "n": 1, "entries": [[0, 1]]}
+        assert main(["analyze", write(tmp_path, "m.json", mat)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "infinity" in err
+
+
+def test_no_assert_in_library():
+    """Internal checks go through errors.require, which -O does not strip."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "structura"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

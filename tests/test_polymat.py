@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from structura.errors import DegreeMismatch, KOutOfRange, RankDeficient, ZeroMatrix
 from structura.qpoly import ONE, X, Poly
@@ -42,7 +44,32 @@ def check_smith(P):
     return sm
 
 
+@hst.composite
+def small_matrices(draw):
+    """0-4 x 0-4 matrices of degree <= 2 over small integers; about half are
+    a product through k <= min(m, n) columns, so rank k or less."""
+    m, n = draw(hst.integers(0, 4)), draw(hst.integers(0, 4))
+
+    def block(rows, cols, deg):
+        coeffs = hst.lists(hst.integers(-3, 3), min_size=0, max_size=deg + 1)
+        return PolyMatrix(
+            [[Poly(draw(coeffs)) for _ in range(cols)] for _ in range(rows)], n=cols
+        )
+
+    if draw(hst.booleans()):
+        k = draw(hst.integers(0, min(m, n)))
+        return block(m, k, 1) @ block(k, n, 1)
+    return block(m, n, 2)
+
+
 class TestSmith:
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrices())
+    def test_properties(self, P):
+        sm = check_smith(P)
+        assert invariant_factors(P) == sm.diag
+        assert sm.rank == rank(P)
+
     def test_identity(self):
         sm = check_smith(PolyMatrix.identity(2))
         assert sm.diag == (ONE, ONE)
