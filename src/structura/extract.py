@@ -14,6 +14,7 @@ from .errors import ShapeMismatch, ZeroMatrix, require
 from .qpoly import ONE, ZERO, RatFn, poly_lcm, root_multiplicity
 from .polymat import (
     PolyMatrix,
+    _left_inverse_columns,
     column_reduce,
     invariant_factors,
     rank,
@@ -159,14 +160,19 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
 
 
 def _raw_basis(P: PolyMatrix, sm, which: str) -> PolyMatrix:
-    """Basis of one fundamental subspace of P read off its Smith form sm:
-    span bases from the inverse transformers, null bases from the trailing
-    transformer columns."""
+    """Basis of one fundamental subspace of P read off its Smith form sm.
+
+    With U = sm.left, V = sm.right and D the padded diagonal, U P V = D gives
+    P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases are
+    the first rank columns of U^-1 and of V^-T, obtained from these products
+    by exact division; the null bases are the trailing columns of V and the
+    trailing rows of U.
+    """
     r = sm.rank
     if which == "colspan":
-        return sm.left_inv.submatrix(range(P.m), range(r))
+        return _left_inverse_columns(P, sm.right, sm.diag)
     if which == "rowspan":
-        return sm.right_inv.submatrix(range(r), range(P.n)).transpose()
+        return _left_inverse_columns(P.transpose(), sm.left.transpose(), sm.diag)
     if which == "rightnull":
         return sm.right.submatrix(range(P.n), range(r, P.n))
     return sm.left.submatrix(range(r, P.m), range(P.m)).transpose()

@@ -12,18 +12,18 @@ import functools
 import itertools
 from typing import Sequence
 
-from .errors import InternalInvariantError, SingularInput, require
+from .errors import InternalInvariantError, ParseError, SingularInput, require
 from .polymat import PolyMatrix, det, rank
 
 
 def validate_index_tuple(Z: Sequence[int], r: int) -> tuple:
     Z = tuple(int(z) for z in Z)
     if not Z:
-        raise ValueError("index tuple must be nonempty")
+        raise ParseError("index tuple must be nonempty")
     if Z[0] < 1 or Z[-1] > r:
-        raise ValueError(f"indices must lie in 1..{r}")
+        raise ParseError(f"indices must lie in 1..{r}")
     if any(Z[i] >= Z[i + 1] for i in range(len(Z) - 1)):
-        raise ValueError("indices must be strictly increasing")
+        raise ParseError("indices must be strictly increasing")
     return Z
 
 

@@ -291,18 +291,13 @@ def is_unimodular(P: PolyMatrix) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """left @ P @ right equals diag(diag) padded with zeros.
-
-    left_inv and right_inv are the exact inverses of the transformers,
-    maintained during elimination.
-    """
+    """left @ P @ right equals diag(diag) padded with zeros; the leading
+    columns of left^-1 and right^-T come from _left_inverse_columns."""
 
     left: PolyMatrix
     diag: tuple
     right: PolyMatrix
     rank: int
-    left_inv: PolyMatrix
-    right_inv: PolyMatrix
 
     def padded_diag(self, m: int, n: int) -> PolyMatrix:
         rows = [[ZERO] * n for _ in range(m)]
@@ -354,69 +349,48 @@ def _transposed(rows) -> list:
 
 
 # Elimination steps of the Smith core. Each is a row operation on the working
-# matrix W; side is None or the (transformer X, inverse Xi) pair of the side
-# being reduced, and then the same step is applied to the rows of X and its
-# inverse to the columns of Xi. Column steps on a matrix are these row steps
-# on its transpose (Kailath 1980, Linear Systems, 6.3).
+# matrix W and, when X is not None, the same operation on the rows of X, the
+# transformer of the side being reduced. Column steps on a matrix are these
+# row steps on its transpose (Kailath 1980, Linear Systems, 6.3).
 
 
-def _swap(W, side, a, b):
+def _swap(W, X, a, b):
     if a == b:
         return
-    W[a], W[b] = W[b], W[a]
-    if side:
-        X, Xi = side
-        X[a], X[b] = X[b], X[a]
-        for row in Xi:
-            row[a], row[b] = row[b], row[a]
+    for M in (W, X) if X is not None else (W,):
+        M[a], M[b] = M[b], M[a]
 
 
-def _row_sub(W, side, i, t, q):
-    # row_i -= q * row_t on W and X; col_t += q * col_i on Xi
-    rows = (W, side[0]) if side else (W,)
-    for M in rows:
+def _row_sub(W, X, i, t, q):
+    # row_i -= q * row_t
+    for M in (W, X) if X is not None else (W,):
         dst = M[i]
         for j, e in enumerate(M[t]):
             if not e.is_zero:
                 dst[j] = dst[j] - q * e
-    if side:
-        for row in side[1]:
-            if not row[i].is_zero:
-                row[t] = row[t] + q * row[i]
 
 
-def _block(W, side, t, i, xx, yy, u, v):
+def _block(W, X, t, i, xx, yy, u, v):
     # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
-    rows = (W, side[0]) if side else (W,)
-    for M in rows:
+    for M in (W, X) if X is not None else (W,):
         rt, ri = M[t], M[i]
         for j, (a, b) in enumerate(zip(rt, ri)):
             rt[j] = xx * a + yy * b
             ri[j] = u * b - v * a
-    if side:
-        for row in side[1]:
-            a, b = row[t], row[i]
-            row[t] = u * a + v * b
-            row[i] = xx * b - yy * a
 
 
-def _scale(W, side, t, c: Fraction):
-    W[t] = [e.scale(c) for e in W[t]]
-    if side:
-        X, Xi = side
-        X[t] = [e.scale(c) for e in X[t]]
-        inv = 1 / c
-        for row in Xi:
-            row[t] = row[t].scale(inv)
+def _scale(W, X, t, c: Fraction):
+    for M in (W, X) if X is not None else (W,):
+        M[t] = [e.scale(c) for e in M[t]]
 
 
-def _normalize(W, side, i):
+def _normalize(W, X, i):
     c = _content_scale(W[i])
     if c != 1:
-        _scale(W, side, i, c)
+        _scale(W, X, i, c)
 
 
-def _clear_below(W, side, t):
+def _clear_below(W, X, t):
     """Clear column t of W below the pivot W[t][t] by row steps."""
     for i in range(t + 1, len(W)):
         b = W[i][t]
@@ -425,55 +399,51 @@ def _clear_below(W, side, t):
         a = W[t][t]
         q, rem = divmod(b, a)
         if rem.is_zero:
-            _row_sub(W, side, i, t, q)
+            _row_sub(W, X, i, t, q)
         else:
             g, xx, yy = _ext_gcd(a, b)
-            _block(W, side, t, i, xx, yy, a // g, b // g)
-            _normalize(W, side, t)
-        _normalize(W, side, i)
+            _block(W, X, t, i, xx, yy, a // g, b // g)
+            _normalize(W, X, t)
+        _normalize(W, X, i)
 
 
 def _smith_core(P: PolyMatrix, track: bool):
-    """Smith elimination over Q[s]: (diag, U, Ui, V, Vi).
+    """Smith elimination over Q[s]: (diag, U, V).
 
     Every step is a row operation. The column half of each pivot step runs
-    on the transpose of the working matrix, where V and Vi act as the left
-    transformer V^T with inverse Vi^T; both are kept transposed and turned
-    back once at the end. The transformers are updated only when track is
-    set, and are None otherwise; the elimination on the working matrix, and
-    so the diagonal, is the same either way. Entries are cleared with
-    single-shot Bezout block transforms instead of iterated remainder steps,
-    and rows/columns are rescaled to primitive integer form after every
-    operation, which keeps coefficients tame.
+    on the transpose of the working matrix, where V acts as the left
+    transformer V^T; it is kept transposed and turned back once at the end.
+    The transformers are updated only when track is set, and are None
+    otherwise; the elimination on the working matrix, and so the diagonal,
+    is the same either way. Entries are cleared with single-shot Bezout block
+    transforms instead of iterated remainder steps, and rows/columns are
+    rescaled to primitive integer form after every operation, which keeps
+    coefficients tame.
     """
     m, n = P.m, P.n
-    if track:
-        U, Ui, Vt, Vit = ([list(r) for r in PolyMatrix.identity(k).rows]
-                          for k in (m, m, n, n))
-        rows_side, cols_side = (U, Ui), (Vt, Vit)
-    else:
-        rows_side = cols_side = None
+    U, Vt = ([list(r) for r in PolyMatrix.identity(k).rows] if track else None
+             for k in (m, n))
     W = [list(row) for row in P.rows]
     t = 0
     if m and n:  # zip(*W) of a 0 x n matrix has no rows, not n empty ones
         for i in range(m):
-            _normalize(W, rows_side, i)
+            _normalize(W, U, i)
         W = _transposed(W)
         for j in range(n):
-            _normalize(W, cols_side, j)
+            _normalize(W, Vt, j)
         W = _transposed(W)
     while t < min(m, n):
         piv = _find_pivot(W, t, m, n)
         if piv is None:
             break
-        _swap(W, rows_side, t, piv[1])
+        _swap(W, U, t, piv[1])
         W = _transposed(W)
-        _swap(W, cols_side, t, piv[2])
+        _swap(W, Vt, t, piv[2])
         W = _transposed(W)
         while True:
-            _clear_below(W, rows_side, t)
+            _clear_below(W, U, t)
             W = _transposed(W)
-            _clear_below(W, cols_side, t)
+            _clear_below(W, Vt, t)
             W = _transposed(W)
             if any(not W[i][t].is_zero for i in range(t + 1, m)):
                 continue
@@ -482,33 +452,57 @@ def _smith_core(P: PolyMatrix, track: bool):
                         if any(not (e % a).is_zero for e in W[i][t + 1:])), None)
             if bad is None:
                 break
-            _row_sub(W, rows_side, t, bad, _MINUS_ONE)
-            _normalize(W, rows_side, t)
+            _row_sub(W, U, t, bad, _MINUS_ONE)
+            _normalize(W, U, t)
         lc = W[t][t].lc
         if lc != 1:
-            _scale(W, rows_side, t, 1 / lc)
+            _scale(W, U, t, 1 / lc)
         t += 1
     diag = tuple(W[i][i] for i in range(t))
-    if not track:
-        return diag, None, None, None, None
-    return diag, U, Ui, _transposed(Vt), _transposed(Vit)
+    return diag, U, _transposed(Vt) if track else None
 
 
 def smith_form(P: PolyMatrix) -> SmithDecomposition:
-    """Smith normal form over Q[s] with unimodular transformers and inverses.
+    """Smith normal form over Q[s] with unimodular transformers.
 
     The only entry point that builds the transformers; callers that read
     just the diagonal use invariant_factors.
     """
-    diag, U, Ui, V, Vi = _smith_core(P, track=True)
+    diag, U, V = _smith_core(P, track=True)
     return SmithDecomposition(
         left=PolyMatrix(U, n=P.m),
         diag=diag,
         right=PolyMatrix(V, n=P.n),
         rank=len(diag),
-        left_inv=PolyMatrix(Ui, n=P.m),
-        right_inv=PolyMatrix(Vi, n=P.n),
     )
+
+
+def _left_inverse_columns(P: PolyMatrix, right: PolyMatrix, diag) -> PolyMatrix:
+    """The first len(diag) columns of left^-1, for a Smith decomposition
+    left @ P @ right = D with diagonal diag.
+
+    P @ right = left^-1 @ D, so column j of P @ right is column j of left^-1
+    times diag[j] (Kailath 1980, 6.3). The product is formed row by row and
+    each entry is divided exactly by its invariant factor, skipped when that
+    factor is 1. With P^T and left^T in place of P and right, the same
+    columns are those of right^-T.
+    """
+    cols = list(zip(*right.rows))[:len(diag)]
+    out = []
+    for row in P.rows:
+        new = []
+        for col, a in zip(cols, diag):
+            acc = ZERO
+            for e, x in zip(row, col):
+                if not (e.is_zero or x.is_zero):
+                    acc = acc + e * x
+            if a != ONE:
+                acc, rem = divmod(acc, a)
+                require(rem.is_zero, "P @ right = left^-1 @ D: a column of P @ "
+                        "right is not divisible by its invariant factor")
+            new.append(acc)
+        out.append(new)
+    return PolyMatrix(out, n=len(diag))
 
 
 def invariant_factors(P: PolyMatrix) -> tuple:
@@ -623,7 +617,6 @@ def highest_col_coeff_matrix(P: PolyMatrix):
 @dataclass(frozen=True)
 class ColumnReduction:
     reduced: PolyMatrix
-    right_transform: PolyMatrix
     column_degrees: tuple
 
 
@@ -634,11 +627,10 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
     replacements; ties break toward the rightmost reducible column.
     """
     if P.n == 0:
-        return ColumnReduction(P, PolyMatrix.identity(0), ())
+        return ColumnReduction(P, ())
     if rank(P) < P.n:
         raise RankDeficient("column reduction requires full column rank")
     cols = [list(P.col(j)) for j in range(P.n)]
-    V = [list(row) for row in PolyMatrix.identity(P.n).rows]
     while True:
         degs = [max((e.degree for e in c), default=NEG_INF) for c in cols]
         ph_rows = [
@@ -653,23 +645,16 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
         j0 = max(j for j in support if degs[j] == dmax)
         inv = 1 / c[j0]
         new_col = [ZERO] * P.m
-        new_vcol = [ZERO] * P.n
         for j in support:
             mono = Poly.monomial(c[j] * inv, int(dmax - degs[j]))
             for i in range(P.m):
                 new_col[i] = new_col[i] + mono * cols[j][i]
-            for i in range(P.n):
-                new_vcol[i] = new_vcol[i] + mono * V[i][j]
         rescale = _content_scale(new_col)
-        for i in range(P.m):
-            cols[j0][i] = new_col[i].scale(rescale)
-        for i in range(P.n):
-            V[i][j0] = new_vcol[i].scale(rescale)
+        cols[j0] = [e.scale(rescale) for e in new_col]
     reduced = PolyMatrix(
         [[cols[j][i] for j in range(P.n)] for i in range(P.m)], n=P.n
     )
-    degs = reduced.column_degrees()
-    return ColumnReduction(reduced, PolyMatrix(V, n=P.n), degs)
+    return ColumnReduction(reduced, reduced.column_degrees())
 
 
 def is_column_proper(P: PolyMatrix) -> bool:

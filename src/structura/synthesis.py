@@ -45,6 +45,7 @@ from .qpoly import (
 )
 from .polymat import (
     PolyMatrix,
+    _left_inverse_columns,
     invariant_factors,
     is_minimal_basis,
     mobius_frame,
@@ -458,19 +459,20 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
         sm = smith_form(block)
         if tuple(sm.diag) != tuple(atom ** b for b in beta):
             continue
+        D = sm.padded_diag(size, size).rows
+        corner = [ZERO] * size + [atom ** xr]
         for prof in _gamma_candidates(size, gmax):
             budget.spend()
-            z = PolyMatrix(
-                [[ZERO if gv is None else atom ** gv] for gv in prof], n=1
-            )
-            y = sm.left_inv @ z
-            rows = []
-            for i in range(size):
-                rows.append(list(block.rows[i]) + [y.rows[i][0]])
-            rows.append([ZERO] * size + [atom ** xr])
-            T = PolyMatrix(rows, n=r)
-            if invariant_factors(T) == target:
-                return T
+            z = [ZERO if gv is None else atom ** gv for gv in prof]
+            # T = [[block, y], [0, atom^xr]] with y = U^-1 z (U = sm.left) is
+            # equivalent to diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]],
+            # so only the accepted z needs y
+            bordered = [list(D[i]) + [z[i]] for i in range(size)]
+            if invariant_factors(PolyMatrix(bordered + [corner], n=r)) == target:
+                Ui = _left_inverse_columns(block, sm.right, sm.diag)
+                y = Ui @ PolyMatrix([[e] for e in z], n=1)
+                rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
+                return PolyMatrix(rows + [corner], n=r)
     return None
 
 

@@ -368,6 +368,12 @@ class TestCli:
         path = write(tmp_path, "s.json", doc)
         assert main(["minor-select", path, "--z", "1"]) == 2
 
+    @pytest.mark.parametrize("z", ["3", "2,1", ","])
+    def test_minor_select_bad_index_tuple_exit_two(self, tmp_path, capsys, z):
+        path = write(tmp_path, "e.json", {"m": 2, "n": 2, "entries": [[1], [0], [0], [1]]})
+        assert main(["minor-select", path, "--z", z]) == 2
+        assert capsys.readouterr().err.startswith("malformed input:")
+
     def test_unwritable_output_exit_two(self, tmp_path):
         mat = {"m": 1, "n": 1, "entries": [[1]]}
         path = write(tmp_path, "m.json", mat)

@@ -173,6 +173,52 @@ class TestExtractPoly:
             d = extract_poly_structure(P)
             assert d.invariant_factors == tuple(chain)
 
+    @pytest.mark.parametrize(
+        "P, alpha, bases",
+        [
+            (  # 3x4 of rank 2: the third row is the sum of the first two
+                M([[S, 1, S * S, 0], [1, 0, S, 1], [S + ONE, 1, S * S + S, 1]]),
+                (ONE, ONE),
+                (
+                    ((0, 0), M([[1, 0], [0, 1], [1, 1]])),
+                    ((1, 1), M([[1, 0], [0, -1], [S, 0], [1, S]])),
+                    ((1, 1), M([[-1, S], [S, 0], [0, -1], [1, 0]])),
+                    ((0,), M([[1], [1], [-1]])),
+                ),
+            ),
+            (  # full row rank, invariant factors (s, s)
+                M([[S, S * S, 0], [S, 0, S * S - S]]),
+                (S, S),
+                (
+                    ((0, 0), M([[1, 0], [1, 1]])),
+                    ((1, 1), M([[1, 0], [S, S], [0, ONE - S]])),
+                    ((2,), M([[S * S - S], [ONE - S], [-S]])),
+                    ((), PolyMatrix.zeros(2, 0)),
+                ),
+            ),
+            (  # 3x2 of rank 1 with invariant factor s
+                M([[S, S * S], [S * S, S * S * S], [0, 0]]),
+                (S,),
+                (
+                    ((1,), M([[1], [S], [0]])),
+                    ((1,), M([[1], [S]])),
+                    ((1,), M([[S], [-1]])),
+                    ((1, 0), M([[S, 0], [-1, 0], [0, 1]])),
+                ),
+            ),
+        ],
+        ids=["rank-deficient", "nontrivial-factors", "rank-one-factor-s"],
+    )
+    def test_pinned_bases(self, P, alpha, bases):
+        d = extract_poly_structure(P)
+        assert d.invariant_factors == alpha
+        assert (
+            (d.colspan_indices, d.colspan_basis),
+            (d.rowspan_indices, d.rowspan_basis),
+            (d.right_indices, d.right_null_basis),
+            (d.left_indices, d.left_null_basis),
+        ) == bases
+
     def test_identities_hold_on_random_matrices(self):
         rng = random.Random(23)
         for _ in range(30):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from structura.errors import SingularInput
+from structura.errors import ParseError, SingularInput
 from structura.qpoly import X, Poly
 from structura.polymat import PolyMatrix, det
 from structura.minors import (
@@ -91,7 +91,7 @@ class TestSelect:
     def test_bad_index_tuples(self):
         E = PolyMatrix.identity(3)
         for bad in ([], [0], [1, 1], [2, 1], [4]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ParseError):
                 select_nonzero_minor(E, bad)
 
     def test_worked_bounds_on_random_five_by_five(self):

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from structura.errors import DegreeMismatch, KOutOfRange, RankDeficient, ZeroMatrix
 from structura.qpoly import ONE, X, Poly
 from structura.polymat import (
     PolyMatrix,
+    _left_inverse_columns,
     column_reduce,
     det,
     gcd_minors_oracle,
@@ -35,8 +36,15 @@ def check_smith(P):
     sm = smith_form(P)
     assert sm.left @ P @ sm.right == sm.padded_diag(P.m, P.n)
     assert is_unimodular(sm.left) and is_unimodular(sm.right)
-    assert sm.left @ sm.left_inv == PolyMatrix.identity(P.m)
-    assert sm.right @ sm.right_inv == PolyMatrix.identity(P.n)
+
+    def first_columns_of_identity(k):
+        return PolyMatrix.identity(k).submatrix(range(k), range(sm.rank))
+
+    # the derived leading columns of left^-1 and right^-T are inverse columns
+    assert sm.left @ _left_inverse_columns(P, sm.right, sm.diag) == (
+        first_columns_of_identity(P.m))
+    assert sm.right.transpose() @ _left_inverse_columns(
+        P.transpose(), sm.left.transpose(), sm.diag) == first_columns_of_identity(P.n)
     for i in range(sm.rank - 1):
         assert (sm.diag[i + 1] % sm.diag[i]).is_zero
     for a in sm.diag:
@@ -155,20 +163,40 @@ class TestMinors:
             assert d1 == d2
 
 
+@hst.composite
+def full_column_rank_matrices(draw):
+    """m x n matrices of degree <= 2 with 1 <= n <= m <= 4 and rank n."""
+    m = draw(hst.integers(1, 4))
+    n = draw(hst.integers(1, m))
+    coeffs = hst.lists(hst.integers(-3, 3), min_size=0, max_size=3)
+    P = PolyMatrix([[Poly(draw(coeffs)) for _ in range(n)] for _ in range(m)], n=n)
+    assume(rank(P) == n)
+    return P
+
+
 class TestColumnReduce:
     def test_already_reduced(self):
         P = M([[S, 0], [0, 1]])
         cr = column_reduce(P)
         assert cr.reduced == P
-        assert cr.right_transform == PolyMatrix.identity(2)
+        assert cr.column_degrees == (1, 0)
 
     def test_one_step(self):
         P = M([[S, S * S], [1, S + ONE]])
         cr = column_reduce(P)
         assert cr.column_degrees == (1, 0)
-        assert P @ cr.right_transform == cr.reduced
-        assert is_unimodular(cr.right_transform)
         assert is_column_proper(cr.reduced)
+
+    @settings(max_examples=80, deadline=None)
+    @given(full_column_rank_matrices())
+    def test_properties(self, P):
+        # P @ V with V unimodular: column proper, same invariant factors and
+        # the same rational column span
+        cr = column_reduce(P)
+        assert is_column_proper(cr.reduced)
+        assert cr.column_degrees == cr.reduced.column_degrees()
+        assert invariant_factors(cr.reduced) == invariant_factors(P)
+        assert rank(PolyMatrix.hstack(P, cr.reduced)) == P.n
 
     def test_unimodular_reduces_to_degree_zero(self):
         rng = random.Random(23)
