@@ -26,11 +26,8 @@ from .polymat import (
     SmithDecomposition,
     column_reduce,
     det,
-    gcd_minors_oracle,
     invariant_factors,
     is_minimal_basis,
-    is_unimodular,
-    max_minor_degree,
     mobius_frame,
     rank,
     reversal,
@@ -64,7 +61,6 @@ from .synthesis import (
     realize_full,
     realize_rational,
     realize_span,
-    realize_span_zero_inf,
     shape_degrees,
     triangular_realization,
 )
@@ -86,12 +82,9 @@ __all__ = [
     "ColumnReduction",
     "smith_form",
     "invariant_factors",
-    "gcd_minors_oracle",
     "column_reduce",
     "reversal",
-    "max_minor_degree",
     "is_minimal_basis",
-    "is_unimodular",
     "mobius_frame",
     "scale_basis_mobius",
     "det",
@@ -117,7 +110,6 @@ __all__ = [
     "distribute_invariant_factors",
     "triangular_realization",
     "shape_degrees",
-    "realize_span_zero_inf",
     "realize_span",
     "realize_full",
     "realize_rational",

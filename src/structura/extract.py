@@ -328,10 +328,17 @@ def verify(matrix, prescription) -> VerificationReport:
             matrix = RationalMatrix.from_poly_matrix(matrix)
         if not isinstance(matrix, RationalMatrix):
             raise ShapeMismatch("rational prescription needs a matrix input")
-        if (matrix.m, matrix.n) != (p.m, p.n):
-            raise ShapeMismatch(
-                f"matrix is {matrix.m}x{matrix.n}, prescription wants {p.m}x{p.n}"
-            )
+    elif not isinstance(matrix, PolyMatrix):
+        raise ShapeMismatch("polynomial prescription needs a PolyMatrix")
+    if (matrix.m, matrix.n) != (p.m, p.n):
+        raise ShapeMismatch(
+            f"matrix is {matrix.m}x{matrix.n}, prescription wants {p.m}x{p.n}"
+        )
+    if matrix.is_zero:
+        # every prescription has rank r >= 1, which no zero matrix attains
+        return VerificationReport(passed=False, mismatches=("rank",))
+
+    if p.is_rational:
         data = extract_rational_structure(matrix)
         if data.rank != p.r:
             mismatches.append("rank")
@@ -342,12 +349,6 @@ def verify(matrix, prescription) -> VerificationReport:
         if data.inf_orders != tuple(p.q):
             mismatches.append("inf_orders")
     else:
-        if not isinstance(matrix, PolyMatrix):
-            raise ShapeMismatch("polynomial prescription needs a PolyMatrix")
-        if (matrix.m, matrix.n) != (p.m, p.n):
-            raise ShapeMismatch(
-                f"matrix is {matrix.m}x{matrix.n}, prescription wants {p.m}x{p.n}"
-            )
         data = extract_poly_structure(matrix)
         if data.rank != p.r:
             mismatches.append("rank")

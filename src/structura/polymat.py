@@ -1,6 +1,9 @@
-"""Polynomial-matrix kernel: Smith form (with or without transformers), column
-reduction, reversal, Mobius frames, minor enumeration, and the minimal-basis
-test.
+"""Polynomial-matrix kernel: determinant, rank, Smith form (with or without
+transformers), column reduction, reversal, Mobius frames, and the
+minimal-basis test.
+
+The rank is read from values of the matrix at distinct rationals, with no
+polynomial elimination; column_reduce detects rank deficiency by itself.
 
 All operations are pure; matrices are immutable value objects. Pivoting rules
 are deterministic (minimal degree, then smallest (row, col) lexicographically)
@@ -9,7 +12,6 @@ so identical inputs always produce identical transformers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -17,7 +19,6 @@ from typing import Callable, Sequence
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
-    KOutOfRange,
     RankDeficient,
     ZeroMatrix,
     require,
@@ -225,19 +226,17 @@ def _find_pivot(S, t, m, n):
     return best
 
 
-def _bareiss(rows, need_det: bool):
-    """Fraction-free elimination with the _find_pivot rule; returns
-    (rank, det-or-None)."""
+def _bareiss(rows) -> Poly:
+    """Determinant of a square matrix by fraction-free elimination with the
+    _find_pivot rule."""
     M = [list(r) for r in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
+    n = len(M)
     denom = ONE
     sign = 1
-    k = 0
-    while k < min(m, n):
-        best = _find_pivot(M, k, m, n)
+    for k in range(n):
+        best = _find_pivot(M, k, n, n)
         if best is None:
-            break
+            return ZERO
         _, pi, pj = best
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
@@ -247,20 +246,13 @@ def _bareiss(rows, need_det: bool):
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
         piv = M[k][k]
-        for i in range(k + 1, m):
+        for i in range(k + 1, n):
             for j in range(k + 1, n):
                 M[i][j] = _exact_div(M[i][j] * piv - M[i][k] * M[k][j], denom)
             M[i][k] = ZERO
         denom = piv
-        k += 1
-    if not need_det:
-        return k, None
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    det = M[n - 1][n - 1] if k == n else ZERO
-    if sign < 0:
-        det = -det
-    return k, det
+    # the last pivot is the determinant up to the sign of the permutations
+    return denom if sign > 0 else -denom
 
 
 def det(P: PolyMatrix) -> Poly:
@@ -269,21 +261,28 @@ def det(P: PolyMatrix) -> Poly:
         raise ValueError("determinant of a non-square matrix")
     if P.n <= 4:
         return _det_cofactor([list(r) for r in P.rows])
-    return _bareiss(P.rows, need_det=True)[1]
+    return _bareiss(P.rows)
 
 
 def rank(P: PolyMatrix) -> int:
-    if P.m == 0 or P.n == 0:
+    """Rank over Q(s), read from the values of P at 0, 1, -1, 2, -2, ...
+
+    A nonzero rho x rho minor of P has degree at most rho * deg P, so it
+    cannot vanish at min(m, n) * deg P + 1 distinct points (the deterministic
+    form of DeMillo-Lipton 1978 / Schwartz 1980 / Zippel 1979). The largest
+    rank of P(x) over that many points is therefore the rank of P; no value
+    exceeds it, so the scan stops once it reaches min(m, n).
+    """
+    full = min(P.m, P.n)
+    if full == 0 or P.is_zero:
         return 0
-    return _bareiss(P.rows, need_det=False)[0]
-
-
-def is_unimodular(P: PolyMatrix) -> bool:
-    """Square with constant nonzero determinant."""
-    if not P.is_square:
-        return False
-    d = det(P)
-    return d.degree == 0
+    best = 0
+    for k in range(full * int(P.degree) + 1):
+        x = (k + 1) // 2 if k % 2 else -(k // 2)
+        best = max(best, _frac_rank(P.eval_at(x)))
+        if best == full:
+            break
+    return best
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -511,45 +510,6 @@ def invariant_factors(P: PolyMatrix) -> tuple:
     return _smith_core(P, track=False)[0]
 
 
-# -- minors ------------------------------------------------------------------
-
-
-def _iter_minors(P: PolyMatrix, k: int):
-    for rows_idx in itertools.combinations(range(P.m), k):
-        for cols_idx in itertools.combinations(range(P.n), k):
-            yield det(P.submatrix(rows_idx, cols_idx))
-
-
-def gcd_minors_oracle(P: PolyMatrix, k: int) -> Poly:
-    """Monic gcd of all order-k minors; equals the product of the first k
-    invariant factors."""
-    from .qpoly import poly_gcd
-
-    r = rank(P)
-    if not 1 <= k <= r:
-        raise KOutOfRange(f"k={k} outside 1..rank={r}")
-    acc = ZERO
-    for mnr in _iter_minors(P, k):
-        if mnr.is_zero:
-            continue
-        acc = mnr.monic() if acc.is_zero else poly_gcd(acc, mnr)
-        if acc == ONE:
-            return ONE
-    return acc.monic()
-
-
-def max_minor_degree(P: PolyMatrix, k: int) -> int:
-    """Max degree over all order-k minors, exhaustively enumerated."""
-    r = rank(P)
-    if not 1 <= k <= r:
-        raise KOutOfRange(f"k={k} outside 1..rank={r}")
-    best = NEG_INF
-    for mnr in _iter_minors(P, k):
-        if mnr.degree > best:
-            best = mnr.degree
-    return best
-
-
 # -- constant-matrix helpers (over Q) ----------------------------------------
 
 
@@ -598,17 +558,10 @@ def _frac_kernel_vectors(rows, n: int):
     return out
 
 
-def highest_col_coeff_matrix(P: PolyMatrix):
-    """Rows of constants: entry (i, j) is the coefficient of s^(col degree j)."""
-    degs = P.column_degrees()
-    out = []
-    for i in range(P.m):
-        row = []
-        for j in range(P.n):
-            d = degs[j]
-            row.append(P.rows[i][j].coeff(int(d)) if d != NEG_INF else Fraction(0))
-        out.append(row)
-    return out, degs
+def _leading_coefficient_rows(cols, degs) -> list:
+    """Rows of the leading column-coefficient matrix: entry (i, j) is the
+    coefficient of s^degs[j] in cols[j][i]. Every degree must be finite."""
+    return _transposed([e.coeff(int(d)) for e in col] for col, d in zip(cols, degs))
 
 
 # -- column reduction ---------------------------------------------------------
@@ -624,19 +577,21 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
     """Wolovich column reduction of a full-column-rank matrix.
 
     Repeatedly cancels leading-coefficient dependencies with monomial column
-    replacements; ties break toward the rightmost reducible column.
+    replacements; ties break toward the rightmost reducible column. Raises
+    RankDeficient when P does not have full column rank.
     """
     if P.n == 0:
         return ColumnReduction(P, ())
-    if rank(P) < P.n:
-        raise RankDeficient("column reduction requires full column rank")
     cols = [list(P.col(j)) for j in range(P.n)]
     while True:
         degs = [max((e.degree for e in c), default=NEG_INF) for c in cols]
-        ph_rows = [
-            [cols[j][i].coeff(int(degs[j])) for j in range(P.n)] for i in range(P.m)
-        ]
-        kernel = _frac_kernel_vectors(ph_rows, P.n)
+        # Every step is unimodular and lowers one column degree. A column
+        # proper matrix has full column rank, so a rank-deficient P never
+        # reaches a full-rank leading-coefficient matrix: its degree sum
+        # keeps falling until a column is zero.
+        if NEG_INF in degs:
+            raise RankDeficient("column reduction requires full column rank")
+        kernel = _frac_kernel_vectors(_leading_coefficient_rows(cols, degs), P.n)
         if not kernel:
             break
         c = kernel[-1]
@@ -661,10 +616,11 @@ def is_column_proper(P: PolyMatrix) -> bool:
     """True when the highest-column-degree coefficient matrix has full rank."""
     if P.n == 0:
         return True
-    if any(d == NEG_INF for d in P.column_degrees()):
+    degs = P.column_degrees()
+    if NEG_INF in degs:
         return False
-    ph, _ = highest_col_coeff_matrix(P)
-    return _frac_rank(ph) == min(P.m, P.n)
+    cols = [P.col(j) for j in range(P.n)]
+    return _frac_rank(_leading_coefficient_rows(cols, degs)) == min(P.m, P.n)
 
 
 def is_minimal_basis(K: PolyMatrix):
@@ -696,24 +652,12 @@ def reversal(P: PolyMatrix) -> PolyMatrix:
 
 
 def mobius_frame(P: PolyMatrix, a, d: int) -> PolyMatrix:
-    """(s - a)^d P(1/(s - a)): writing P = sum P_j s^j, returns
-    sum P_j (s - a)^(d - j)."""
-    a = as_fraction(a)
+    """(s - a)^d P(1/(s - a)): the reversal in a frame of degree d, shifted
+    to s - a. Writing P = sum P_j s^j, this is sum P_j (s - a)^(d - j)."""
     if d < (P.degree if not P.is_zero else 0):
         raise DegreeTooSmall(f"frame degree {d} below matrix degree {P.degree}")
-    lin = Poly((-a, 1))
-    powers = [ONE]
-    for _ in range(d):
-        powers.append(powers[-1] * lin)
-
-    def frame_entry(e: Poly) -> Poly:
-        acc = ZERO
-        for j, c in enumerate(e.coeffs):
-            if c:
-                acc = acc + powers[d - j].scale(c)
-        return acc
-
-    return P.map_entries(frame_entry)
+    a = as_fraction(a)
+    return P.map_entries(lambda e: e.reverse(d).shift(-a))
 
 
 def scale_basis_mobius(K: PolyMatrix, a, degs: Sequence[int]) -> PolyMatrix:

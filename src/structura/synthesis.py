@@ -631,13 +631,6 @@ def _gate(p: Prescription) -> None:
         raise Infeasible(f"conditions failed: {', '.join(failing)}")
 
 
-def realize_span_zero_inf(p: Prescription) -> PolyMatrix:
-    """realize_span restricted to a trivial infinite structure (all f_i = 0)."""
-    if p.f is not None and any(fi != 0 for fi in p.f):
-        raise Infeasible("nonzero infinite multiplicities; use realize_span")
-    return realize_span(p)
-
-
 def realize_span(p: Prescription) -> PolyMatrix:
     """Realize a spans or span-indices prescription (variants with alpha, f)."""
     _gate(p)

@@ -5,14 +5,64 @@ Everything takes an explicit random.Random so failures reproduce exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from structura.qpoly import ONE, Poly
-from structura.polymat import PolyMatrix
+from structura.errors import KOutOfRange
+from structura.qpoly import NEG_INF, ONE, ZERO, Poly, poly_gcd
+from structura.polymat import PolyMatrix, det, rank
 from structura.feasibility import Prescription, g_sequence
 
 ROOT_POOL = [Fraction(v) for v in range(-3, 4)]
+
+
+# -- brute-force minor oracles ----------------------------------------------
+
+
+def _iter_minors(P: PolyMatrix, k: int):
+    for rows_idx in itertools.combinations(range(P.m), k):
+        for cols_idx in itertools.combinations(range(P.n), k):
+            yield det(P.submatrix(rows_idx, cols_idx))
+
+
+def gcd_minors_oracle(P: PolyMatrix, k: int) -> Poly:
+    """Monic gcd of all order-k minors; equals the product of the first k
+    invariant factors."""
+    r = rank(P)
+    if not 1 <= k <= r:
+        raise KOutOfRange(f"k={k} outside 1..rank={r}")
+    acc = ZERO
+    for mnr in _iter_minors(P, k):
+        if mnr.is_zero:
+            continue
+        acc = mnr.monic() if acc.is_zero else poly_gcd(acc, mnr)
+        if acc == ONE:
+            return ONE
+    return acc.monic()
+
+
+def max_minor_degree(P: PolyMatrix, k: int) -> int:
+    """Max degree over all order-k minors, exhaustively enumerated."""
+    r = rank(P)
+    if not 1 <= k <= r:
+        raise KOutOfRange(f"k={k} outside 1..rank={r}")
+    best = NEG_INF
+    for mnr in _iter_minors(P, k):
+        if mnr.degree > best:
+            best = mnr.degree
+    return best
+
+
+def is_unimodular(P: PolyMatrix) -> bool:
+    """Square with constant nonzero determinant."""
+    if not P.is_square:
+        return False
+    d = det(P)
+    return d.degree == 0
+
+
+# -- random generators --------------------------------------------------------
 
 
 def random_poly(rng: random.Random, max_deg: int, lo: int = -3, hi: int = 3) -> Poly:
@@ -173,8 +223,6 @@ def random_feasible_poly_prescription(
 def _shuffle_constant_left(rng, B: PolyMatrix) -> PolyMatrix:
     """Left-multiply by a random constant invertible matrix: keeps minimality
     and column degrees, varies the prescribed subspace."""
-    from structura.polymat import det
-
     n = B.m
     while True:
         C = PolyMatrix(

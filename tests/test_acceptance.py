@@ -13,7 +13,7 @@ import time
 from structura.cli import main
 from structura.errors import FieldNotSplit
 from structura.qpoly import ONE, X, Poly, RatFn
-from structura.polymat import PolyMatrix, det, max_minor_degree
+from structura.polymat import PolyMatrix, det
 from structura.extract import (
     RationalMatrix,
     clear_denominators,
@@ -32,6 +32,7 @@ from structura.synthesis import (
 )
 from structura.polymat import is_minimal_basis
 from conftest import (
+    max_minor_degree,
     random_feasible_poly_prescription,
     random_low_rank_matrix,
     random_matrix,

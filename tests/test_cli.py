@@ -345,6 +345,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "invariant_factors" in out
 
+    def test_verify_zero_matrix_fails_on_rank(self, tmp_path, capsys):
+        zero = {"m": 2, "n": 2, "entries": [[], [], [], []]}
+        rank_two = {
+            "variant": "P2_span_indices",
+            "m": 2,
+            "n": 2,
+            "r": 2,
+            "d": 1,
+            "alpha": [[1], [0, 0, 1]],
+            "f": [0, 0],
+            "k": [0, 0],
+            "l": [0, 0],
+        }
+        mp = write(tmp_path, "zero.json", zero)
+        pp = write(tmp_path, "p.json", rank_two)
+        assert main(["verify", mp, pp]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"verdict": "fail", "mismatches": ["rank"]}
+
     def test_minor_select_with_brute(self, tmp_path, capsys):
         rng = random.Random(3)
         from conftest import random_poly

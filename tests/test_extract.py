@@ -386,6 +386,24 @@ class TestVerify:
         with pytest.raises(ShapeMismatch):
             verify(PolyMatrix.identity(2), p)
 
+    def test_zero_matrix_fails_on_rank(self):
+        # a prescription has rank r >= 1, so a zero matrix of its shape fails
+        p = Prescription(
+            variant="R2_span_indices",
+            m=2,
+            n=2,
+            r=2,
+            epsilon=(ONE, S),
+            psi=(ONE, ONE),
+            q=(-1, 0),
+            k=(0, 0),
+            l=(0, 0),
+        )
+        zero = RationalMatrix([[RatFn(Poly())] * 2] * 2, n=2)
+        rep = verify(zero, p)
+        assert not rep.passed and rep.mismatches == ("rank",)
+        assert verify(PolyMatrix.zeros(2, 2), p).mismatches == ("rank",)
+
     def test_spans_equal_accepts_reordered_basis(self):
         rng = random.Random(37)
         B = M([[S * S, 0], [1, S], [0, 1]])

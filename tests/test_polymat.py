@@ -1,4 +1,4 @@
-"""Matrix kernel: Smith form, reduction, reversal, minors, Mobius frames."""
+"""Matrix kernel: rank, Smith form, reduction, reversal, minors, Mobius frames."""
 
 import random
 from fractions import Fraction
@@ -7,26 +7,36 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from structura.errors import DegreeMismatch, KOutOfRange, RankDeficient, ZeroMatrix
+from structura.errors import (
+    DegreeMismatch,
+    DegreeTooSmall,
+    KOutOfRange,
+    RankDeficient,
+    ZeroMatrix,
+)
 from structura.qpoly import ONE, X, Poly
 from structura.polymat import (
     PolyMatrix,
     _left_inverse_columns,
     column_reduce,
     det,
-    gcd_minors_oracle,
     invariant_factors,
     is_column_proper,
     is_minimal_basis,
-    is_unimodular,
-    max_minor_degree,
     mobius_frame,
     rank,
     reversal,
     scale_basis_mobius,
     smith_form,
 )
-from conftest import random_low_rank_matrix, random_matrix, random_unimodular
+from conftest import (
+    gcd_minors_oracle,
+    is_unimodular,
+    max_minor_degree,
+    random_low_rank_matrix,
+    random_matrix,
+    random_unimodular,
+)
 
 S = X
 M = PolyMatrix.from_scalar_rows
@@ -158,9 +168,52 @@ class TestMinors:
             P = random_matrix(rng, 5, 5, 1)
             from structura.polymat import _bareiss, _det_cofactor
 
-            d1 = _bareiss(P.rows, need_det=True)[1]
+            d1 = _bareiss(P.rows)
             d2 = _det_cofactor([list(r) for r in P.rows])
             assert d1 == d2
+
+
+# s(s - 1)(s + 1)(s - 2)(s + 2) vanishes at the first five evaluation points
+TWO = Poly.constant(2)
+ROOTS_AT_FIVE_POINTS = S * (S - ONE) * (S + ONE) * (S - TWO) * (S + TWO)
+
+
+@pytest.fixture
+def evaluated_points(monkeypatch):
+    """Record the value matrix of every evaluation point rank reads."""
+    import structura.polymat as polymat
+
+    seen = []
+    frac_rank = polymat._frac_rank
+
+    def counting(rows):
+        seen.append(rows)
+        return frac_rank(rows)
+
+    monkeypatch.setattr(polymat, "_frac_rank", counting)
+    return seen
+
+
+class TestRank:
+    def test_zero_and_empty(self):
+        assert rank(PolyMatrix.zeros(2, 3)) == 0
+        assert rank(PolyMatrix.zeros(0, 3)) == 0
+        assert rank(PolyMatrix.zeros(3, 0)) == 0
+
+    def test_only_the_sixth_point_shows_the_rank(self, evaluated_points):
+        # min(m, n) * deg P + 1 = 6 points are needed, and enough
+        assert rank(M([[ROOTS_AT_FIVE_POINTS]])) == 1
+        assert len(evaluated_points) == 6
+        assert [row[0] for (row,) in evaluated_points[:5]] == [0] * 5
+
+    def test_diagonal_with_roots_at_five_points(self):
+        assert rank(M([[1, 0], [0, ROOTS_AT_FIVE_POINTS]])) == 2
+
+    def test_rank_one_reads_every_point(self, evaluated_points):
+        p = S ** 5
+        q = S + ONE
+        assert rank(M([[p, q], [p.scale(2), q.scale(2)]])) == 1
+        assert len(evaluated_points) == 2 * 5 + 1
 
 
 @hst.composite
@@ -217,9 +270,43 @@ class TestColumnReduce:
             cr = column_reduce(P)
             assert sum(int(d) for d in cr.column_degrees) <= before
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            column_reduce(M([[S, S], [S, S]]))
+    def test_rank_deficient_rejected(self, monkeypatch):
+        import structura.polymat as polymat
+
+        steps = []
+        kernel = polymat._frac_kernel_vectors
+
+        def counting(rows, n):
+            steps.append(rows)
+            return kernel(rows, n)
+
+        monkeypatch.setattr(polymat, "_frac_kernel_vectors", counting)
+        # a 3x3 rank-2 product that reduces five times before a column vanishes
+        product = M([[1, 0], [S, 1], [S * S, S]]) @ M([[1, S, S * S + ONE], [0, 1, S]])
+        for P in (
+            M([[S, S], [S, S]]),
+            M([[S, S * S], [1, S]]),
+            M([[S, 1]]),
+            M([[S, 0], [1, 0], [S * S, 0]]),
+            product,
+        ):
+            with pytest.raises(RankDeficient):
+                column_reduce(P)
+        assert len(steps) > 1
+        monkeypatch.undo()
+
+        rng = random.Random(53)
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            if rng.random() < 0.5:
+                P = random_low_rank_matrix(rng, m, n, rng.randint(1, min(m, n)))
+            else:
+                P = random_matrix(rng, m, n, 2)
+            if len(invariant_factors(P)) < n:
+                with pytest.raises(RankDeficient):
+                    column_reduce(P)
+            else:
+                assert is_column_proper(column_reduce(P).reduced)
 
 
 class TestReversal:
@@ -339,9 +426,29 @@ class TestMobiusFrames:
             F = mobius_frame(P, a, d)
             assert inverse_frame(F, a, d) == P
 
-    def test_frame_degree_too_small(self):
-        from structura.errors import DegreeTooSmall
+    def test_matches_defining_sum(self):
+        # sum_j P_j (s - a)^(d - j) with P = sum_j P_j s^j
+        def by_definition(P, a, d):
+            lin = Poly((-Fraction(a), 1))
+            out = PolyMatrix.zeros(P.m, P.n)
+            for j in range(d + 1):
+                Pj = P.map_entries(lambda e: Poly.constant(e.coeff(j)))
+                out = out + Pj.scale(lin ** (d - j))
+            return out
 
+        rng = random.Random(59)
+        cases = [random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3)
+                 for _ in range(8)]
+        for P in cases + [PolyMatrix.zeros(2, 3)]:
+            deg = int(P.degree) if not P.is_zero else 0
+            for a in (0, 1, -2, Fraction(1, 3)):
+                for d in (deg, deg + 2):
+                    assert mobius_frame(P, a, d) == by_definition(P, a, d)
+                if deg:
+                    with pytest.raises(DegreeTooSmall):
+                        mobius_frame(P, a, deg - 1)
+
+    def test_frame_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             mobius_frame(M([[S * S]]), 0, 1)
 

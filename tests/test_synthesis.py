@@ -15,12 +15,7 @@ from structura.errors import (
     SumMismatch,
 )
 from structura.qpoly import ONE, X, Poly
-from structura.polymat import (
-    PolyMatrix,
-    is_minimal_basis,
-    max_minor_degree,
-    smith_form,
-)
+from structura.polymat import PolyMatrix, is_minimal_basis, smith_form
 from structura.extract import verify
 from structura.feasibility import Prescription, check_feasibility
 from structura.synthesis import (
@@ -30,12 +25,12 @@ from structura.synthesis import (
     realize_full,
     realize_rational,
     realize_span,
-    realize_span_zero_inf,
     shape_degrees,
     triangular_realization,
     _check_sa_conditions,
 )
 from conftest import (
+    max_minor_degree,
     random_feasible_poly_prescription,
     rationalize_prescription,
 )
@@ -287,7 +282,7 @@ class TestRealizeSpanZeroInf:
             k=(0, 0),
             l=(0, 0),
         )
-        A = realize_span_zero_inf(p)
+        A = realize_span(p)
         assert verify(A, p).passed
 
     def test_degree_matching_case(self):
@@ -302,7 +297,7 @@ class TestRealizeSpanZeroInf:
             k=(1, 0),
             l=(1, 0),
         )
-        A = realize_span_zero_inf(p)
+        A = realize_span(p)
         assert verify(A, p).passed
 
     def test_builder_bases_spans_case(self):
@@ -317,7 +312,7 @@ class TestRealizeSpanZeroInf:
             K=build_minimal_basis((1, 0), 3),
             Lt=build_minimal_basis((1, 0), 3),
         )
-        A = realize_span_zero_inf(p)
+        A = realize_span(p)
         rep = verify(A, p)
         assert rep.passed, rep.mismatches
 
@@ -334,7 +329,7 @@ class TestRealizeSpanZeroInf:
             l=(4, 2),  # breaks the majorization totals
         )
         with pytest.raises(Infeasible):
-            realize_span_zero_inf(p)
+            realize_span(p)
 
     def test_middle_factor_has_maximal_minor_degrees(self):
         # the shaped middle factor scaled by the index monomials reaches
@@ -359,20 +354,6 @@ class TestRealizeSpanZeroInf:
 
 
 class TestRealizeSpan:
-    def test_zero_inf_delegation_matches(self):
-        p = Prescription(
-            variant="P2_span_indices",
-            m=3,
-            n=3,
-            r=2,
-            d=1,
-            alpha=(ONE, ONE),
-            f=(0, 0),
-            k=(1, 0),
-            l=(1, 0),
-        )
-        assert realize_span(p) == realize_span_zero_inf(p)
-
     def test_mobius_lift_full_rank(self):
         p = Prescription(
             variant="P2_span_indices",
