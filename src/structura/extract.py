@@ -147,7 +147,7 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     for j in range(red.n):
         col = [red.rows[i][j] for i in range(red.m)]
         d = max(e.degree for e in col)
-        lead = next(e.coeff(int(d)) for e in col if e.coeff(int(d)) != 0)
+        lead = next(e.lc for e in col if e.degree == d)
         col = [e.scale(1 / lead) for e in col]
         pivot = next(i for i, e in enumerate(col) if not e.is_zero)
         key = tuple(e.coeffs for e in col)

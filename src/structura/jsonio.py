@@ -7,6 +7,7 @@ Rational-matrix entries are {"num": [...], "den": [...]} pairs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, require
@@ -21,6 +22,9 @@ from .extract import (
 from .feasibility import FeasibilityReport, Prescription
 
 
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def fraction_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -33,11 +37,15 @@ def int_from_json(v, name: str) -> int:
 
 
 def fraction_from_json(v) -> Fraction:
+    """A JSON integer, or a string "p/q" or "p" of ASCII digits with an
+    optional sign on p; decimals, exponents and blanks are rejected."""
     if isinstance(v, bool):
         raise ParseError(f"not a rational scalar: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not _SCALAR.fullmatch(v):
+            raise ParseError(f"bad rational scalar {v!r}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

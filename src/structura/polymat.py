@@ -12,6 +12,7 @@ so identical inputs always produce identical transformers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -267,17 +268,27 @@ def det(P: PolyMatrix) -> Poly:
 def rank(P: PolyMatrix) -> int:
     """Rank over Q(s), read from the values of P at 0, 1, -1, 2, -2, ...
 
-    A nonzero rho x rho minor of P has degree at most rho * deg P, so it
-    cannot vanish at min(m, n) * deg P + 1 distinct points (the deterministic
-    form of DeMillo-Lipton 1978 / Schwartz 1980 / Zippel 1979). The largest
-    rank of P(x) over that many points is therefore the rank of P; no value
-    exceeds it, so the scan stops once it reaches min(m, n).
+    Every term of a rho x rho minor takes one entry from each of its rows and
+    each of its columns, so the minor has degree at most the sum of the rho
+    largest column degrees of P, and at most the same sum over the row
+    degrees (a zero column or row counts as degree 0). With D the smaller of
+    the two sums for rho = min(m, n), no nonzero minor can vanish at D + 1
+    distinct points (the deterministic form of DeMillo-Lipton 1978 /
+    Schwartz 1980 / Zippel 1979). The largest rank of P(x) over that many
+    points is therefore the rank of P; no value exceeds it, so the scan stops
+    once it reaches min(m, n).
     """
     full = min(P.m, P.n)
     if full == 0 or P.is_zero:
         return 0
+
+    def top_sum(degs):
+        return sum(sorted((int(max(d, 0)) for d in degs), reverse=True)[:full])
+
+    row_degs = (max(e.degree for e in row) for row in P.rows)
+    bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
     best = 0
-    for k in range(full * int(P.degree) + 1):
+    for k in range(bound + 1):
         x = (k + 1) // 2 if k % 2 else -(k // 2)
         best = max(best, _frac_rank(P.eval_at(x)))
         if best == full:
@@ -309,16 +320,16 @@ def _content_scale(polys) -> Fraction:
     """Scale factor turning the coefficients into integers with gcd 1.
 
     Keeps coefficient growth in check during elimination; scaling a row or
-    column is a unimodular operation.
+    column is a unimodular operation. Each Poly holds integer numerators
+    whose content is coprime to its denominator, so the gcd of all
+    numerators and the lcm of all denominators are those of the reduced
+    coefficients.
     """
-    from math import gcd as igcd, lcm as ilcm
-
     num_gcd = 0
     den_lcm = 1
     for p in polys:
-        for co in p.coeffs:
-            num_gcd = igcd(num_gcd, abs(co.numerator))
-            den_lcm = ilcm(den_lcm, co.denominator)
+        num_gcd = math.gcd(num_gcd, *p.numerators)
+        den_lcm = math.lcm(den_lcm, p.denominator)
     if num_gcd in (0, den_lcm):
         return Fraction(1)
     return Fraction(den_lcm, num_gcd)
@@ -513,24 +524,40 @@ def invariant_factors(P: PolyMatrix) -> tuple:
 # -- constant-matrix helpers (over Q) ----------------------------------------
 
 
+def _primitive(row: list) -> list:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _frac_rref(rows):
-    """Reduced row echelon form over Q; returns (rref rows, pivot cols)."""
-    M = [list(r) for r in rows]
+    """Gauss-Jordan elimination of a matrix over Q, run on integers.
+
+    Each row is scaled to primitive integers, and every row update
+    p * row_i - f * row_r is divided by its gcd again. Returns (rows, pivot
+    cols): row r is zero in the other pivot columns and before pivots[r], so
+    it is M[r][pivots[r]] times row r of the reduced row echelon form over Q.
+    The pivots are those of elimination over Q, since each integer row is a
+    nonzero multiple of the rational row at every step.
+    """
+    M = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        M.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     m = len(M)
     n = len(M[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        prow = M[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+            f = M[i][c]
+            if i != r and f:
+                M[i] = _primitive([p * x - f * y for x, y in zip(M[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -553,15 +580,22 @@ def _frac_kernel_vectors(rows, n: int):
         v = [Fraction(0)] * n
         v[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -M[r][free]
+            v[pc] = Fraction(-M[r][free], M[r][pc])
         out.append(v)
     return out
 
 
 def _leading_coefficient_rows(cols, degs) -> list:
-    """Rows of the leading column-coefficient matrix: entry (i, j) is the
-    coefficient of s^degs[j] in cols[j][i]. Every degree must be finite."""
-    return _transposed([e.coeff(int(d)) for e in col] for col, d in zip(cols, degs))
+    """Rows of the leading column-coefficient matrix, each scaled by a
+    positive integer to integer entries, which keeps the rank and the kernel:
+    entry (i, j) is the coefficient of s^degs[j] in cols[j][i]. Every degree
+    must be finite."""
+    out = []
+    for row in zip(*cols):
+        den = math.lcm(*(e.denominator for e in row))
+        out.append([e.numerators[d] * (den // e.denominator) if d < len(e.numerators) else 0
+                    for e, d in zip(row, degs)])
+    return out
 
 
 # -- column reduction ---------------------------------------------------------

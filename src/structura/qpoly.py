@@ -25,18 +25,75 @@ def as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational scalar")
 
 
+def _reduced(nums: list, den: int) -> "Poly":
+    """Poly with integer numerators nums over den > 0: strips trailing zeros
+    and divides out the common factor of the numerators and den."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return ZERO
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _make(tuple(nums), den)
+
+
+def _make(nums: tuple, den: int) -> "Poly":
+    """Poly from numerators and denominator already in normal form."""
+    p = object.__new__(Poly)
+    p.numerators, p.denominator, p._coeffs = nums, den, None
+    return p
+
+
+def _axpy(p: "Poly", q: "Poly", sign: int) -> "Poly":
+    """p + sign * q for sign = +1 or -1, over the lcm of the denominators."""
+    a, b = p.numerators, q.numerators
+    if not b:
+        return p
+    if not a:
+        return q if sign > 0 else -q
+    da, db = p.denominator, q.denominator
+    if da == db:
+        den, fb = da, sign
+        out = list(a)
+    else:
+        g = math.gcd(da, db)
+        den, fa, fb = da // g * db, db // g, sign * (da // g)
+        out = [c * fa for c in a]
+    if len(b) > len(out):
+        out.extend([0] * (len(b) - len(out)))
+    for i, c in enumerate(b):
+        out[i] += fb * c
+    return _reduced(out, den)
+
+
 class Poly:
-    """Univariate polynomial over Q, coefficients stored ascending by power."""
+    """Univariate polynomial over Q, coefficients ascending by power.
 
-    __slots__ = ("coeffs",)
+    Stored as numerators, a tuple of ints, over one positive common
+    denominator, with trailing zeros stripped and the content of the
+    numerators coprime to the denominator, so each polynomial has exactly one
+    representation. Arithmetic runs on Python ints; coeffs builds the
+    Fraction coefficients on first read and keeps them.
+    """
 
-    coeffs: tuple
+    __slots__ = ("numerators", "denominator", "_coeffs")
+
+    numerators: tuple
+    denominator: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # reduced fractions: the lcm of their denominators leaves numerators
+        # whose content is coprime to it
+        den = math.lcm(*(c.denominator for c in cs))
+        self.numerators = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.denominator = den
+        self._coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -51,76 +108,92 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients as Fractions, ascending by power."""
+        cs = self._coeffs
+        if cs is None:
+            d = self.denominator
+            cs = self._coeffs = tuple(Fraction(c, d) for c in self.numerators)
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree(self):
         """Degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.numerators) - 1 if self.numerators else NEG_INF
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(len(self.numerators) - 1)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.numerators) and self.numerators[-1] == self.denominator
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.numerators) <= 1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x, by Horner's rule on the integer numerators: with
+        x = u/v and degree n, v^n * p(x) is an integer combination of the
+        numerators."""
+        nums = self.numerators
+        if not nums:
+            return Fraction(0)
+        if type(x) is not int:
+            x = as_fraction(x)
+        u, v = x.numerator, x.denominator
+        acc = nums[-1]
+        vk = 1
+        for c in nums[-2::-1]:
+            vk *= v
+            acc = acc * u + c * vk
+        return Fraction(acc, self.denominator * vk)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _axpy(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(tuple(-c for c in self.numerators), self.denominator)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _axpy(self, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.numerators, other.numerators
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return _reduced(out, self.denominator * other.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, c: Scalar) -> "Poly":
-        c = as_fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly(tuple(c * x for x in self.coeffs))
+        if type(c) is not int:
+            c = as_fraction(c)
+        u = c.numerator
+        return _reduced([u * x for x in self.numerators], self.denominator * c.denominator)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -135,22 +208,49 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly"):
-        if other.is_zero:
+        """Division over Q by pseudo-division over Z (Knuth, TAOCP vol. 2,
+        4.6.1): the remainder is rescaled only by the part of the divisor's
+        leading numerator that a step's leading term does not already hold,
+        and never when that numerator is +-1."""
+        b = other.numerators
+        if not b:
             raise DivisionByZeroPoly("division by the zero polynomial")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
-            return Poly(), self
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lc = 1 / other.coeffs[-1]
-        quo = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                q = c * inv_lc
-                quo[i - db] = q
-                for j, bc in enumerate(other.coeffs):
-                    rem[i - db + j] -= q * bc
-        return Poly(quo), Poly(rem[:db])
+        a = self.numerators
+        if len(a) < len(b):
+            return ZERO, self
+        # divide by the primitive part b / cb of the integer divisor
+        cb = math.gcd(*b)
+        if cb != 1:
+            b = [c // cb for c in b]
+        db = len(b) - 1
+        lb = b[-1]
+        rem = list(a)
+        quo = [0] * (len(a) - db)
+        scale = 1  # scale * a = quo * b + rem, all integer
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + db]
+            if not c:
+                continue
+            if lb == 1 or lb == -1:
+                q = c * lb
+            else:
+                g = math.gcd(c, lb)
+                mult = abs(lb) // g
+                if mult != 1:
+                    scale *= mult
+                    for i in range(k + db):
+                        rem[i] *= mult
+                    for i in range(k + 1, len(quo)):
+                        quo[i] *= mult
+                q = c // g if lb > 0 else -(c // g)
+            quo[k] = q
+            for j in range(db):
+                rem[k + j] -= q * b[j]
+        del rem[db:]
+        den = scale * self.denominator
+        # self = (quo * b + rem) / den and other = cb * b / other.denominator
+        return (_reduced([c * other.denominator for c in quo], den * cb),
+                _reduced(rem, den))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -159,48 +259,69 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.coeffs[-1] == 1:
+        nums = self.numerators
+        if not nums or nums[-1] == self.denominator:
             return self
-        return self.scale(1 / self.coeffs[-1])
+        # p / lc(p) is the numerator polynomial over its leading numerator
+        lead = nums[-1]
+        if lead < 0:
+            return _reduced([-c for c in nums], -lead)
+        return _reduced(list(nums), lead)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _reduced([i * c for i, c in enumerate(self.numerators) if i],
+                        self.denominator)
 
     def shift(self, a: Scalar) -> "Poly":
-        """Compose with s + a, i.e. return p(s + a)."""
+        """Compose with s + a, i.e. return p(s + a).
+
+        Integer Taylor shift: with a = u/v and degree n, Horner's rule in the
+        integer linear factor v*s + u builds v^n * p(s + a).
+        """
         a = as_fraction(a)
-        if a == 0:
+        nums = self.numerators
+        if a == 0 or len(nums) <= 1:
             return self
-        lin = Poly((a, 1))
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.constant(c)
-        return acc
+        u, v = a.numerator, a.denominator
+        acc = [nums[-1]]
+        vk = 1
+        for c in nums[-2::-1]:
+            vk *= v
+            acc.append(v * acc[-1])
+            for i in range(len(acc) - 2, 0, -1):
+                acc[i] = u * acc[i] + v * acc[i - 1]
+            acc[0] = u * acc[0] + c * vk
+        return _reduced(acc, self.denominator * vk)
 
     def reverse(self, deg: int) -> "Poly":
         """s^deg * p(1/s): the coefficients read backwards in a frame of
         degree deg, which must be at least deg(p)."""
-        if deg < len(self.coeffs) - 1:
+        nums = self.numerators
+        if deg < len(nums) - 1:
             raise ValueError(f"reversal degree {deg} is below the degree of {self}")
-        pad = (Fraction(0),) * (deg + 1 - len(self.coeffs))
-        return Poly(pad + self.coeffs[::-1])
+        out = [0] * (deg + 1 - len(nums))
+        out.extend(nums[::-1])
+        while out and not out[-1]:
+            out.pop()
+        return _make(tuple(out), self.denominator)
 
     def shift_down(self, k: int) -> "Poly":
         """Divide by s^k assuming the first k coefficients vanish."""
-        require(all(c == 0 for c in self.coeffs[:k]),
-                "shift_down past a nonzero coefficient")
-        return Poly(self.coeffs[k:])
+        require(not any(self.numerators[:k]), "shift_down past a nonzero coefficient")
+        return _make(self.numerators[k:], self.denominator)
 
     # -- comparisons and hashing -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly)
+                and self.numerators == other.numerators
+                and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def sort_key(self):
-        return (len(self.coeffs), self.coeffs)
+        return (len(self.numerators), self.coeffs)
 
     # -- display -----------------------------------------------------------
 
@@ -327,12 +448,9 @@ def _divisors(n: int):
 
 def _rational_root_candidates(p: Poly):
     """Candidate rational roots of p via divisors of its extreme coefficients."""
-    lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * lcm) for c in p.coeffs]
+    ints = p.numerators
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    a0, an = ints[0], ints[-1]
+    a0, an = ints[0] // g, ints[-1] // g
     cands = set()
     for num in _divisors(a0):
         for den in _divisors(an):
@@ -360,7 +478,7 @@ def split_over_rationals(p: Poly) -> FactoredPoly:
     q = p.monic()
     factors = []
     v = 0
-    while v < len(q.coeffs) and q.coeffs[v] == 0:
+    while not q.numerators[v]:
         v += 1
     if v:
         factors.append((Fraction(0), v))

@@ -62,6 +62,103 @@ def is_unimodular(P: PolyMatrix) -> bool:
     return d.degree == 0
 
 
+def fraction_rref(rows):
+    """Reduced row echelon form over Q in Fraction arithmetic: (the nonzero
+    rows, pivot columns)."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    n = len(M[0]) if M else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
+# -- reference polynomial ----------------------------------------------------
+
+
+class RefPoly:
+    """Polynomial over Q as a plain tuple of Fractions, ascending by power:
+    the schoolbook oracle for the integer-numerator Poly."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = list(self.coeffs), other.coeffs
+        a += [Fraction(0)] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            a[i] += c
+        return RefPoly(a)
+
+    def __neg__(self):
+        return RefPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return RefPoly(out)
+
+    def __divmod__(self, other):
+        b = other.coeffs
+        rem = list(self.coeffs)
+        quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            q = rem[k + len(b) - 1] / b[-1]
+            quo[k] = q
+            for j, c in enumerate(b):
+                rem[k + j] -= q * c
+        return RefPoly(quo), RefPoly(rem[:len(b) - 1])
+
+    def monic(self):
+        return RefPoly(c / self.coeffs[-1] for c in self.coeffs) if self.coeffs else self
+
+    def gcd(self, other):
+        x, y = self, other
+        while not y.is_zero:
+            x, y = y, divmod(x, y)[1]
+        return x.monic()
+
+    def reverse(self, deg):
+        return RefPoly([Fraction(0)] * (deg + 1 - len(self.coeffs)) + list(self.coeffs[::-1]))
+
+    def shift(self, a):
+        acc = RefPoly()
+        for c in reversed(self.coeffs):
+            acc = acc * RefPoly((a, 1)) + RefPoly((c,))
+        return acc
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def sort_key(self):
+        return (len(self.coeffs), self.coeffs)
+
+
 # -- random generators --------------------------------------------------------
 
 

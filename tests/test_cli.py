@@ -64,6 +64,17 @@ class TestJson:
         with pytest.raises(ParseError):
             fraction_from_json("1/0")
 
+    @pytest.mark.parametrize("text", ["+3", "-3/4", "007", "12/08"])
+    def test_scalar_grammar_accepts(self, text):
+        assert fraction_from_json(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1e9", "1.5", " 3", "3 ", "3\n", "", "/2", "1/", "1/-2", "1_0", "\u0663"]
+    )
+    def test_scalar_grammar_rejects(self, text):
+        with pytest.raises(ParseError):
+            fraction_from_json(text)
+
     def test_poly_round_trip(self):
         p = Poly([Fraction(1, 2), 0, -3])
         assert poly_from_json(poly_to_json(p)) == p
@@ -311,6 +322,12 @@ class TestCli:
         assert report["kind"] == "rational"
         assert report["inf_orders"] == [1]
         assert report["denominators"] == [["0", "1"]]
+
+    @pytest.mark.parametrize("scalar", ["1e9", "1.5", " 3"])
+    def test_analyze_scalar_outside_grammar_exit_two(self, tmp_path, capsys, scalar):
+        doc = {"m": 1, "n": 1, "entries": [["1", scalar]]}
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("malformed input: bad rational scalar")
 
     def test_analyze_zero_matrix_exit_two(self, tmp_path):
         doc = {"m": 1, "n": 1, "entries": [[]]}

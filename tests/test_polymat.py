@@ -1,5 +1,6 @@
 """Matrix kernel: rank, Smith form, reduction, reversal, minors, Mobius frames."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from structura.errors import (
 from structura.qpoly import ONE, X, Poly
 from structura.polymat import (
     PolyMatrix,
+    _frac_kernel_vectors,
+    _frac_rank,
+    _frac_rref,
     _left_inverse_columns,
     column_reduce,
     det,
@@ -30,6 +34,7 @@ from structura.polymat import (
     smith_form,
 )
 from conftest import (
+    fraction_rref,
     gcd_minors_oracle,
     is_unimodular,
     max_minor_degree,
@@ -194,6 +199,40 @@ def evaluated_points(monkeypatch):
     return seen
 
 
+rational_rows = hst.integers(1, 4).flatmap(
+    lambda n: hst.lists(
+        hst.lists(
+            hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4)),
+            min_size=n, max_size=n,
+        ),
+        min_size=0, max_size=4,
+    )
+)
+
+
+class TestIntegerGaussJordan:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_rows)
+    def test_matches_rational_rref(self, rows):
+        # each integer row is its pivot entry times the rational rref row,
+        # with the same pivots, and the kernel vectors are the rational ones
+        ref, ref_pivots = fraction_rref(rows)
+        M, pivots = _frac_rref(rows)
+        assert pivots == ref_pivots
+        for r, pc in enumerate(pivots):
+            assert [Fraction(x, M[r][pc]) for x in M[r]] == ref[r]
+            assert math.gcd(*M[r]) == 1
+        n = len(rows[0]) if rows else 0
+        free = [c for c in range(n) if c not in pivots]
+        kernel = _frac_kernel_vectors(rows, n)
+        assert len(kernel) == len(free)
+        for f, v in zip(free, kernel):
+            expected = [Fraction(c == f) for c in range(n)]
+            for r, pc in enumerate(pivots):
+                expected[pc] = -ref[r][f]
+            assert v == expected
+
+
 class TestRank:
     def test_zero_and_empty(self):
         assert rank(PolyMatrix.zeros(2, 3)) == 0
@@ -201,7 +240,7 @@ class TestRank:
         assert rank(PolyMatrix.zeros(3, 0)) == 0
 
     def test_only_the_sixth_point_shows_the_rank(self, evaluated_points):
-        # min(m, n) * deg P + 1 = 6 points are needed, and enough
+        # deg P + 1 = 6 points are needed, and enough
         assert rank(M([[ROOTS_AT_FIVE_POINTS]])) == 1
         assert len(evaluated_points) == 6
         assert [row[0] for (row,) in evaluated_points[:5]] == [0] * 5
@@ -213,7 +252,17 @@ class TestRank:
         p = S ** 5
         q = S + ONE
         assert rank(M([[p, q], [p.scale(2), q.scale(2)]])) == 1
-        assert len(evaluated_points) == 2 * 5 + 1
+        # column degrees 5 + 1 bound every minor below the row degrees 5 + 5
+        assert len(evaluated_points) == 5 + 1 + 1
+
+    def test_point_count_from_column_and_row_degrees(self, evaluated_points):
+        # det = p: the column and the row degrees both sum to 5, so 6 points
+        # are read where min(m, n) * deg P + 1 would allow 11, and the sixth
+        # is the first at which the rank is full
+        P = M([[ROOTS_AT_FIVE_POINTS, 1], [0, 1]])
+        assert rank(P) == 2
+        assert len(evaluated_points) == 6
+        assert [_frac_rank(v) for v in evaluated_points] == [1] * 5 + [2]
 
 
 @hst.composite

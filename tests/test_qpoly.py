@@ -1,5 +1,6 @@
 """Scalar layer: polynomials, factorization, rational functions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from structura.qpoly import (
     poly_gcd,
     split_over_rationals,
 )
+
+from conftest import RefPoly
 
 S = X
 TWO = Poly.constant(2)
@@ -88,6 +91,78 @@ class TestDivmod:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+small_fractions = hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4))
+coeff_lists = hst.lists(small_fractions, max_size=5)
+ops = hst.lists(
+    hst.tuples(
+        hst.sampled_from(
+            ["add", "sub", "mul", "divmod", "gcd", "monic", "reverse", "shift", "eval"]
+        ),
+        hst.integers(0, 10**6),
+        hst.integers(0, 10**6),
+        hst.sampled_from(["as is", "monic", "negated", "scaled"]),
+        small_fractions,
+    ),
+    max_size=14,
+)
+
+
+def check_pair(p: Poly, ref: RefPoly):
+    assert p.coeffs == ref.coeffs
+    assert p.denominator > 0
+    assert math.gcd(*p.numerators, p.denominator) == 1
+
+
+class TestReferenceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(coeff_lists, min_size=1, max_size=3), ops)
+    def test_same_results_as_fraction_reference(self, starts, steps):
+        pool = [(Poly(cs), RefPoly(cs)) for cs in starts]
+        for p, ref in pool:
+            check_pair(p, ref)
+        for kind, i, j, divisor_form, c in steps:
+            (a, ra), (b, rb) = pool[i % len(pool)], pool[j % len(pool)]
+            if kind == "mul" and len(ra.coeffs) + len(rb.coeffs) > 24:
+                continue  # keep repeated products small
+            if kind in ("add", "sub", "mul"):
+                op = {"add": "__add__", "sub": "__sub__", "mul": "__mul__"}[kind]
+                new = [(getattr(a, op)(b), getattr(ra, op)(rb))]
+            elif kind == "divmod":
+                if b.is_zero:
+                    continue
+                if divisor_form == "monic":
+                    b, rb = b.monic(), rb.monic()
+                elif divisor_form == "negated":
+                    b, rb = -b.monic(), -rb.monic()
+                elif divisor_form == "scaled" and c:
+                    b, rb = b.scale(c), rb * RefPoly((c,))
+                (q, r), (rq, rr) = divmod(a, b), divmod(ra, rb)
+                new = [(q, rq), (r, rr)]
+            elif kind == "gcd":
+                if a.is_zero and b.is_zero:
+                    continue
+                new = [(poly_gcd(a, b), ra.gcd(rb))]
+            elif kind == "monic":
+                new = [(a.monic(), ra.monic())]
+            elif kind == "reverse":
+                deg = max(len(ra.coeffs) - 1, 0) + j % 3
+                new = [(a.reverse(deg), ra.reverse(deg))]
+            elif kind == "shift":
+                new = [(a.shift(c), ra.shift(c))]
+            else:
+                assert a(c) == ra(c)
+                continue
+            for p, ref in new:
+                check_pair(p, ref)
+            pool.extend(new)
+        for p, ref in pool:
+            for q, rq in pool:
+                assert (p == q) == (ref.coeffs == rq.coeffs)
+                if p == q:
+                    assert hash(p) == hash(q)
+                assert (p.sort_key() < q.sort_key()) == (ref.sort_key() < rq.sort_key())
 
 
 class TestGcd:
