@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ShapeMismatch, ZeroMatrix, require
-from .qpoly import ONE, ZERO, RatFn, poly_lcm, root_multiplicity
+from .qpoly import ONE, ZERO, RatFn, poly_lcm
 from .polymat import (
     PolyMatrix,
+    _frac_rank,
+    _integer_rows,
     _left_inverse_columns,
     column_reduce,
-    invariant_factors,
     rank,
-    reversal,
     smith_form,
 )
 
@@ -115,23 +115,55 @@ class RatStructuralData:
 # -- pieces -------------------------------------------------------------------
 
 
+def _multiplicities_at_zero(rows, r: int) -> tuple:
+    """Valuations at 0 of the invariant factors of a rank-r matrix of Polys.
+
+    With A_k the s^k coefficients, T_j is the block lower-triangular Toeplitz
+    matrix with j block rows, A_0 on its diagonal and A_k on its k-th block
+    subdiagonal. The local Smith form P = E diag(s^f_i, 0) F, E and F
+    invertible at 0, gives rank T_j = sum_i max(0, j - f_i), so
+    rank T_j - rank T_(j-1) counts the f_i below j (Gohberg-Lancaster-Rodman
+    1982, Matrix Polynomials); the scan stops once that count reaches r. The
+    f_i sum to at most the degree of a nonzero r x r minor, r * deg P.
+    """
+    coeffs = _integer_rows(rows)  # scales rows of every T_j
+    top = max(len(cs) for row in coeffs for cs in row) - 1
+    f, prev, j = [], 0, 0
+    while len(f) < r:
+        j += 1
+        require(j <= r * top + 1, "partial multiplicities exceed the rank bound")
+        now = _frac_rank([[cs[b - k] if 0 <= b - k < len(cs) else 0
+                           for k in range(j) for cs in row]
+                          for b in range(j) for row in coeffs])
+        f.extend([j - 1] * (now - prev - len(f)))
+        prev = now
+    return tuple(f)
+
+
 def partial_multiplicities(P: PolyMatrix, lam) -> tuple:
-    """Valuations of the invariant factors at a rational point, ascending."""
-    diag = invariant_factors(P)
-    if not diag:
+    """Valuations of the invariant factors at a rational point, ascending:
+    the multiplicities at 0 of P(s + lam)."""
+    r = rank(P)
+    if not r:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
-    return tuple(root_multiplicity(a, lam) for a in diag)
+    return _multiplicities_at_zero([[e.shift(lam) for e in row] for row in P.rows], r)
+
+
+def _inf_structure(P: PolyMatrix, r: int):
+    """inf_structure of a nonzero P of rank r, read from the coefficients
+    of rev P = P_d + P_(d-1) s + ... + P_0 s^d."""
+    d = int(P.degree)
+    f = _multiplicities_at_zero([[e.reverse(d) for e in row] for row in P.rows], r)
+    require(f[0] == 0, "smallest partial multiplicity of infinity must vanish")
+    q = tuple(fi - d for fi in f)
+    return d, f, q
 
 
 def inf_structure(P: PolyMatrix):
     """(degree, partial multiplicities of infinity, invariant orders)."""
     if P.is_zero:
         raise ZeroMatrix("infinite structure of the zero matrix")
-    d = int(P.degree)
-    f = partial_multiplicities(reversal(P), 0)
-    require(f[0] == 0, "smallest partial multiplicity of infinity must vanish")
-    q = tuple(fi - d for fi in f)
-    return d, f, q
+    return _inf_structure(P, rank(P))
 
 
 def _normalize_basis(B: PolyMatrix) -> tuple:
@@ -193,7 +225,7 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
         raise ZeroMatrix("structural data of the zero matrix")
     sm = smith_form(P)
     r = sm.rank
-    d, f, q = inf_structure(P)
+    d, f, q = _inf_structure(P, r)
 
     col_basis, k_idx = _normalize_basis(_raw_basis(P, sm, "colspan"))
     row_basis, l_idx = _normalize_basis(_raw_basis(P, sm, "rowspan"))

@@ -13,6 +13,7 @@ so identical inputs always produce identical transformers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,7 +25,7 @@ from .errors import (
     ZeroMatrix,
     require,
 )
-from .qpoly import NEG_INF, ONE, ZERO, Poly, as_fraction
+from .qpoly import NEG_INF, ONE, ZERO, Poly, _reduced, as_fraction
 
 _MINUS_ONE = Poly.constant(-1)
 
@@ -116,10 +117,6 @@ class PolyMatrix:
         return PolyMatrix(
             [[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx)
         )
-
-    def eval_at(self, x) -> tuple:
-        x = as_fraction(x)
-        return tuple(tuple(e(x) for e in row) for row in self.rows)
 
     def map_entries(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in row] for row in self.rows], n=self.n)
@@ -287,10 +284,14 @@ def rank(P: PolyMatrix) -> int:
 
     row_degs = (max(e.degree for e in row) for row in P.rows)
     bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
+    coeffs, width = _integer_rows(P.rows), int(P.degree) + 1
     best = 0
     for k in range(bound + 1):
         x = (k + 1) // 2 if k % 2 else -(k // 2)
-        best = max(best, _frac_rank(P.eval_at(x)))
+        powers = [x ** t for t in range(width)]
+        # the rows of P(x), each times a positive integer
+        best = max(best, _frac_rank([[sum(map(operator.mul, cs, powers)) for cs in row]
+                                     for row in coeffs]))
         if best == full:
             break
     return best
@@ -565,6 +566,16 @@ def _frac_rref(rows):
     return M, pivots
 
 
+def _integer_rows(rows) -> list:
+    """The numerators of each row of Polys over the lcm of the row's
+    denominators: every row times a positive integer."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(e.denominator for e in row))
+        out.append([[c * (den // e.denominator) for c in e.numerators] for e in row])
+    return out
+
+
 def _frac_rank(rows) -> int:
     return len(_frac_rref(rows)[1])
 
@@ -632,14 +643,21 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
         support = [j for j in range(P.n) if c[j] != 0]
         dmax = max(degs[j] for j in support)
         j0 = max(j for j in support if degs[j] == dmax)
-        inv = 1 / c[j0]
-        new_col = [ZERO] * P.m
+        # the column sum_j c_j / c_j0 s^(dmax - degs[j]) cols[j] on integers
+        # over one denominator, divided by the gcd of all its numerators: the
+        # unique primitive positive multiple, as a content rescale would give
+        lcm = math.lcm(*(c[j].denominator for j in support)) * (1 if c[j0] > 0 else -1)
+        den = math.lcm(*(e.denominator for j in support for e in cols[j]))
+        new_col = [[0] * (dmax + 1) for _ in range(P.m)]
         for j in support:
-            mono = Poly.monomial(c[j] * inv, int(dmax - degs[j]))
-            for i in range(P.m):
-                new_col[i] = new_col[i] + mono * cols[j][i]
-        rescale = _content_scale(new_col)
-        cols[j0] = [e.scale(rescale) for e in new_col]
+            w = c[j].numerator * (lcm // c[j].denominator)
+            for acc, e in zip(new_col, cols[j]):
+                f = w * (den // e.denominator)
+                for t, x in enumerate(e.numerators, dmax - degs[j]):
+                    acc[t] += f * x
+        # a zero combination (gcd 0) stays zero and raises on the next pass
+        g = math.gcd(*(x for acc in new_col for x in acc))
+        cols[j0] = [_reduced([x // g for x in acc] if g > 1 else acc, 1) for acc in new_col]
     reduced = PolyMatrix(
         [[cols[j][i] for j in range(P.n)] for i in range(P.m)], n=P.n
     )

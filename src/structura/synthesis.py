@@ -77,17 +77,23 @@ def _search_budget() -> int:
 
 
 class _Budget:
-    __slots__ = ("left", "exc")
+    """Node budget of one search; exhaustion names the stage, the nodes spent
+    and the limit, and the atom when the caller has set one."""
 
-    def __init__(self, limit: int, exc):
-        self.left = limit
-        self.exc = exc
+    __slots__ = ("limit", "left", "exc", "stage", "atom")
+
+    def __init__(self, limit: int, exc, stage: str):
+        self.limit = self.left = limit
+        self.exc, self.stage, self.atom = exc, stage, None
 
     def spend(self, n: int = 1):
         self.left -= n
         if self.left < 0:
+            at = "" if self.atom is None else f" at atom {self.atom}"
             raise self.exc(
-                "search budget exhausted; raise STRUCTURA_MAX_SEARCH to retry"
+                f"{self.stage} budget exhausted{at}: "
+                f"{self.limit - self.left} nodes spent, limit {self.limit}; "
+                "raise STRUCTURA_MAX_SEARCH to retry"
             )
 
 
@@ -314,7 +320,8 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
             raise ValueError("invariant factors must be a divisibility chain")
 
     order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
-    budget = _Budget(_search_budget(), SearchExhausted)
+    budget = _Budget(_search_budget(), SearchExhausted,
+                     "invariant-factor distribution search")
     quotas = list(hh)
     assign: dict = {}
 
@@ -503,13 +510,15 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
         return E
 
     atoms = coprime_basis(list(alpha) + list(delta))
-    budget = _Budget(_search_budget(), CompletionSearchExhausted)
+    budget = _Budget(_search_budget(), CompletionSearchExhausted,
+                     "completion search")
     E = PolyMatrix.identity(r)
     for atom in atoms:
         x = tuple(atom_valuation(d, atom) for d in delta)
         mvec = tuple(atom_valuation(a, atom) for a in alpha)
         if all(v == 0 for v in x) and all(v == 0 for v in mvec):
             continue
+        budget.atom = atom
         T = _atom_triangular(x, mvec, atom, budget)
         if T is None:
             raise CompletionSearchExhausted(

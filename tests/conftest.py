@@ -9,9 +9,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from structura.errors import KOutOfRange
-from structura.qpoly import NEG_INF, ONE, ZERO, Poly, poly_gcd
-from structura.polymat import PolyMatrix, det, rank
+from structura.errors import KOutOfRange, RankDeficient, ZeroMatrix
+from structura.qpoly import NEG_INF, ONE, ZERO, Poly, poly_gcd, root_multiplicity
+from structura.polymat import (
+    ColumnReduction,
+    PolyMatrix,
+    _content_scale,
+    _frac_kernel_vectors,
+    _leading_coefficient_rows,
+    det,
+    invariant_factors,
+    rank,
+)
 from structura.feasibility import Prescription, g_sequence
 
 ROOT_POOL = [Fraction(v) for v in range(-3, 4)]
@@ -80,6 +89,50 @@ def fraction_rref(rows):
                 M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
         pivots.append(c)
     return M[:len(pivots)], pivots
+
+
+# -- Smith and Poly-arithmetic oracles -----------------------------------------
+
+
+def smith_partial_multiplicities(P: PolyMatrix, lam) -> tuple:
+    """Valuations of the invariant factors at a rational point, ascending:
+    root_multiplicity of each entry of the Smith diagonal."""
+    diag = invariant_factors(P)
+    if not diag:
+        raise ZeroMatrix("partial multiplicities of the zero matrix")
+    return tuple(root_multiplicity(a, lam) for a in diag)
+
+
+def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
+    """Wolovich column reduction with each replacement column built in Poly
+    arithmetic (monomial times column, summed) and rescaled by _content_scale:
+    the reference for column_reduce's integer column update."""
+    if P.n == 0:
+        return ColumnReduction(P, ())
+    cols = [list(P.col(j)) for j in range(P.n)]
+    while True:
+        degs = [max((e.degree for e in c), default=NEG_INF) for c in cols]
+        if NEG_INF in degs:
+            raise RankDeficient("column reduction requires full column rank")
+        kernel = _frac_kernel_vectors(_leading_coefficient_rows(cols, degs), P.n)
+        if not kernel:
+            break
+        c = kernel[-1]
+        support = [j for j in range(P.n) if c[j] != 0]
+        dmax = max(degs[j] for j in support)
+        j0 = max(j for j in support if degs[j] == dmax)
+        inv = 1 / c[j0]
+        new_col = [ZERO] * P.m
+        for j in support:
+            mono = Poly.monomial(c[j] * inv, int(dmax - degs[j]))
+            for i in range(P.m):
+                new_col[i] = new_col[i] + mono * cols[j][i]
+        rescale = _content_scale(new_col)
+        cols[j0] = [e.scale(rescale) for e in new_col]
+    reduced = PolyMatrix(
+        [[cols[j][i] for j in range(P.n)] for i in range(P.m)], n=P.n
+    )
+    return ColumnReduction(reduced, reduced.column_degrees())
 
 
 # -- reference polynomial ----------------------------------------------------
@@ -189,6 +242,18 @@ def random_matrix(rng: random.Random, m: int, n: int, max_deg: int) -> PolyMatri
         P = PolyMatrix(rows, n=n)
         if not P.is_zero:
             return P
+
+
+def random_rational_matrix(rng: random.Random, m: int, n: int, max_deg: int) -> PolyMatrix:
+    """Random m x n matrix with coefficients a/b, |a| <= 3, 1 <= b <= 4, and a
+    sprinkling of zero entries; may be zero."""
+    def entry():
+        if rng.random() < 0.25:
+            return ZERO
+        deg = rng.randint(0, max_deg)
+        return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(deg + 1)])
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(m)], n=n)
 
 
 def random_low_rank_matrix(rng, m: int, n: int, r: int) -> PolyMatrix:

@@ -415,10 +415,13 @@ class TestCli:
         path = write(tmp_path, "m.json", mat)
         assert main(["analyze", path, "-o", str(tmp_path / "no" / "dir.json")]) == 2
 
-    def test_search_budget_env(self, tmp_path, monkeypatch):
+    def test_search_budget_env(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "p.json", SEARCHING_PRESCRIPTION)
         monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "1")
         assert main(["construct", path]) == 4
+        assert capsys.readouterr().err.startswith(
+            "search-exhausted: invariant-factor distribution search budget "
+            "exhausted: 2 nodes spent, limit 1;")
         monkeypatch.delenv("STRUCTURA_MAX_SEARCH")
         assert main(["construct", path, "-o", str(tmp_path / "out.json")]) == 0
 
@@ -444,7 +447,7 @@ class TestCli:
         import structura.extract as extract
 
         monkeypatch.setattr(
-            extract, "partial_multiplicities", lambda P, lam: (1,) * min(P.m, P.n)
+            extract, "_multiplicities_at_zero", lambda rows, r: (1,) * r
         )
         mat = {"m": 1, "n": 1, "entries": [[0, 1]]}
         assert main(["analyze", write(tmp_path, "m.json", mat)]) == 5

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from structura.errors import ShapeMismatch, ZeroMatrix
 from structura.qpoly import ONE, X, Poly, RatFn
-from structura.polymat import PolyMatrix, is_minimal_basis, rank
+from structura.polymat import PolyMatrix, is_minimal_basis, rank, reversal
 from structura.extract import (
     RationalMatrix,
     clear_denominators,
@@ -25,6 +27,7 @@ from conftest import (
     random_matrix,
     random_split_monic,
     random_unimodular,
+    smith_partial_multiplicities,
 )
 
 S = X
@@ -45,6 +48,63 @@ class TestPartialMultiplicities:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
             partial_multiplicities(PolyMatrix.zeros(2, 2), 0)
+
+
+@hst.composite
+def local_structure_cases(draw):
+    """(P, lam): P is m x n with 1 <= m, n <= 4 and degree <= 2, either dense
+    with rational coefficients or the product of an m x r and an r x n
+    factor of degree <= 1 (rank r or less). Constant terms vanish often, and
+    P is drawn around 0 and moved to lam, so the invariant factors often
+    have lam as a root."""
+    lam = draw(hst.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]))
+    m, n = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    coeff = hst.one_of(
+        hst.just(Fraction(0)),
+        hst.builds(Fraction, hst.integers(-3, 3), hst.sampled_from([1, 1, 2, 3])),
+    )
+
+    def block(rows, cols, deg):
+        return PolyMatrix(
+            [[Poly(draw(hst.lists(coeff, max_size=deg + 1))) for _ in range(cols)]
+             for _ in range(rows)],
+            n=cols,
+        )
+
+    if draw(hst.booleans()):
+        P = block(m, n, 2)
+    else:
+        r = draw(hst.integers(1, min(m, n)))
+        P = block(m, r, 1) @ block(r, n, 1)
+    assume(not P.is_zero)
+    return P.map_entries(lambda e: e.shift(-lam)), lam
+
+
+class TestLocalStructureOracle:
+    """The Toeplitz-rank multiplicities against root_multiplicity of each
+    Smith invariant factor (tests/conftest.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(local_structure_cases())
+    def test_partial_multiplicities(self, case):
+        P, lam = case
+        assert partial_multiplicities(P, lam) == smith_partial_multiplicities(P, lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(local_structure_cases())
+    def test_inf_structure(self, case):
+        P, _ = case
+        d = int(P.degree)
+        f = smith_partial_multiplicities(reversal(P), 0)
+        assert inf_structure(P) == (d, f, tuple(fi - d for fi in f))
+
+    def test_extraction_reads_the_same_infinite_structure(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            P = random_matrix(rng, m, n, 2)
+            data = extract_poly_structure(P)
+            assert data.inf_partial_mults == smith_partial_multiplicities(reversal(P), 0)
 
 
 class TestInfStructure:

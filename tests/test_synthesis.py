@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from structura.errors import (
+    CompletionSearchExhausted,
     FieldNotSplit,
     ImpossibleSquareCase,
     Infeasible,
     MajorizationFails,
     NonMonicDiagonal,
     PreconditionViolated,
+    SearchExhausted,
     SumMismatch,
 )
 from structura.qpoly import ONE, X, Poly
@@ -225,6 +227,31 @@ class TestTriangular:
         E = triangular_realization(alpha, delta)
         assert tuple(E.rows[i][i] for i in range(4)) == tuple(delta)
         assert smith_form(E).diag == tuple(alpha)
+
+
+class TestSearchBudget:
+    """Exhaustion names the stage, the nodes spent against the limit and, in
+    the completion search, the atom being completed."""
+
+    def test_distribution_search_message(self, monkeypatch):
+        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "2")
+        with pytest.raises(SearchExhausted) as info:
+            distribute_invariant_factors([ONE, S * S * S], [1, 2])
+        assert str(info.value) == (
+            "invariant-factor distribution search budget exhausted: "
+            "3 nodes spent, limit 2; raise STRUCTURA_MAX_SEARCH to retry")
+
+    @pytest.mark.parametrize("limit, atom, spent", [(1, "s - 1", 2), (3, "s", 4)])
+    def test_completion_search_message(self, monkeypatch, limit, atom, spent):
+        # atoms are completed in order s - 1, then s
+        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", str(limit))
+        alpha = [ONE, lin(1), (S ** 2) * lin(1) ** 2]
+        delta = [S * lin(1), lin(1), S * lin(1)]
+        with pytest.raises(CompletionSearchExhausted) as info:
+            triangular_realization(alpha, delta)
+        assert str(info.value) == (
+            f"completion search budget exhausted at atom {atom}: "
+            f"{spent} nodes spent, limit {limit}; raise STRUCTURA_MAX_SEARCH to retry")
 
 
 class TestShapeDegrees:
