@@ -44,7 +44,6 @@ from .extract import (
     extract_rational_structure,
     inf_structure,
     partial_multiplicities,
-    subspace_minimal_basis,
     verify,
 )
 from .feasibility import (
@@ -95,7 +94,6 @@ __all__ = [
     "VerificationReport",
     "partial_multiplicities",
     "inf_structure",
-    "subspace_minimal_basis",
     "extract_poly_structure",
     "clear_denominators",
     "extract_rational_structure",

@@ -22,9 +22,6 @@ from .polymat import (
     smith_form,
 )
 
-SUBSPACES = ("colspan", "rowspan", "rightnull", "leftnull")
-
-
 @dataclass(frozen=True)
 class PolyStructuralData:
     m: int
@@ -42,6 +39,35 @@ class PolyStructuralData:
     rowspan_basis: PolyMatrix  # n x r (columns span the row space)
     right_null_basis: PolyMatrix  # n x (n - r)
     left_null_basis: PolyMatrix  # m x (m - r)
+
+    def identities(self) -> dict:
+        """Whether each index-sum identity holds, by report label: the index
+        sum theorem (eqIST), the dual sums (eqsums), the span index sums
+        (eqsumklfa) and f_1 = 0 (eqf1)."""
+        # r * d less the finite and infinite degrees: what the null indices,
+        # and also the span indices, sum to
+        rest = (self.rank * self.degree - sum(self.inf_partial_mults)
+                - sum(int(a.degree) for a in self.invariant_factors))
+        return {
+            "eqIST": sum(self.right_indices) + sum(self.left_indices) == rest,
+            "eqsums": _dual_sums_agree(self),
+            "eqsumklfa": sum(self.colspan_indices) + sum(self.rowspan_indices) == rest,
+            "eqf1": self.inf_partial_mults[0] == 0,
+        }
+
+
+def _dual_sums_agree(data) -> bool:
+    """The left-null indices sum to the column-span ones, and the right-null
+    indices to the row-span ones."""
+    return (sum(data.left_indices) == sum(data.colspan_indices)
+            and sum(data.right_indices) == sum(data.rowspan_indices))
+
+
+def _checked(data):
+    """data, once every entry of its identity table holds."""
+    for label, ok in data.identities().items():
+        require(ok, f"index-sum identity {label} fails on the extracted data")
+    return data
 
 
 class RationalMatrix:
@@ -110,6 +136,18 @@ class RatStructuralData:
     rowspan_basis: PolyMatrix
     right_null_basis: PolyMatrix
     left_null_basis: PolyMatrix
+
+    def identities(self) -> dict:
+        """Whether each index-sum identity holds, by report label: the dual
+        sums (eqsums) and the rational index sum theorem (eqIST_rational)."""
+        # what the span indices sum to: the pole degrees less the zero degrees,
+        # less the orders at infinity
+        rest = (sum(int(p.degree) for p in self.denominators)
+                - sum(int(e.degree) for e in self.numerators) - sum(self.inf_orders))
+        return {
+            "eqsums": _dual_sums_agree(self),
+            "eqIST_rational": sum(self.colspan_indices) + sum(self.rowspan_indices) == rest,
+        }
 
 
 # -- pieces -------------------------------------------------------------------
@@ -191,8 +229,8 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     return basis, tuple(c[4] for c in cols)
 
 
-def _raw_basis(P: PolyMatrix, sm, which: str) -> PolyMatrix:
-    """Basis of one fundamental subspace of P read off its Smith form sm.
+def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
+    """Full structural data; every sum identity is checked before returning.
 
     With U = sm.left, V = sm.right and D the padded diagonal, U P V = D gives
     P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases are
@@ -200,47 +238,20 @@ def _raw_basis(P: PolyMatrix, sm, which: str) -> PolyMatrix:
     by exact division; the null bases are the trailing columns of V and the
     trailing rows of U.
     """
-    r = sm.rank
-    if which == "colspan":
-        return _left_inverse_columns(P, sm.right, sm.diag)
-    if which == "rowspan":
-        return _left_inverse_columns(P.transpose(), sm.left.transpose(), sm.diag)
-    if which == "rightnull":
-        return sm.right.submatrix(range(P.n), range(r, P.n))
-    return sm.left.submatrix(range(r, P.m), range(P.m)).transpose()
-
-
-def subspace_minimal_basis(P: PolyMatrix, which: str):
-    """Minimal basis and indices (descending) of one fundamental subspace."""
-    if which not in SUBSPACES:
-        raise ValueError(f"unknown subspace {which!r}")
-    if P.is_zero:
-        raise ZeroMatrix("subspaces of the zero matrix are not extracted")
-    return _normalize_basis(_raw_basis(P, smith_form(P), which))
-
-
-def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
-    """Full structural data; every sum identity is checked before returning."""
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
     sm = smith_form(P)
     r = sm.rank
     d, f, q = _inf_structure(P, r)
 
-    col_basis, k_idx = _normalize_basis(_raw_basis(P, sm, "colspan"))
-    row_basis, l_idx = _normalize_basis(_raw_basis(P, sm, "rowspan"))
-    rnull_basis, d_idx = _normalize_basis(_raw_basis(P, sm, "rightnull"))
-    lnull_basis, v_idx = _normalize_basis(_raw_basis(P, sm, "leftnull"))
+    col_basis, k_idx = _normalize_basis(_left_inverse_columns(P, sm.right, sm.diag))
+    row_basis, l_idx = _normalize_basis(
+        _left_inverse_columns(P.transpose(), sm.left.transpose(), sm.diag))
+    rnull_basis, d_idx = _normalize_basis(sm.right.submatrix(range(P.n), range(r, P.n)))
+    lnull_basis, v_idx = _normalize_basis(
+        sm.left.submatrix(range(r, P.m), range(P.m)).transpose())
 
-    deg_alpha = sum(int(a.degree) for a in sm.diag)
-    require(sum(v_idx) == sum(k_idx), "left-null/col-span sums must agree")
-    require(sum(d_idx) == sum(l_idx), "right-null/row-span sums must agree")
-    require(sum(k_idx) + sum(l_idx) + sum(f) + deg_alpha == r * d,
-            "span index sum identity failed")
-    require(sum(d_idx) + sum(v_idx) + sum(f) + deg_alpha == r * d,
-            "index sum theorem failed")
-
-    return PolyStructuralData(
+    return _checked(PolyStructuralData(
         m=P.m,
         n=P.n,
         rank=r,
@@ -256,7 +267,7 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
         rowspan_basis=row_basis,
         right_null_basis=rnull_basis,
         left_null_basis=lnull_basis,
-    )
+    ))
 
 
 def clear_denominators(R: RationalMatrix):
@@ -293,16 +304,7 @@ def extract_rational_structure(R: RationalMatrix) -> RatStructuralData:
         psi.append(fr.den)
     q1 = int(psi1.degree) - data.degree
     q = tuple(fi + q1 for fi in data.inf_partial_mults)
-    require(
-        sum(data.colspan_indices)
-        + sum(data.rowspan_indices)
-        + sum(int(e.degree) for e in eps)
-        - sum(int(p.degree) for p in psi)
-        + sum(q)
-        == 0,
-        "rational index sum identity failed",
-    )
-    return RatStructuralData(
+    return _checked(RatStructuralData(
         m=R.m,
         n=R.n,
         rank=data.rank,
@@ -317,7 +319,7 @@ def extract_rational_structure(R: RationalMatrix) -> RatStructuralData:
         rowspan_basis=data.rowspan_basis,
         right_null_basis=data.right_null_basis,
         left_null_basis=data.left_null_basis,
-    )
+    ))
 
 
 # -- verification --------------------------------------------------------------

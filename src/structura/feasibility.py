@@ -7,6 +7,7 @@ six-list eigenstructure, each for polynomial and for rational matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import LengthMismatch, MalformedPrescription
@@ -50,14 +51,6 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
         if i < len(a) - 1 and sa > sb:
             return False
     return sa == sb
-
-
-def _partial_sums(seq: Sequence[int]) -> tuple:
-    out, acc = [], 0
-    for x in seq:
-        acc += x
-        out.append(acc)
-    return tuple(out)
 
 
 def _is_desc(seq) -> bool:
@@ -264,7 +257,7 @@ def check_feasibility(p: Prescription) -> FeasibilityReport:
     else:
         lhs = tuple(p.d - gi for gi in reversed(g))
 
-    lhs_sums, rhs_sums = _partial_sums(lhs), _partial_sums(rhs)
+    lhs_sums, rhs_sums = tuple(accumulate(lhs)), tuple(accumulate(rhs))
     prec_key = "eqprec_rat" if p.is_rational else "eqprec"
     cond(prec_key, PASS if majorizes(lhs, rhs) else FAIL, lhs_sums, rhs_sums)
     cond("eqprec" if p.is_rational else "eqprec_rat", NA)

@@ -63,14 +63,6 @@ def poly_from_json(v) -> Poly:
     return Poly([fraction_from_json(c) for c in v])
 
 
-def factored_to_json(f: FactoredPoly) -> dict:
-    return {
-        "leading": fraction_to_json(f.leading),
-        "factors": [[fraction_to_json(r), m] for r, m in f.factors],
-        "cofactor": poly_to_json(f.cofactor),
-    }
-
-
 def factored_from_json(v) -> FactoredPoly:
     try:
         return FactoredPoly(
@@ -252,7 +244,6 @@ def structural_report(data) -> dict:
         "left_null": _basis_block(data.left_null_basis, data.left_indices),
     }
     if isinstance(data, PolyStructuralData):
-        deg_alpha = sum(int(a.degree) for a in data.invariant_factors)
         common.update(
             kind="polynomial",
             degree=data.degree,
@@ -262,27 +253,6 @@ def structural_report(data) -> dict:
             inf_orders=list(data.inf_orders),
             rational_eigenvalues=_rational_eigenvalues(data.invariant_factors),
             has_infinite_eigenvalue=data.inf_partial_mults[-1] > 0,
-            identities={
-                "eqIST": _mark(
-                    sum(data.right_indices)
-                    + sum(data.left_indices)
-                    + sum(data.inf_partial_mults)
-                    + deg_alpha
-                    == data.rank * data.degree
-                ),
-                "eqsums": _mark(
-                    sum(data.left_indices) == sum(data.colspan_indices)
-                    and sum(data.right_indices) == sum(data.rowspan_indices)
-                ),
-                "eqsumklfa": _mark(
-                    sum(data.colspan_indices)
-                    + sum(data.rowspan_indices)
-                    + sum(data.inf_partial_mults)
-                    + deg_alpha
-                    == data.rank * data.degree
-                ),
-                "eqf1": _mark(data.inf_partial_mults[0] == 0),
-            },
         )
     else:
         require(isinstance(data, RatStructuralData), "unknown structural data type")
@@ -298,21 +268,8 @@ def structural_report(data) -> dict:
             rational_poles_and_zeros=_rational_eigenvalues(
                 list(data.numerators) + list(data.denominators)
             ),
-            identities={
-                "eqsums": _mark(
-                    sum(data.left_indices) == sum(data.colspan_indices)
-                    and sum(data.right_indices) == sum(data.rowspan_indices)
-                ),
-                "eqIST_rational": _mark(
-                    sum(data.colspan_indices)
-                    + sum(data.rowspan_indices)
-                    + sum(int(a.degree) for a in data.numerators)
-                    - sum(int(a.degree) for a in data.denominators)
-                    + sum(data.inf_orders)
-                    == 0
-                ),
-            },
         )
+    common["identities"] = {label: _mark(ok) for label, ok in data.identities().items()}
     return common
 
 

@@ -531,19 +531,16 @@ def _primitive(row: list) -> list:
 
 
 def _frac_rref(rows):
-    """Gauss-Jordan elimination of a matrix over Q, run on integers.
+    """Gauss-Jordan elimination of an integer matrix over Q, run on integers.
 
-    Each row is scaled to primitive integers, and every row update
-    p * row_i - f * row_r is divided by its gcd again. Returns (rows, pivot
-    cols): row r is zero in the other pivot columns and before pivots[r], so
-    it is M[r][pivots[r]] times row r of the reduced row echelon form over Q.
-    The pivots are those of elimination over Q, since each integer row is a
-    nonzero multiple of the rational row at every step.
+    Each row is made primitive, and every row update p * row_i - f * row_r
+    is divided by its gcd again. Returns (rows, pivot cols): row r is zero in
+    the other pivot columns and before pivots[r], so it is M[r][pivots[r]]
+    times row r of the reduced row echelon form over Q. The pivots are those
+    of elimination over Q, since each integer row is a nonzero multiple of
+    the rational row at every step.
     """
-    M = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        M.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    M = [_primitive(row) for row in rows]
     m = len(M)
     n = len(M[0]) if m else 0
     pivots = []
@@ -580,20 +577,21 @@ def _frac_rank(rows) -> int:
     return len(_frac_rref(rows)[1])
 
 
-def _frac_kernel_vectors(rows, n: int):
-    """Kernel basis vectors over Q, one per free column, in column order."""
+def _kernel_vector(rows, n: int):
+    """The kernel vector of the last free column of an integer matrix with n
+    columns, times the lcm L of the pivot entries: L in the free column,
+    -M[r][free] * L / M[r][pc] in pivot column pc, zero elsewhere; None when
+    every column has a pivot."""
     M, pivots = _frac_rref(rows)
-    pivset = set(pivots)
-    out = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-M[r][free], M[r][pc])
-        out.append(v)
-    return out
+    free = next((c for c in reversed(range(n)) if c not in pivots), None)
+    if free is None:
+        return None
+    L = math.lcm(*(M[r][pc] for r, pc in enumerate(pivots)))
+    v = [0] * n
+    v[free] = L
+    for r, pc in enumerate(pivots):
+        v[pc] = -M[r][free] * (L // M[r][pc])
+    return v
 
 
 def _leading_coefficient_rows(cols, degs) -> list:
@@ -636,21 +634,20 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
         # keeps falling until a column is zero.
         if NEG_INF in degs:
             raise RankDeficient("column reduction requires full column rank")
-        kernel = _frac_kernel_vectors(_leading_coefficient_rows(cols, degs), P.n)
-        if not kernel:
+        c = _kernel_vector(_leading_coefficient_rows(cols, degs), P.n)
+        if c is None:
             break
-        c = kernel[-1]
-        support = [j for j in range(P.n) if c[j] != 0]
+        support = [j for j in range(P.n) if c[j]]
         dmax = max(degs[j] for j in support)
         j0 = max(j for j in support if degs[j] == dmax)
         # the column sum_j c_j / c_j0 s^(dmax - degs[j]) cols[j] on integers
         # over one denominator, divided by the gcd of all its numerators: the
         # unique primitive positive multiple, as a content rescale would give
-        lcm = math.lcm(*(c[j].denominator for j in support)) * (1 if c[j0] > 0 else -1)
+        sign = 1 if c[j0] > 0 else -1
         den = math.lcm(*(e.denominator for j in support for e in cols[j]))
         new_col = [[0] * (dmax + 1) for _ in range(P.m)]
         for j in support:
-            w = c[j].numerator * (lcm // c[j].denominator)
+            w = sign * c[j]
             for acc, e in zip(new_col, cols[j]):
                 f = w * (den // e.denominator)
                 for t, x in enumerate(e.numerators, dmax - degs[j]):

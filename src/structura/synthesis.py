@@ -132,12 +132,8 @@ def _zigzag_block(cm: Sequence[int], cn: Sequence[int]):
     factor) or start with alternating signs (right factor), so every
     orthogonality product telescopes to zero.
     """
-    acc = [0]
-    for a in cm:
-        acc.append(acc[-1] + a)
-    bcc = [0]
-    for b in cn:
-        bcc.append(bcc[-1] + b)
+    acc = list(itertools.accumulate(cm, initial=0))
+    bcc = list(itertools.accumulate(cn, initial=0))
     cuts = sorted(set(acc) | set(bcc))
     rowof = {c: i for i, c in enumerate(cuts)}
     rows = len(cuts)
@@ -238,26 +234,12 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
 def _distribution_candidates(m_desc, quotas, budget):
     """All caps-respecting, majorized ways to spread one root's multiplicity."""
     r = len(quotas)
-    total = sum(m_desc)
-    prefix_m = []
-    acc = 0
-    for v in m_desc:
-        acc += v
-        prefix_m.append(acc)
-
     out = []
 
     def rec(pos, remaining, partial):
         if pos == r:
-            if remaining == 0:
-                vec = tuple(partial)
-                top = sorted(vec, reverse=True)
-                acc2 = 0
-                for kk in range(r):
-                    acc2 += top[kk]
-                    if acc2 > prefix_m[kk]:
-                        return
-                out.append(vec)
+            if remaining == 0 and majorizes(sorted(partial, reverse=True), m_desc):
+                out.append(tuple(partial))
             return
         cap = min(quotas[pos], remaining)
         for v in range(cap + 1):
@@ -265,7 +247,7 @@ def _distribution_candidates(m_desc, quotas, budget):
             rec(pos + 1, remaining - v, partial)
             partial.pop()
 
-    rec(0, total, [])
+    rec(0, sum(m_desc), [])
     # greedy preference: largest multiplicities onto the largest open quotas
     slots = sorted(range(r), key=lambda idx: (-quotas[idx], idx))
     greedy = [0] * r
@@ -439,22 +421,13 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
         )
     size = r - 1
     xr = x[-1]
-    mtot = []
-    acc = 0
-    for v in m:
-        acc += v
-        mtot.append(acc)
-    bots = []
-    acc = 0
-    for v in sorted(x[:-1]):
-        acc += v
-        bots.append(acc)
+    mtot = list(itertools.accumulate(m))
+    bots = list(itertools.accumulate(sorted(x[:-1])))
     total_b = sum(x[:-1])
     lows = []
     for kk in range(1, size):
         lows.append(max(mtot[kk - 1], mtot[kk] - xr, 0))
     lows.append(total_b)
-    bots[-1] = total_b
 
     target = tuple(atom ** mi for mi in m)
     gmax = sum(m)

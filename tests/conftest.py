@@ -15,7 +15,6 @@ from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
     _content_scale,
-    _frac_kernel_vectors,
     _leading_coefficient_rows,
     det,
     invariant_factors,
@@ -91,6 +90,19 @@ def fraction_rref(rows):
     return M[:len(pivots)], pivots
 
 
+def fraction_kernel_vector(rows, n: int):
+    """The kernel vector over Q of the last free column, 1 in that column,
+    from fraction_rref; None when every column has a pivot."""
+    ref, pivots = fraction_rref(rows)
+    free = next((c for c in reversed(range(n)) if c not in pivots), None)
+    if free is None:
+        return None
+    v = [Fraction(c == free) for c in range(n)]
+    for r, pc in enumerate(pivots):
+        v[pc] = -ref[r][free]
+    return v
+
+
 # -- Smith and Poly-arithmetic oracles -----------------------------------------
 
 
@@ -114,10 +126,9 @@ def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
         degs = [max((e.degree for e in c), default=NEG_INF) for c in cols]
         if NEG_INF in degs:
             raise RankDeficient("column reduction requires full column rank")
-        kernel = _frac_kernel_vectors(_leading_coefficient_rows(cols, degs), P.n)
-        if not kernel:
+        c = fraction_kernel_vector(_leading_coefficient_rows(cols, degs), P.n)
+        if c is None:
             break
-        c = kernel[-1]
         support = [j for j in range(P.n) if c[j] != 0]
         dmax = max(degs[j] for j in support)
         j0 = max(j for j in support if degs[j] == dmax)

@@ -1,5 +1,6 @@
 """JSON encodings and the command-line surface, including exit codes."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,13 @@ from structura.cli import main
 from structura.errors import ParseError
 from structura.qpoly import ONE, X, Poly, RatFn
 from structura.polymat import PolyMatrix
-from structura.extract import RationalMatrix
+from structura.extract import (
+    PolyStructuralData,
+    RationalMatrix,
+    RatStructuralData,
+    extract_poly_structure,
+    extract_rational_structure,
+)
 from structura.feasibility import Prescription
 from structura.jsonio import (
     fraction_from_json,
@@ -22,7 +29,10 @@ from structura.jsonio import (
     prescription_from_json,
     prescription_to_json,
     rationalmatrix_to_json,
+    structural_report,
 )
+
+ONE_OVER_S = {"m": 1, "n": 1, "entries": [{"num": [1], "den": [0, 1]}]}
 
 S = X
 M = PolyMatrix.from_scalar_rows
@@ -124,6 +134,36 @@ class TestJson:
         )
         again = prescription_from_json(prescription_to_json(p))
         assert again.K == p.K and again.Lt == p.Lt
+
+
+class TestIdentityTable:
+    def failed(self, data):
+        return {k for k, v in structural_report(data)["identities"].items() if v == "fail"}
+
+    def test_raised_null_index_fails_two_polynomial_identities(self):
+        data = extract_poly_structure(M([[S, S * S], [1, S]]))
+        assert data.right_indices == (1,) and not self.failed(data)
+        raised = dataclasses.replace(data, right_indices=(2,))
+        assert self.failed(raised) == {"eqIST", "eqsums"}
+
+    def test_raised_colspan_index_fails_both_rational_identities(self):
+        data = extract_rational_structure(matrix_from_json(ONE_OVER_S))
+        assert data.colspan_indices == (0,) and not self.failed(data)
+        raised = dataclasses.replace(data, colspan_indices=(1,))
+        assert self.failed(raised) == {"eqsums", "eqIST_rational"}
+
+    @pytest.mark.parametrize(
+        "cls, label",
+        [(PolyStructuralData, k) for k in ("eqIST", "eqsums", "eqsumklfa", "eqf1")]
+        + [(RatStructuralData, k) for k in ("eqsums", "eqIST_rational")],
+    )
+    def test_failed_entry_exits_five_naming_it(self, tmp_path, monkeypatch, capsys, cls, label):
+        table = cls.identities
+        monkeypatch.setattr(cls, "identities", lambda self: {**table(self), label: False})
+        doc = ONE_OVER_S if cls is RatStructuralData else {"m": 1, "n": 1, "entries": [[0, 1]]}
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and label in err
 
 
 def write(tmp_path, name, doc):
@@ -315,8 +355,7 @@ class TestCli:
         assert report["inf_orders"] == [1]
 
     def test_analyze_rational(self, tmp_path, capsys):
-        doc = {"m": 1, "n": 1, "entries": [{"num": [1], "den": [0, 1]}]}
-        path = write(tmp_path, "r.json", doc)
+        path = write(tmp_path, "r.json", ONE_OVER_S)
         assert main(["analyze", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "rational"

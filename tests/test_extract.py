@@ -18,7 +18,6 @@ from structura.extract import (
     inf_structure,
     partial_multiplicities,
     spans_equal,
-    subspace_minimal_basis,
     verify,
 )
 from structura.feasibility import Prescription
@@ -120,18 +119,19 @@ class TestInfStructure:
 
 class TestSubspaces:
     def test_identity_colspan(self):
-        basis, idx = subspace_minimal_basis(PolyMatrix.identity(3), "colspan")
-        assert basis == PolyMatrix.identity(3) and idx == (0, 0, 0)
+        d = extract_poly_structure(PolyMatrix.identity(3))
+        assert d.colspan_basis == PolyMatrix.identity(3)
+        assert d.colspan_indices == (0, 0, 0)
 
     def test_rank_one_colspan(self):
-        basis, idx = subspace_minimal_basis(M([[S, S * S], [1, S]]), "colspan")
-        assert idx == (1,)
-        assert basis == M([[S], [1]])
+        d = extract_poly_structure(M([[S, S * S], [1, S]]))
+        assert d.colspan_indices == (1,)
+        assert d.colspan_basis == M([[S], [1]])
 
     def test_rank_one_rightnull(self):
-        basis, idx = subspace_minimal_basis(M([[S, S * S], [1, S]]), "rightnull")
-        assert idx == (1,)
-        assert basis == M([[S], [-1]])
+        d = extract_poly_structure(M([[S, S * S], [1, S]]))
+        assert d.right_indices == (1,)
+        assert d.right_null_basis == M([[S], [-1]])
 
     def test_bases_span_and_annihilate(self):
         rng = random.Random(17)
@@ -145,10 +145,9 @@ class TestSubspaces:
             if P.is_zero:
                 continue
             r = rank(P)
-            col, _ = subspace_minimal_basis(P, "colspan")
-            row, _ = subspace_minimal_basis(P, "rowspan")
-            rn, _ = subspace_minimal_basis(P, "rightnull")
-            ln, _ = subspace_minimal_basis(P, "leftnull")
+            d = extract_poly_structure(P)
+            col, row = d.colspan_basis, d.rowspan_basis
+            rn, ln = d.right_null_basis, d.left_null_basis
             for B in (col, row, rn, ln):
                 assert is_minimal_basis(B)[0]
             # null bases annihilate exactly

@@ -18,9 +18,9 @@ from structura.errors import (
 from structura.qpoly import ONE, X, Poly
 from structura.polymat import (
     PolyMatrix,
-    _frac_kernel_vectors,
     _frac_rank,
     _frac_rref,
+    _kernel_vector,
     _left_inverse_columns,
     column_reduce,
     det,
@@ -34,6 +34,7 @@ from structura.polymat import (
     smith_form,
 )
 from conftest import (
+    fraction_kernel_vector,
     fraction_rref,
     gcd_minors_oracle,
     is_unimodular,
@@ -217,22 +218,26 @@ class TestIntegerGaussJordan:
     @given(rational_rows)
     def test_matches_rational_rref(self, rows):
         # each integer row is its pivot entry times the rational rref row,
-        # with the same pivots, and the kernel vectors are the rational ones
+        # with the same pivots, and the kernel vector is a positive multiple
+        # of the rational one of the last free column
+        int_rows = []
+        for row in rows:
+            den = math.lcm(*(x.denominator for x in row))
+            int_rows.append([int(x * den) for x in row])
         ref, ref_pivots = fraction_rref(rows)
-        M, pivots = _frac_rref(rows)
+        M, pivots = _frac_rref(int_rows)
         assert pivots == ref_pivots
         for r, pc in enumerate(pivots):
             assert [Fraction(x, M[r][pc]) for x in M[r]] == ref[r]
             assert math.gcd(*M[r]) == 1
         n = len(rows[0]) if rows else 0
-        free = [c for c in range(n) if c not in pivots]
-        kernel = _frac_kernel_vectors(rows, n)
-        assert len(kernel) == len(free)
-        for f, v in zip(free, kernel):
-            expected = [Fraction(c == f) for c in range(n)]
-            for r, pc in enumerate(pivots):
-                expected[pc] = -ref[r][f]
-            assert v == expected
+        v, expected = _kernel_vector(int_rows, n), fraction_kernel_vector(rows, n)
+        if expected is None:
+            assert v is None and len(pivots) == n
+        else:
+            free = max(c for c in range(n) if c not in pivots)
+            assert v[free] > 0
+            assert [x * v[free] for x in expected] == v
 
 
 class TestRank:
@@ -325,13 +330,13 @@ class TestColumnReduce:
         import structura.polymat as polymat
 
         steps = []
-        kernel = polymat._frac_kernel_vectors
+        kernel = polymat._kernel_vector
 
         def counting(rows, n):
             steps.append(rows)
             return kernel(rows, n)
 
-        monkeypatch.setattr(polymat, "_frac_kernel_vectors", counting)
+        monkeypatch.setattr(polymat, "_kernel_vector", counting)
         # a 3x3 rank-2 product that reduces five times before a column vanishes
         product = M([[1, 0], [S, 1], [S * S, S]]) @ M([[1, S, S * S + ONE], [0, 1, S]])
         for P in (
