@@ -125,10 +125,12 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_z(raw: str):
-    try:
-        return [int(tok) for tok in raw.replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ParseError(f"bad index tuple {raw!r}") from exc
+    """Comma-separated ASCII digit tokens; blanks and empty tokens are
+    skipped."""
+    toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
+    if not all(tok.isascii() and tok.isdigit() for tok in toks):
+        raise ParseError(f"bad index tuple {raw!r}")
+    return [int(tok) for tok in toks]
 
 
 def _cmd_minor_select(args) -> int:

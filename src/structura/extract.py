@@ -8,12 +8,12 @@ The index-sum and dual-sum identities are checked on every extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ShapeMismatch, ZeroMatrix, require
 from .qpoly import ONE, ZERO, RatFn, poly_lcm
 from .polymat import (
     PolyMatrix,
+    _DenseMatrix,
     _frac_rank,
     _integer_rows,
     _left_inverse_columns,
@@ -70,54 +70,19 @@ def _checked(data):
     return data
 
 
-class RationalMatrix:
+class RationalMatrix(_DenseMatrix):
     """Dense matrix of rational functions."""
 
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[RatFn]], n: int | None = None):
-        rows = tuple(tuple(e for e in row) for row in rows)
-        m = len(rows)
-        if m:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise ValueError("ragged rows")
-        elif n is None:
-            n = 0
-        for row in rows:
-            for e in row:
-                if not isinstance(e, RatFn):
-                    raise TypeError("entries must be RatFn")
-        self.m, self.n, self.rows = m, n, rows
+    __slots__ = ()
+    entry_type = RatFn
 
     @staticmethod
     def from_poly_matrix(P: PolyMatrix) -> "RationalMatrix":
-        return RationalMatrix(
-            [[RatFn.from_poly(e) for e in row] for row in P.rows], n=P.n
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
+        return RationalMatrix([[RatFn(e) for e in row] for row in P.rows], n=P.n)
 
     @property
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial for row in self.rows for e in row)
-
-    def __getitem__(self, ij) -> RatFn:
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
-        return f"RationalMatrix({self.m}x{self.n}: [{body}])"
 
 
 @dataclass(frozen=True)
@@ -352,9 +317,7 @@ def spans_equal(computed: PolyMatrix, supplied: PolyMatrix) -> bool:
 def verify(matrix, prescription) -> VerificationReport:
     """Extract the structure of a matrix and compare it field-by-field against
     a prescription; exact equality throughout."""
-    from .feasibility import Prescription  # local import to avoid a cycle
-
-    p: Prescription = prescription
+    p = prescription
     mismatches = []
 
     if p.is_rational:

@@ -118,8 +118,10 @@ def matrix_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise ParseError("matrix object needs m, n, entries") from exc
     m, n = int_from_json(m, "m"), int_from_json(n, "n")
-    if m < 0 or n < 0:
-        raise ParseError(f"matrix shape must be nonnegative, got m={m}, n={n}")
+    # every command needs a nonempty matrix, so an empty shape stops here,
+    # before any row is built
+    if m < 1 or n < 1:
+        raise ParseError(f"matrix shape must be positive, got m={m}, n={n}")
     if not isinstance(entries, list) or len(entries) != m * n:
         raise ParseError(f"expected {m * n} row-major entries")
     rational = any(isinstance(e, dict) for e in entries)

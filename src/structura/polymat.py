@@ -30,12 +30,14 @@ from .qpoly import NEG_INF, ONE, ZERO, Poly, _reduced, as_fraction
 _MINUS_ONE = Poly.constant(-1)
 
 
-class PolyMatrix:
-    """Dense matrix of Poly entries."""
+class _DenseMatrix:
+    """Immutable dense matrix body shared by PolyMatrix and RationalMatrix;
+    every entry is an instance of the subclass's entry_type."""
 
     __slots__ = ("m", "n", "rows")
+    entry_type: type
 
-    def __init__(self, rows: Sequence[Sequence[Poly]], n: int | None = None):
+    def __init__(self, rows: Sequence[Sequence], n: int | None = None):
         rows = tuple(tuple(e for e in row) for row in rows)
         m = len(rows)
         if m:
@@ -44,11 +46,41 @@ class PolyMatrix:
                 raise ValueError("ragged rows")
         elif n is None:
             n = 0
+        entry_type = self.entry_type
         for row in rows:
             for e in row:
-                if not isinstance(e, Poly):
-                    raise TypeError("entries must be Poly")
+                if not isinstance(e, entry_type):
+                    raise TypeError(f"entries must be {entry_type.__name__}")
         self.m, self.n, self.rows = m, n, rows
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e.is_zero for row in self.rows for e in row)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.m, self.n) == (other.m, other.n)
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.rows))
+
+    def __repr__(self) -> str:
+        body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
+        return f"{type(self).__name__}({self.m}x{self.n}: [{body}])"
+
+
+class PolyMatrix(_DenseMatrix):
+    """Dense matrix of Poly entries."""
+
+    __slots__ = ()
+    entry_type = Poly
 
     # -- constructors --------------------------------------------------------
 
@@ -79,14 +111,6 @@ class PolyMatrix:
         return PolyMatrix(out)
 
     # -- queries ---------------------------------------------------------
-
-    def __getitem__(self, ij) -> Poly:
-        i, j = ij
-        return self.rows[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
 
     @property
     def is_square(self) -> bool:
@@ -168,41 +192,8 @@ class PolyMatrix:
             [list(a.rows[i]) + list(b.rows[i]) for i in range(a.m)], n=a.n + b.n
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.rows))
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
-        return f"PolyMatrix({self.m}x{self.n}: [{body}])"
-
 
 # -- determinants, rank -----------------------------------------------------
-
-
-def _det_cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ZERO
-    for i in range(n):
-        e = rows[i][0]
-        if e.is_zero:
-            continue
-        minor = [r[1:] for k, r in enumerate(rows) if k != i]
-        term = e * _det_cofactor(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 def _exact_div(a: Poly, b: Poly) -> Poly:
@@ -254,11 +245,9 @@ def _bareiss(rows) -> Poly:
 
 
 def det(P: PolyMatrix) -> Poly:
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss above."""
+    """Exact determinant by fraction-free (Bareiss) elimination."""
     if not P.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if P.n <= 4:
-        return _det_cofactor([list(r) for r in P.rows])
     return _bareiss(P.rows)
 
 

@@ -459,17 +459,6 @@ def _rational_root_candidates(p: Poly):
     return sorted(cands)
 
 
-def root_multiplicity(p: Poly, root: Scalar) -> int:
-    """Multiplicity of a rational root, by repeated exact division."""
-    root = as_fraction(root)
-    lin = Poly((-root, 1))
-    mult = 0
-    while not p.is_zero and p(root) == 0:
-        p = p // lin
-        mult += 1
-    return mult
-
-
 def split_over_rationals(p: Poly) -> FactoredPoly:
     """Peel off every rational root (with exact multiplicity) of a nonzero p."""
     if p.is_zero:
@@ -487,9 +476,10 @@ def split_over_rationals(p: Poly) -> FactoredPoly:
         sf = q // poly_gcd(q, q.derivative()) if q.degree >= 2 else q
         for cand in _rational_root_candidates(sf):
             if sf(cand) == 0:
-                mult = root_multiplicity(q, cand)
+                lin = Poly((-cand, 1))
+                mult = atom_valuation(q, lin)
                 factors.append((cand, mult))
-                q = q // (Poly((-cand, 1)) ** mult)
+                q = q // lin**mult
     return FactoredPoly(leading, sorted(factors), q.monic())
 
 
@@ -527,10 +517,6 @@ class RatFn:
             num = num.scale(1 / c)
             den = den.monic()
         self.num, self.den = num, den
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFn":
-        return RatFn(p, ONE)
 
     @property
     def is_zero(self) -> bool:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from structura.errors import KOutOfRange, RankDeficient, ZeroMatrix
-from structura.qpoly import NEG_INF, ONE, ZERO, Poly, poly_gcd, root_multiplicity
+from structura.qpoly import NEG_INF, ONE, ZERO, Poly, atom_valuation, poly_gcd
 from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
@@ -32,6 +32,26 @@ def _iter_minors(P: PolyMatrix, k: int):
     for rows_idx in itertools.combinations(range(P.m), k):
         for cols_idx in itertools.combinations(range(P.n), k):
             yield det(P.submatrix(rows_idx, cols_idx))
+
+
+def cofactor_det(rows) -> Poly:
+    """Determinant by cofactor expansion along the first column."""
+    n = len(rows)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = ZERO
+    for i in range(n):
+        e = rows[i][0]
+        if e.is_zero:
+            continue
+        minor = [r[1:] for k, r in enumerate(rows) if k != i]
+        term = e * cofactor_det(minor)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
 
 
 def gcd_minors_oracle(P: PolyMatrix, k: int) -> Poly:
@@ -108,11 +128,12 @@ def fraction_kernel_vector(rows, n: int):
 
 def smith_partial_multiplicities(P: PolyMatrix, lam) -> tuple:
     """Valuations of the invariant factors at a rational point, ascending:
-    root_multiplicity of each entry of the Smith diagonal."""
+    the exponent of s - lam in each entry of the Smith diagonal."""
     diag = invariant_factors(P)
     if not diag:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
-    return tuple(root_multiplicity(a, lam) for a in diag)
+    lin = Poly((-lam, 1))
+    return tuple(atom_valuation(a, lin) for a in diag)
 
 
 def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:

@@ -238,10 +238,11 @@ class TestCli:
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
 
     @pytest.mark.parametrize(
-        "shape", [(-1, -1), (-1, 0), (0, -2), (-2, -2)]
+        "shape", [(-1, -1), (-1, 0), (0, -2), (-2, -2), (2000000, 0), (0, 3)]
     )
     def test_analyze_negative_shape_exit_two(self, tmp_path, capsys, shape):
-        # (-1, -1) and (-2, -2) match the entry count m * n
+        # (-1, -1) and (-2, -2) match the entry count m * n; an empty shape is
+        # rejected before any of its m rows is built
         m, n = shape
         doc = {"m": m, "n": n, "entries": [[1]] * (m * n)}
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
@@ -448,6 +449,13 @@ class TestCli:
         path = write(tmp_path, "e.json", {"m": 2, "n": 2, "entries": [[1], [0], [0], [1]]})
         assert main(["minor-select", path, "--z", z]) == 2
         assert capsys.readouterr().err.startswith("malformed input:")
+
+    @pytest.mark.parametrize("z", ["1_0", "\u0661,2", "+1", "\u00b2"])
+    def test_minor_select_non_ascii_digit_index_exit_two(self, tmp_path, capsys, z):
+        # int() would read these as 10, [1, 2], 1 and fail on the last only
+        path = write(tmp_path, "i.json", polymatrix_to_json(PolyMatrix.identity(11)))
+        assert main(["minor-select", path, "--z", z]) == 2
+        assert capsys.readouterr().err.startswith("malformed input: bad index tuple")
 
     def test_unwritable_output_exit_two(self, tmp_path):
         mat = {"m": 1, "n": 1, "entries": [[1]]}

@@ -80,8 +80,8 @@ def local_structure_cases(draw):
 
 
 class TestLocalStructureOracle:
-    """The Toeplitz-rank multiplicities against root_multiplicity of each
-    Smith invariant factor (tests/conftest.py)."""
+    """The Toeplitz-rank multiplicities against the valuation of each Smith
+    invariant factor at the point (tests/conftest.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(local_structure_cases())

@@ -15,7 +15,8 @@ from structura.errors import (
     RankDeficient,
     ZeroMatrix,
 )
-from structura.qpoly import ONE, X, Poly
+from structura.qpoly import ONE, X, Poly, RatFn
+from structura.extract import RationalMatrix
 from structura.polymat import (
     PolyMatrix,
     _frac_rank,
@@ -34,6 +35,7 @@ from structura.polymat import (
     smith_form,
 )
 from conftest import (
+    cofactor_det,
     fraction_kernel_vector,
     fraction_rref,
     gcd_minors_oracle,
@@ -86,6 +88,36 @@ def small_matrices(draw):
         k = draw(hst.integers(0, min(m, n)))
         return block(m, k, 1) @ block(k, n, 1)
     return block(m, n, 2)
+
+
+class TestDenseMatrix:
+    """The body PolyMatrix and RationalMatrix share."""
+
+    CASES = [(PolyMatrix, ONE, "Poly"), (RationalMatrix, RatFn(ONE), "RatFn")]
+
+    @pytest.mark.parametrize("cls, entry, _", CASES)
+    def test_ragged_rows_rejected(self, cls, entry, _):
+        with pytest.raises(ValueError, match="ragged"):
+            cls([[entry, entry], [entry]])
+
+    @pytest.mark.parametrize("cls, entry, type_name", CASES)
+    def test_wrong_entry_type_names_the_type(self, cls, entry, type_name):
+        with pytest.raises(TypeError, match=f"entries must be {type_name}$"):
+            cls([[entry, 1]])
+
+    @pytest.mark.parametrize("cls, entry, _", CASES)
+    def test_value_semantics(self, cls, entry, _):
+        A = cls([[entry, entry]])
+        assert repr(A).startswith(f"{cls.__name__}(1x2: [")
+        assert A == cls([[entry, entry]]) and hash(A) == hash(cls([[entry, entry]]))
+        assert A != cls([[entry], [entry]])
+        assert A[0, 1] == entry and not A.is_zero
+
+    def test_equality_is_false_across_types(self):
+        P = M([[S, 1]])
+        R = RationalMatrix.from_poly_matrix(P)
+        assert R != P and P != R
+        assert R == RationalMatrix([[RatFn(S), RatFn(ONE)]]) and R.is_polynomial
 
 
 class TestSmith:
@@ -171,14 +203,12 @@ class TestMinors:
         assert max_minor_degree(P, 2) == 2
 
     def test_bareiss_agrees_with_cofactor(self):
+        assert det(PolyMatrix([], n=0)) == ONE
         rng = random.Random(5)
-        for _ in range(10):
-            P = random_matrix(rng, 5, 5, 1)
-            from structura.polymat import _bareiss, _det_cofactor
-
-            d1 = _bareiss(P.rows)
-            d2 = _det_cofactor([list(r) for r in P.rows])
-            assert d1 == d2
+        for n in range(1, 7):
+            for _ in range(10):
+                P = random_matrix(rng, n, n, 1)
+                assert det(P) == cofactor_det(P.rows)
 
 
 # s(s - 1)(s + 1)(s - 2)(s + 2) vanishes at the first five evaluation points

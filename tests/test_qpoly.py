@@ -214,6 +214,13 @@ class TestSplit:
         assert dict(f.factors) == {Fraction(0): 2, Fraction(1): 1}
         assert f.cofactor == ONE
 
+    def test_multiplicities_of_several_roots(self):
+        half = Poly([Fraction(-1, 2), 1])
+        p = S * half**3 * (S + Poly.constant(2)) ** 2
+        f = split_over_rationals(p)
+        assert f.factors == ((Fraction(-2), 2), (Fraction(0), 1), (Fraction(1, 2), 3))
+        assert f.leading == 1 and f.cofactor == ONE
+
     def test_fractional_roots_and_leading(self):
         p = Poly([1, -8, 12])  # 12(s - 1/2)(s - 1/6)
         f = split_over_rationals(p)
