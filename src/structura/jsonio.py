@@ -7,11 +7,12 @@ Rational-matrix entries are {"num": [...], "den": [...]} pairs.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import ParseError, require
-from .qpoly import FactoredPoly, Poly, RatFn
+from .qpoly import FactoredPoly, Poly, RatFn, _reduced
 from .polymat import PolyMatrix
 from .extract import (
     PolyStructuralData,
@@ -22,7 +23,7 @@ from .extract import (
 from .feasibility import FeasibilityReport, Prescription
 
 
-_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_to_json(x: Fraction) -> str:
@@ -36,21 +37,28 @@ def int_from_json(v, name: str) -> int:
     return v
 
 
-def fraction_from_json(v) -> Fraction:
-    """A JSON integer, or a string "p/q" or "p" of ASCII digits with an
-    optional sign on p; decimals, exponents and blanks are rejected."""
-    if isinstance(v, bool):
+def _scalar_pair(v) -> tuple:
+    """(p, q) with q > 0, not necessarily coprime, from a JSON integer or a
+    string "p/q" or "p" of ASCII digits with an optional sign on p; decimals,
+    exponents, blanks and more digits than int() reads are rejected."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is not str:
         raise ParseError(f"not a rational scalar: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        if not _SCALAR.fullmatch(v):
-            raise ParseError(f"bad rational scalar {v!r}")
+    m = _SCALAR.fullmatch(v)
+    if m:
         try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational scalar {v!r}") from exc
-    raise ParseError(f"not a rational scalar: {v!r}")
+            p, q = int(m[1]), int(m[2] or 1)
+            if q:
+                return p, q
+        except ValueError:
+            pass
+    raise ParseError(f"bad rational scalar {v!r}")
+
+
+def fraction_from_json(v) -> Fraction:
+    """The Fraction of a JSON scalar, in the grammar of _scalar_pair."""
+    return Fraction(*_scalar_pair(v))
 
 
 def poly_to_json(p: Poly) -> list:
@@ -60,7 +68,9 @@ def poly_to_json(p: Poly) -> list:
 def poly_from_json(v) -> Poly:
     if not isinstance(v, list):
         raise ParseError(f"polynomial must be a coefficient array, got {v!r}")
-    return Poly([fraction_from_json(c) for c in v])
+    pairs = [_scalar_pair(c) for c in v]
+    den = math.lcm(*(q for _, q in pairs))
+    return _reduced([p * (den // q) for p, q in pairs], den)
 
 
 def factored_from_json(v) -> FactoredPoly:

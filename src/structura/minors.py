@@ -2,8 +2,9 @@
 
 Given a nonsingular square matrix over an integral domain and a strictly
 increasing index tuple Z, produces row/column tuples I <= Z*, J <= Z with a
-nonzero minor, by induction on the matrix size. A brute-force enumerator of
-all admissible pairs doubles as the test oracle.
+nonzero minor, by induction on the matrix size. Whether a matrix or a minor
+is singular is read from its rank at integer points, not from a determinant.
+A brute-force enumerator of all admissible pairs doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -96,19 +97,21 @@ def _select(chain, level: int, Z: tuple):
 def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
     """(I, J) with J <= Z, I <= Z* componentwise and det(E(I, J)) != 0.
 
-    Indices are 1-based, matching the Q_{k,r} convention.
+    Indices are 1-based, matching the Q_{k,r} convention. Nonsingularity of
+    E and of E(I, J) is tested by the exact polymat.rank, not by det.
     """
     if not E.is_square:
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
-    if det(E).is_zero:
+    if rank(E) < r:
         raise SingularInput("matrix is singular")
     I, J = _select(_dependency_chain(E), 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")
     require(all(j <= b for j, b in zip(J, Z)), "column bound violated")
-    require(not minor_at(E, I, J).is_zero, "selected minor vanished")
+    require(rank(E.submatrix([i - 1 for i in I], [j - 1 for j in J])) == len(I),
+            "selected minor vanished")
     return I, J
 
 

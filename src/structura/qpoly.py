@@ -476,10 +476,8 @@ def split_over_rationals(p: Poly) -> FactoredPoly:
         sf = q // poly_gcd(q, q.derivative()) if q.degree >= 2 else q
         for cand in _rational_root_candidates(sf):
             if sf(cand) == 0:
-                lin = Poly((-cand, 1))
-                mult = atom_valuation(q, lin)
+                mult, q = atom_valuation(q, Poly((-cand, 1)))
                 factors.append((cand, mult))
-                q = q // lin**mult
     return FactoredPoly(leading, sorted(factors), q.monic())
 
 
@@ -586,12 +584,13 @@ def coprime_basis(polys: Sequence[Poly]):
     return sorted(set(atoms), key=Poly.sort_key)
 
 
-def atom_valuation(p: Poly, atom: Poly) -> int:
-    """Exponent of an atom in p, by repeated exact division."""
+def atom_valuation(p: Poly, atom: Poly) -> tuple:
+    """(k, p / atom^k) with k the exponent of an atom in p, by repeated
+    exact division."""
     count = 0
     while True:
         q, r = divmod(p, atom)
         if not r.is_zero:
-            return count
+            return count, p
         p = q
         count += 1

@@ -487,8 +487,8 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
                      "completion search")
     E = PolyMatrix.identity(r)
     for atom in atoms:
-        x = tuple(atom_valuation(d, atom) for d in delta)
-        mvec = tuple(atom_valuation(a, atom) for a in alpha)
+        x = tuple(atom_valuation(d, atom)[0] for d in delta)
+        mvec = tuple(atom_valuation(a, atom)[0] for a in alpha)
         if all(v == 0 for v in x) and all(v == 0 for v in mvec):
             continue
         budget.atom = atom

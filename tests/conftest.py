@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from structura.errors import KOutOfRange, RankDeficient, ZeroMatrix
+from structura.errors import KOutOfRange, RankDeficient, SingularInput, ZeroMatrix, require
 from structura.qpoly import NEG_INF, ONE, ZERO, Poly, atom_valuation, poly_gcd
 from structura.polymat import (
     ColumnReduction,
@@ -21,6 +21,13 @@ from structura.polymat import (
     rank,
 )
 from structura.feasibility import Prescription, g_sequence
+from structura.minors import (
+    _dependency_chain,
+    _select,
+    minor_at,
+    star_dual,
+    validate_index_tuple,
+)
 
 ROOT_POOL = [Fraction(v) for v in range(-3, 4)]
 
@@ -52,6 +59,36 @@ def cofactor_det(rows) -> Poly:
         term = e * cofactor_det(minor)
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
+
+
+def det_select_nonzero_minor(E: PolyMatrix, Z):
+    """select_nonzero_minor with its vanishing tests read from polynomial
+    determinants instead of ranks: the same selection, checked the old way."""
+    if not E.is_square:
+        raise SingularInput("a square matrix is required")
+    r = E.m
+    Z = validate_index_tuple(Z, r)
+    if det(E).is_zero:
+        raise SingularInput("matrix is singular")
+    I, J = _select(_dependency_chain(E), 0, Z)
+    zs = star_dual(Z, r)
+    require(all(i <= b for i, b in zip(I, zs)), "row bound violated")
+    require(all(j <= b for j, b in zip(J, Z)), "column bound violated")
+    require(not minor_at(E, I, J).is_zero, "selected minor vanished")
+    return I, J
+
+
+# the first points at which polymat.rank evaluates, in its order
+FIRST_RANK_POINTS = (0, 1, -1, 2, -2)
+
+
+def nested_sum_matrix(diag) -> PolyMatrix:
+    """L @ diag(diag) @ L^T with L the unit lower triangular matrix of ones:
+    entry (i, j) is diag[0] + ... + diag[min(i, j)], the determinant is the
+    product of diag, and every entry has degree at most max deg diag."""
+    sums = list(itertools.accumulate(diag))
+    n = len(diag)
+    return PolyMatrix([[sums[min(i, j)] for j in range(n)] for i in range(n)], n=n)
 
 
 def gcd_minors_oracle(P: PolyMatrix, k: int) -> Poly:
@@ -133,7 +170,7 @@ def smith_partial_multiplicities(P: PolyMatrix, lam) -> tuple:
     if not diag:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
     lin = Poly((-lam, 1))
-    return tuple(atom_valuation(a, lin) for a in diag)
+    return tuple(atom_valuation(a, lin)[0] for a in diag)
 
 
 def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:

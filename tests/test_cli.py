@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from structura.cli import main
 from structura.errors import ParseError
@@ -63,6 +65,23 @@ SEARCHING_PRESCRIPTION = {
 }
 
 
+# strings of the scalar grammar, unreduced and with leading zeros, and ints
+JSON_SCALARS = hst.one_of(
+    hst.builds(
+        lambda sign, zeros, p, den: sign + zeros + p + den,
+        hst.sampled_from(["", "+", "-"]),
+        hst.sampled_from(["", "0", "00"]),
+        hst.text("0123456789", min_size=1, max_size=12),
+        hst.one_of(
+            hst.just(""),
+            hst.builds(lambda zeros, q: f"/{zeros}{q}",
+                       hst.sampled_from(["", "0", "000"]), hst.integers(1, 10**6)),
+        ),
+    ),
+    hst.integers(-(10**30), 10**30),
+)
+
+
 class TestJson:
     def test_fraction_codec(self):
         assert fraction_to_json(Fraction(3)) == "3"
@@ -84,6 +103,28 @@ class TestJson:
     def test_scalar_grammar_rejects(self, text):
         with pytest.raises(ParseError):
             fraction_from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(JSON_SCALARS, max_size=6))
+    @example(["6/4", "-0", "+007/0021", 3, "0/9", "-12/08"])
+    def test_poly_reads_the_fractions_of_its_scalars(self, v):
+        got = poly_from_json(v)
+        want = Poly([Fraction(c) for c in v])
+        assert got == want
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+        assert [fraction_from_json(c) for c in v] == [Fraction(c) for c in v]
+
+    @pytest.mark.parametrize(
+        "scalar",
+        ["1/0", "1.5", "1e9", " 3", True, 1.5, "7" * 5000, "1/" + "7" * 5000],
+        ids=["zero-den", "decimal", "exponent", "blank", "bool", "float",
+             "5000-digit", "5000-digit-den"],
+    )
+    def test_scalar_rejected_by_both_readers(self, scalar):
+        with pytest.raises(ParseError):
+            fraction_from_json(scalar)
+        with pytest.raises(ParseError):
+            poly_from_json(["1", scalar])
 
     def test_poly_round_trip(self):
         p = Poly([Fraction(1, 2), 0, -3])
@@ -369,6 +410,17 @@ class TestCli:
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
         assert capsys.readouterr().err.startswith("malformed input: bad rational scalar")
 
+    def test_analyze_five_thousand_digit_scalar_exit_two(self, tmp_path, capsys):
+        doc = {"m": 1, "n": 1, "entries": [["7" * 5000]]}
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("malformed input: bad rational scalar")
+
+    def test_analyze_five_thousand_digit_json_integer_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"m": 1, "n": 1, "entries": [[' + "7" * 5000 + "]]}")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("malformed input:")
+
     def test_analyze_zero_matrix_exit_two(self, tmp_path):
         doc = {"m": 1, "n": 1, "entries": [[]]}
         path = write(tmp_path, "z.json", doc)
@@ -438,6 +490,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["minor"] != "0"
         assert {"I": doc["I"], "J": doc["J"]} in doc["admissible_pairs"]
+
+    def test_minor_select_determinant_vanishing_at_first_rank_points(self, tmp_path, capsys):
+        from conftest import FIRST_RANK_POINTS, nested_sum_matrix
+
+        E = nested_sum_matrix([S - Poly([c]) for c in FIRST_RANK_POINTS])
+        path = write(tmp_path, "e.json", polymatrix_to_json(E))
+        assert main(["minor-select", path, "--z", "1,2,3,4,5"]) == 0
+        assert json.loads(capsys.readouterr().out)["minor"] == "s^5 - 5*s^3 + 4*s"
 
     def test_minor_select_singular_exit_two(self, tmp_path):
         doc = {"m": 2, "n": 2, "entries": [[0, 1], [0, 1], [0, 1], [0, 1]]}

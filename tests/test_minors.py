@@ -6,15 +6,20 @@ import random
 import pytest
 
 from structura.errors import ParseError, SingularInput
-from structura.qpoly import X, Poly
-from structura.polymat import PolyMatrix, det
+from structura.qpoly import X, ZERO, Poly
+from structura.polymat import PolyMatrix, det, rank
 from structura.minors import (
     admissible_pairs,
     minor_at,
     select_nonzero_minor,
     star_dual,
 )
-from conftest import random_poly
+from conftest import (
+    FIRST_RANK_POINTS,
+    det_select_nonzero_minor,
+    nested_sum_matrix,
+    random_poly,
+)
 
 S = X
 M = PolyMatrix.from_scalar_rows
@@ -115,3 +120,37 @@ class TestSelect:
                     found = admissible_pairs(E, Z)
                     assert found, "oracle found no admissible pair"
                     assert select_nonzero_minor(E, Z) in found
+
+
+# s(s^2 - 1)(s^2 - 4) vanishes at the first five points at which rank
+# evaluates; a 5x5 of entry degree 1 lets rank read six points
+VANISHING_DIAG = [S - Poly([c]) for c in FIRST_RANK_POINTS]
+
+
+class TestEvaluationPath:
+    def test_determinant_vanishing_at_first_points_is_nonsingular(self):
+        E = nested_sum_matrix(VANISHING_DIAG)
+        d = det(E)
+        assert d == S * (S * S - Poly([1])) * (S * S - Poly([4]))
+        assert all(d(x) == 0 for x in FIRST_RANK_POINTS)
+        for k in range(1, 6):
+            for Z in itertools.combinations(range(1, 6), k):
+                I, J = select_nonzero_minor(E, Z)
+                assert not minor_at(E, I, J).is_zero
+                assert (I, J) == det_select_nonzero_minor(E, Z)
+
+    def test_rank_five_six_by_six_is_singular(self):
+        E = nested_sum_matrix(VANISHING_DIAG + [ZERO])
+        assert det(E).is_zero and rank(E) == 5
+        for Z in ([1], [2, 5], [1, 2, 3, 4, 5, 6]):
+            with pytest.raises(SingularInput):
+                select_nonzero_minor(E, Z)
+
+    def test_agrees_with_determinant_selection(self):
+        rng = random.Random(19)
+        for t in range(40):
+            r = 3 + t % 4
+            E = random_nonsingular(rng, r, max_deg=1)
+            for k in range(1, r + 1):
+                for Z in itertools.combinations(range(1, r + 1), k):
+                    assert select_nonzero_minor(E, Z) == det_select_nonzero_minor(E, Z)

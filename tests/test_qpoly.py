@@ -221,6 +221,25 @@ class TestSplit:
         assert f.factors == ((Fraction(-2), 2), (Fraction(0), 1), (Fraction(1, 2), 3))
         assert f.leading == 1 and f.cofactor == ONE
 
+    def test_each_root_divided_out_once(self, monkeypatch):
+        # the valuation hands back its quotient, so no root is divided again
+        calls = []
+        divmod_ = Poly.__divmod__
+
+        def counted(a, b):
+            calls.append(b)
+            return divmod_(a, b)
+
+        monkeypatch.setattr(Poly, "__divmod__", counted)
+        split_over_rationals(S * Poly([Fraction(-1, 2), 1]) ** 3 * (S + Poly.constant(2)) ** 2)
+        assert len(calls) == 10
+
+    def test_valuation_quotient(self):
+        half = Poly([Fraction(-1, 2), 1])
+        p = half**3 * (S + ONE)
+        assert atom_valuation(p, half) == (3, S + ONE)
+        assert atom_valuation(p, S) == (0, p)
+
     def test_fractional_roots_and_leading(self):
         p = Poly([1, -8, 12])  # 12(s - 1/2)(s - 1/6)
         f = split_over_rationals(p)
@@ -310,5 +329,5 @@ class TestCoprimeBasis:
             for p in polys:
                 recon = ONE
                 for at in atoms:
-                    recon = recon * at ** atom_valuation(p, at)
+                    recon = recon * at ** atom_valuation(p, at)[0]
                 assert recon == p.monic()
