@@ -32,6 +32,7 @@ from .extract import (
 )
 from .feasibility import check_feasibility
 from .jsonio import (
+    _quoted,
     feasibility_report_json,
     matrix_from_json,
     polymatrix_to_json,
@@ -129,7 +130,7 @@ def _parse_z(raw: str):
     skipped."""
     toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
     if not all(tok.isascii() and tok.isdigit() for tok in toks):
-        raise ParseError(f"bad index tuple {raw!r}")
+        raise ParseError(f"bad index tuple {_quoted(raw)}")
     return [int(tok) for tok in toks]
 
 

@@ -362,13 +362,13 @@ def verify(matrix, prescription) -> VerificationReport:
     if data.rowspan_indices != tuple(l_want):
         mismatches.append("rowspan_indices")
 
-    if p.variant.endswith("spans") and data.rank == p.r:
+    if p.uses_bases and data.rank == p.r:
         if not spans_equal(data.colspan_basis, p.K):
             mismatches.append("colspan_basis")
         if not spans_equal(data.rowspan_basis, p.Lt):
             mismatches.append("rowspan_basis")
 
-    if p.variant.endswith("full"):
+    if p.uses_null_indices:
         if data.right_indices != tuple(p.right):
             mismatches.append("right_indices")
         if data.left_indices != tuple(p.left):

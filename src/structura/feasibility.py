@@ -281,7 +281,7 @@ def check_feasibility(p: Prescription) -> FeasibilityReport:
     else:
         cond("eqsums", NA)
 
-    if p.variant in ("P2_span_indices", "R2_span_indices"):
+    if not (p.uses_bases or p.uses_null_indices):
         # vacuously true when r < n (resp. r < m), hence "pass"
         cond("eqx0", PASS if (r < p.n or all(x == 0 for x in l)) else FAIL)
         cond("eqy0", PASS if (r < p.m or all(x == 0 for x in k)) else FAIL)

@@ -30,10 +30,16 @@ def fraction_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _quoted(v) -> str:
+    """repr(v) cut to about 60 characters, for errors that echo the input."""
+    text = repr(v)
+    return text if len(text) <= 60 else f"{text[:56]}..."
+
+
 def int_from_json(v, name: str) -> int:
     """A JSON integer; bools, floats and strings are rejected, not coerced."""
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{name} must be an integer, got {v!r}")
+        raise ParseError(f"{name} must be an integer, got {_quoted(v)}")
     return v
 
 
@@ -44,7 +50,7 @@ def _scalar_pair(v) -> tuple:
     if type(v) is int:
         return v, 1
     if type(v) is not str:
-        raise ParseError(f"not a rational scalar: {v!r}")
+        raise ParseError(f"not a rational scalar: {_quoted(v)}")
     m = _SCALAR.fullmatch(v)
     if m:
         try:
@@ -53,7 +59,7 @@ def _scalar_pair(v) -> tuple:
                 return p, q
         except ValueError:
             pass
-    raise ParseError(f"bad rational scalar {v!r}")
+    raise ParseError(f"bad rational scalar {_quoted(v)}")
 
 
 def fraction_from_json(v) -> Fraction:
@@ -67,7 +73,7 @@ def poly_to_json(p: Poly) -> list:
 
 def poly_from_json(v) -> Poly:
     if not isinstance(v, list):
-        raise ParseError(f"polynomial must be a coefficient array, got {v!r}")
+        raise ParseError(f"polynomial must be a coefficient array, got {_quoted(v)}")
     pairs = [_scalar_pair(c) for c in v]
     den = math.lcm(*(q for _, q in pairs))
     return _reduced([p * (den // q) for p, q in pairs], den)
@@ -84,7 +90,7 @@ def factored_from_json(v) -> FactoredPoly:
             poly_from_json(v.get("cofactor", [1])),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad factored polynomial: {v!r}") from exc
+        raise ParseError(f"bad factored polynomial: {_quoted(v)}") from exc
 
 
 def poly_list_from_json(v) -> tuple:
@@ -226,8 +232,9 @@ def _basis_block(basis: PolyMatrix, indices) -> dict:
 def _rational_eigenvalues(polys) -> list:
     """Rational roots of the given monic polynomials, merged and sorted.
 
-    Cofactor content (irreducible over Q) stays inside the reported
-    polynomials themselves.
+    Callers pass the ends of their divisibility chains, which hold every
+    root of the chain. Cofactor content (irreducible over Q) stays inside
+    the reported polynomials themselves.
     """
     from .qpoly import split_over_rationals
 
@@ -263,7 +270,7 @@ def structural_report(data) -> dict:
             invariant_factors_pretty=[str(a) for a in data.invariant_factors],
             inf_partial_mults=list(data.inf_partial_mults),
             inf_orders=list(data.inf_orders),
-            rational_eigenvalues=_rational_eigenvalues(data.invariant_factors),
+            rational_eigenvalues=_rational_eigenvalues(data.invariant_factors[-1:]),
             has_infinite_eigenvalue=data.inf_partial_mults[-1] > 0,
         )
     else:
@@ -278,7 +285,7 @@ def structural_report(data) -> dict:
             ],
             inf_orders=list(data.inf_orders),
             rational_poles_and_zeros=_rational_eigenvalues(
-                list(data.numerators) + list(data.denominators)
+                [data.numerators[-1], data.denominators[0]]
             ),
         )
     common["identities"] = {label: _mark(ok) for label, ok in data.identities().items()}

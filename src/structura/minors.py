@@ -38,9 +38,12 @@ def _dependency_chain(E: PolyMatrix) -> tuple:
     """Reduction chain ((matrix, u), ...) down to size 2; u marks the first
     column of the top r-1 rows that depends on its predecessors.
 
-    The chain depends only on the matrix, not on the index tuple, so it is
-    cached and shared across queries on equal matrices.
+    The chain and the check that E is nonsingular depend only on the matrix,
+    not on the index tuple, so they are cached and shared across queries on
+    equal matrices.
     """
+    if rank(E) < E.m:
+        raise SingularInput("matrix is singular")
     chain = []
     cur = E
     while cur.m >= 3:
@@ -104,8 +107,6 @@ def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
-    if rank(E) < r:
-        raise SingularInput("matrix is singular")
     I, J = _select(_dependency_chain(E), 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")

@@ -299,12 +299,6 @@ class SmithDecomposition:
     right: PolyMatrix
     rank: int
 
-    def padded_diag(self, m: int, n: int) -> PolyMatrix:
-        rows = [[ZERO] * n for _ in range(m)]
-        for i, a in enumerate(self.diag):
-            rows[i][i] = a
-        return PolyMatrix(rows, n=n)
-
 
 def _content_scale(polys) -> Fraction:
     """Scale factor turning the coefficients into integers with gcd 1.
@@ -698,19 +692,14 @@ def mobius_frame(P: PolyMatrix, a, d: int) -> PolyMatrix:
     return P.map_entries(lambda e: e.reverse(d).shift(-a))
 
 
-def scale_basis_mobius(K: PolyMatrix, a, degs: Sequence[int]) -> PolyMatrix:
-    """Column-wise K(1/s + a) * diag(s^deg): maps a minimal basis to a minimal
-    basis with the same column degrees."""
+def scale_basis_mobius(K: PolyMatrix, a) -> PolyMatrix:
+    """Column-wise K(1/s + a) * diag(s^deg) with the column degrees of K:
+    maps a minimal basis to a minimal basis with the same column degrees."""
     a = as_fraction(a)
-    if len(degs) != K.n:
-        raise DegreeMismatch("one degree per column required")
+    degs = K.column_degrees()
     for j, dj in enumerate(degs):
-        cd = K.col_degree(j)
-        if cd == NEG_INF:
+        if dj == NEG_INF:
             raise DegreeMismatch(f"column {j} is zero and has no degree")
-        if cd != dj:
-            raise DegreeMismatch(f"column {j} has degree {cd}, stated {dj}")
-    degs = [int(dj) for dj in degs]
     return PolyMatrix(
         [[e.shift(a).reverse(dj) for e, dj in zip(row, degs)] for row in K.rows],
         n=K.n,

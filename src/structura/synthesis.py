@@ -34,13 +34,10 @@ from .errors import (
 from .qpoly import (
     ONE,
     ZERO,
-    FactoredPoly,
     Poly,
     atom_valuation,
     coprime_basis,
-    divides,
     mobius_tilde,
-    poly_gcd,
     split_over_rationals,
 )
 from .polymat import (
@@ -270,7 +267,7 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
         raise LengthMismatch("one target degree per invariant factor")
     facs = []
     for a in alpha:
-        fa = a if isinstance(a, FactoredPoly) else split_over_rationals(a)
+        fa = split_over_rationals(a)
         if not fa.is_split:
             raise FieldNotSplit(
                 "invariant factors do not split into linear factors over Q; "
@@ -336,35 +333,7 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
                 p = p * (Poly((-rt, 1)) ** e)
         delta.append(p)
 
-    _check_sa_conditions([fa.expand() for fa in facs], delta)
     return delta
-
-
-def _check_sa_conditions(alpha, delta):
-    """Brute-force validation of the triangular-diagonal compatibility
-    conditions: k-fold product gcd divisibility and total product equality."""
-    r = len(alpha)
-    prod_a = ONE
-    for a in alpha:
-        prod_a = prod_a * a
-    prod_d = ONE
-    for dd in delta:
-        prod_d = prod_d * dd
-    if prod_a != prod_d:
-        raise PreconditionViolated("products of the two diagonals differ")
-    lead = ONE
-    for k in range(1, r):
-        lead = lead * alpha[k - 1]
-        acc = ZERO
-        for subset in itertools.combinations(range(r), k):
-            p = ONE
-            for idx in subset:
-                p = p * delta[idx]
-            acc = p.monic() if acc.is_zero else poly_gcd(acc, p)
-        if not divides(lead, acc):
-            raise PreconditionViolated(
-                f"order-{k} product gcd misses the invariant prefix"
-            )
 
 
 # -- triangular realization -----------------------------------------------------
@@ -431,24 +400,26 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
 
     target = tuple(atom ** mi for mi in m)
     gmax = sum(m)
+    corner = [ZERO] * size + [atom ** xr]
     for beta in _beta_candidates(size, total_b, lows, bots):
         budget.spend()
         block = _atom_triangular(x[:-1], beta, atom, budget)
         if block is None:
             continue
-        sm = smith_form(block)
-        if tuple(sm.diag) != tuple(atom ** b for b in beta):
-            continue
-        D = sm.padded_diag(size, size).rows
-        corner = [ZERO] * size + [atom ** xr]
+        # block has Smith form U block V = D = diag(atom^beta), so
+        # T = [[block, y], [0, atom^xr]] with y = U^-1 z is equivalent to
+        # diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]]: only the
+        # accepted z needs U and y
+        D = [[atom ** b if i == j else ZERO for j, b in enumerate(beta)]
+             for i in range(size)]
         for prof in _gamma_candidates(size, gmax):
             budget.spend()
             z = [ZERO if gv is None else atom ** gv for gv in prof]
-            # T = [[block, y], [0, atom^xr]] with y = U^-1 z (U = sm.left) is
-            # equivalent to diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]],
-            # so only the accepted z needs y
-            bordered = [list(D[i]) + [z[i]] for i in range(size)]
+            bordered = [D[i] + [z[i]] for i in range(size)]
             if invariant_factors(PolyMatrix(bordered + [corner], n=r)) == target:
+                sm = smith_form(block)
+                require(tuple(sm.diag) == tuple(atom ** b for b in beta),
+                        "completed block has the wrong invariant factors")
                 Ui = _left_inverse_columns(block, sm.right, sm.diag)
                 y = Ui @ PolyMatrix([[e] for e in z], n=1)
                 rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
@@ -459,9 +430,12 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
 def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> PolyMatrix:
     """Upper triangular r x r with diagonal delta and invariant factors alpha.
 
-    Works atom-by-atom over a gcd-free basis (one triangular factor per atom,
-    multiplied together), so inputs need not split into linear factors. Every
-    candidate is validated by exact Smith re-extraction.
+    Works atom by atom over a gcd-free basis (one triangular factor per atom,
+    multiplied together), so inputs need not split into linear factors. Such
+    a matrix exists iff the k-fold prefix products of alpha divide every
+    k-fold product of delta, with equal totals (Sa 1979, Thompson 1979): at
+    each atom, the exponents of alpha are majorized by the ascending
+    exponents of delta. Every candidate is validated by Smith re-extraction.
     """
     r = len(alpha)
     if len(delta) != r:
@@ -469,30 +443,31 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
     for p in list(alpha) + list(delta):
         if p.is_zero or not p.is_monic:
             raise PreconditionViolated("diagonals and invariants must be monic")
-    for i in range(r - 1):
-        if not divides(alpha[i], alpha[i + 1]):
-            raise PreconditionViolated("invariant factors must form a chain")
-    _check_sa_conditions(list(alpha), list(delta))
+    # (atom, exponents of delta, exponents of alpha) over a gcd-free basis
+    exponents = [(atom, tuple(atom_valuation(d, atom)[0] for d in delta),
+                  tuple(atom_valuation(a, atom)[0] for a in alpha))
+                 for atom in coprime_basis(list(alpha) + list(delta))]
+    if any(list(m) != sorted(m) for _, _, m in exponents):
+        raise PreconditionViolated("invariant factors must form a chain")
+    for atom, x, m in exponents:
+        if not majorizes(m, tuple(sorted(x))):
+            raise PreconditionViolated(
+                f"at atom {atom}, invariant exponents {m} are not "
+                f"majorized by the diagonal exponents {tuple(sorted(x))}"
+            )
 
-    if r == 1:
-        return PolyMatrix([[delta[0]]])
     if r == 2:
         E = PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
         require(invariant_factors(E) == tuple(alpha),
                 "2x2 realization has the wrong invariant factors")
         return E
 
-    atoms = coprime_basis(list(alpha) + list(delta))
     budget = _Budget(_search_budget(), CompletionSearchExhausted,
                      "completion search")
     E = PolyMatrix.identity(r)
-    for atom in atoms:
-        x = tuple(atom_valuation(d, atom)[0] for d in delta)
-        mvec = tuple(atom_valuation(a, atom)[0] for a in alpha)
-        if all(v == 0 for v in x) and all(v == 0 for v in mvec):
-            continue
+    for atom, x, m in exponents:
         budget.atom = atom
-        T = _atom_triangular(x, mvec, atom, budget)
+        T = _atom_triangular(x, m, atom, budget)
         if T is None:
             raise CompletionSearchExhausted(
                 f"no completion found for atom {atom}"
@@ -553,16 +528,12 @@ def _sorted_columns(P: PolyMatrix, ascending: bool) -> PolyMatrix:
 
 
 def _realize_zero_inf(alpha, d: int, K: PolyMatrix, Lt: PolyMatrix) -> PolyMatrix:
-    r = K.n
-    k = sorted((int(x) for x in K.column_degrees()), reverse=True)
-    l = sorted((int(x) for x in Lt.column_degrees()), reverse=True)
-    h = [d - (k[r - 1 - i] + l[i]) for i in range(r)]
-    delta = distribute_invariant_factors(list(alpha), h)
-    Ep = triangular_realization(list(alpha), delta)
-    E = shape_degrees(Ep, h)
     K_asc = _sorted_columns(K, ascending=True)
-    L = _sorted_columns(Lt, ascending=False).transpose()
-    return K_asc @ E @ L
+    Lt_desc = _sorted_columns(Lt, ascending=False)
+    h = [d - (k + l) for k, l in zip(K_asc.column_degrees(), Lt_desc.column_degrees())]
+    delta = distribute_invariant_factors(list(alpha), h)
+    E = shape_degrees(triangular_realization(list(alpha), delta), h)
+    return K_asc @ E @ Lt_desc.transpose()
 
 
 def _mobius_point(alpha_last: Poly, avoid: Optional[Poly]) -> Fraction:
@@ -581,10 +552,8 @@ def _realize_poly(p: Prescription, alpha, f, d: int, avoid=None) -> PolyMatrix:
     bidiagonal ones otherwise. A nonzero f goes through a Mobius frame at a
     point that is a root of neither alpha_r nor avoid."""
     if p.uses_null_indices:
-        K = (PolyMatrix.identity(p.r) if p.m == p.r
-             else build_dual_minimal_bases(p.k, p.left)[0])
-        Lt = (PolyMatrix.identity(p.r) if p.n == p.r
-              else build_dual_minimal_bases(p.l, p.right)[0])
+        K = build_dual_minimal_bases(p.k, p.left)[0]
+        Lt = build_dual_minimal_bases(p.l, p.right)[0]
     elif p.uses_bases:
         K, Lt = p.K, p.Lt
     else:
@@ -592,10 +561,7 @@ def _realize_poly(p: Prescription, alpha, f, d: int, avoid=None) -> PolyMatrix:
     if all(fi == 0 for fi in f):
         return _realize_zero_inf(alpha, d, K, Lt)
     a = _mobius_point(alpha[-1], avoid)
-    kdegs = [int(x) for x in K.column_degrees()]
-    ldegs = [int(x) for x in Lt.column_degrees()]
-    Kbar = scale_basis_mobius(K, a, kdegs)
-    Ltbar = scale_basis_mobius(Lt, a, ldegs)
+    Kbar, Ltbar = scale_basis_mobius(K, a), scale_basis_mobius(Lt, a)
     betas = []
     for al, fi in zip(alpha, f):
         tilde, const = mobius_tilde(al, a)

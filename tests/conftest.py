@@ -9,8 +9,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from structura.errors import KOutOfRange, RankDeficient, SingularInput, ZeroMatrix, require
-from structura.qpoly import NEG_INF, ONE, ZERO, Poly, atom_valuation, poly_gcd
+from structura.errors import (
+    KOutOfRange,
+    PreconditionViolated,
+    RankDeficient,
+    SingularInput,
+    ZeroMatrix,
+    require,
+)
+from structura.qpoly import NEG_INF, ONE, ZERO, Poly, atom_valuation, divides, poly_gcd
 from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
@@ -117,6 +124,33 @@ def max_minor_degree(P: PolyMatrix, k: int) -> int:
         if mnr.degree > best:
             best = mnr.degree
     return best
+
+
+def _check_sa_conditions(alpha, delta):
+    """Brute-force validation of the triangular-diagonal compatibility
+    conditions: k-fold product gcd divisibility and total product equality."""
+    r = len(alpha)
+    prod_a = ONE
+    for a in alpha:
+        prod_a = prod_a * a
+    prod_d = ONE
+    for dd in delta:
+        prod_d = prod_d * dd
+    if prod_a != prod_d:
+        raise PreconditionViolated("products of the two diagonals differ")
+    lead = ONE
+    for k in range(1, r):
+        lead = lead * alpha[k - 1]
+        acc = ZERO
+        for subset in itertools.combinations(range(r), k):
+            p = ONE
+            for idx in subset:
+                p = p * delta[idx]
+            acc = p.monic() if acc.is_zero else poly_gcd(acc, p)
+        if not divides(lead, acc):
+            raise PreconditionViolated(
+                f"order-{k} product gcd misses the invariant prefix"
+            )
 
 
 def is_unimodular(P: PolyMatrix) -> bool:

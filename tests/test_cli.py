@@ -333,6 +333,15 @@ class TestCli:
         assert report["left_null"]["indices"] == [1]
         assert all(v == "pass" for v in report["identities"].values())
 
+    def test_construct_square_full_with_infinite_structure(self, tmp_path, capsys):
+        # m = n = r: both minimal bases are the identity, and f != 0 takes
+        # the Mobius route
+        doc = {"variant": "P3_full", "m": 2, "n": 2, "r": 2, "d": 2,
+               "alpha": [[1], [0, 0, 1]], "f": [0, 2], "k": [0, 0], "l": [0, 0],
+               "right": [], "left": []}
+        assert main(["construct", write(tmp_path, "p.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["verdict"] == "pass"
+
     def test_construct_deterministic(self, tmp_path):
         doc = {
             "variant": "P2_span_indices",
@@ -413,7 +422,28 @@ class TestCli:
     def test_analyze_five_thousand_digit_scalar_exit_two(self, tmp_path, capsys):
         doc = {"m": 1, "n": 1, "entries": [["7" * 5000]]}
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
-        assert capsys.readouterr().err.startswith("malformed input: bad rational scalar")
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: bad rational scalar '777") and len(err) < 200
+
+    @pytest.mark.parametrize("command, doc, prefix", [
+        ("analyze", {"m": 1, "n": 1, "entries": [[[7] * 5000]]}, "not a rational scalar: [7, "),
+        ("analyze", {"m": "7" * 5000, "n": 1, "entries": []}, "m must be an integer, got '777"),
+        ("analyze", {"m": 1, "n": 1, "entries": ["7" * 5000]},
+         "polynomial must be a coefficient array, got '777"),
+        ("check", dict(WORKED_PRESCRIPTION, alpha=[[1], {"leading": "1", "factors": "7" * 5000}]),
+         "bad factored polynomial: {'leading'"),
+    ])
+    def test_overlong_input_is_shortened_in_the_message(self, tmp_path, capsys, command, doc,
+                                                        prefix):
+        assert main([command, write(tmp_path, "in.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: " + prefix) and len(err) < 200
+
+    def test_overlong_index_tuple_is_shortened_in_the_message(self, tmp_path, capsys):
+        path = write(tmp_path, "e.json", {"m": 1, "n": 1, "entries": [[1]]})
+        assert main(["minor-select", path, "--z", "x" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: bad index tuple 'xxx") and len(err) < 200
 
     def test_analyze_five_thousand_digit_json_integer_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.json"

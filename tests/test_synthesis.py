@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from structura.errors import (
     CompletionSearchExhausted,
@@ -29,9 +31,9 @@ from structura.synthesis import (
     realize_span,
     shape_degrees,
     triangular_realization,
-    _check_sa_conditions,
 )
 from conftest import (
+    _check_sa_conditions,
     max_minor_degree,
     random_feasible_poly_prescription,
     rationalize_prescription,
@@ -221,12 +223,74 @@ class TestTriangular:
         with pytest.raises(PreconditionViolated):
             triangular_realization([S, S], [S, S * S])
 
+    def test_precondition_violation_names_the_atom(self):
+        c = Poly([1, 0, 1])
+        with pytest.raises(PreconditionViolated) as info:
+            triangular_realization([c, c], [ONE, c * c])
+        assert str(info.value) == (
+            "at atom s^2 + 1, invariant exponents (1, 1) are not majorized "
+            "by the diagonal exponents (0, 2)")
+
     def test_four_by_four_search(self):
         alpha = [ONE, S, S, S ** 3]
         delta = [S, S, S, S * S]
         E = triangular_realization(alpha, delta)
         assert tuple(E.rows[i][i] for i in range(4)) == tuple(delta)
         assert smith_form(E).diag == tuple(alpha)
+
+
+# exponent columns at the atoms s, s - 1 and the non-split s^2 + 1
+SA_ATOMS = (S, lin(1), Poly([1, 0, 1]))
+
+
+@hst.composite
+def sa_exponents(draw):
+    """Per atom, ascending exponents m of alpha and exponents x of delta;
+    x has the total of m, so both verdicts of the check are common."""
+    r = draw(hst.integers(1, 5))
+    cols = []
+    for _ in SA_ATOMS:
+        m = sorted(draw(hst.lists(hst.integers(0, 3), min_size=r, max_size=r)))
+        cuts = sorted(draw(hst.lists(hst.integers(0, sum(m)),
+                                     min_size=r - 1, max_size=r - 1)))
+        x = [b - a for a, b in zip([0] + cuts, cuts + [sum(m)])]
+        cols.append((m, x))
+    return cols
+
+
+class TestSaThompsonCheck:
+    """The per-atom majorization in triangular_realization against the
+    brute-force gcds of k-fold products in conftest._check_sa_conditions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sa_exponents())
+    @example([([1, 1], [0, 2]), ([0, 0], [0, 0]), ([0, 0], [0, 0])])  # rejected
+    @example([([0, 2], [1, 1]), ([0, 0], [0, 0]), ([1, 1], [2, 0])])  # accepted
+    @example([([0, 0, 3], [1, 1, 1]), ([0, 1, 1], [0, 2, 0]), ([1, 1, 1], [0, 0, 3])])
+    def test_agrees_with_brute_force(self, cols):
+        r = len(cols[0][0])
+        alpha = [ONE] * r
+        delta = [ONE] * r
+        for atom, (m, x) in zip(SA_ATOMS, cols):
+            alpha = [a * atom ** e for a, e in zip(alpha, m)]
+            delta = [d * atom ** e for d, e in zip(delta, x)]
+        try:
+            _check_sa_conditions(alpha, delta)
+            expected = True
+        except PreconditionViolated:
+            expected = False
+        # a budget of one node ends the completion search right after the
+        # check, so only PreconditionViolated reports a rejection
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("STRUCTURA_MAX_SEARCH", "1")
+            try:
+                triangular_realization(alpha, delta)
+                accepted = True
+            except CompletionSearchExhausted:
+                accepted = True
+            except PreconditionViolated:
+                accepted = False
+        assert accepted == expected
 
 
 class TestSearchBudget:
