@@ -24,6 +24,7 @@ from .errors import (
     SingularInput,
     StructuraError,
     ZeroMatrix,
+    _quoted,
 )
 from .extract import (
     extract_poly_structure,
@@ -32,7 +33,6 @@ from .extract import (
 )
 from .feasibility import check_feasibility
 from .jsonio import (
-    _quoted,
     feasibility_report_json,
     matrix_from_json,
     polymatrix_to_json,

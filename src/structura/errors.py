@@ -10,6 +10,12 @@ class InternalInvariantError(StructuraError):
     in structura, not in the input."""
 
 
+def _quoted(v) -> str:
+    """repr(v) cut to about 60 characters, for errors that echo the input."""
+    text = repr(v)
+    return text if len(text) <= 60 else f"{text[:56]}..."
+
+
 def require(cond, msg: str) -> None:
     """Check an internal identity; unlike assert, it also runs under -O."""
     if not cond:

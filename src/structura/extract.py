@@ -7,17 +7,18 @@ The index-sum and dual-sum identities are checked on every extraction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch, ZeroMatrix, require
-from .qpoly import ONE, ZERO, RatFn, poly_lcm
+from .qpoly import ONE, ZERO, RatFn, _reduced, poly_lcm
 from .polymat import (
     PolyMatrix,
     _DenseMatrix,
     _frac_rank,
-    _integer_rows,
+    _over_lcm,
     _left_inverse_columns,
-    column_reduce,
+    _reduce_columns,
     rank,
     smith_form,
 )
@@ -129,7 +130,7 @@ def _multiplicities_at_zero(rows, r: int) -> tuple:
     1982, Matrix Polynomials); the scan stops once that count reaches r. The
     f_i sum to at most the degree of a nonzero r x r minor, r * deg P.
     """
-    coeffs = _integer_rows(rows)  # scales rows of every T_j
+    coeffs = [_over_lcm(row)[0] for row in rows]  # scales rows of every T_j
     top = max(len(cs) for row in coeffs for cs in row) - 1
     f, prev, j = [], 0, 0
     while len(f) < r:
@@ -173,25 +174,26 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     """Column-reduce, scale leading vectors to a 1 pivot, sort columns.
 
     Returns (basis, indices descending). Normalization makes golden tests
-    deterministic; spans and degrees are what the theory pins down.
+    deterministic; spans and degrees are what the theory pins down. The
+    leading vector's pivot is the first entry of top degree; columns are
+    sorted by degree (descending), then by their first nonzero row, and only
+    columns that tie on both are ordered by their coefficients.
     """
     if B.n == 0:
         return B, ()
-    red = column_reduce(B).reduced
-    cols = []
-    for j in range(red.n):
-        col = [red.rows[i][j] for i in range(red.m)]
-        d = max(e.degree for e in col)
-        lead = next(e.lc for e in col if e.degree == d)
-        col = [e.scale(1 / lead) for e in col]
+    cols, _, degs = _reduce_columns(B)
+    out = []
+    for col, d in zip(cols, degs):
+        lead = next(a[d] for a in col if len(a) > d)
+        sign = 1 if lead > 0 else -1
+        col = [_reduced([sign * x for x in a], sign * lead) for a in col]
         pivot = next(i for i, e in enumerate(col) if not e.is_zero)
-        key = tuple(e.coeffs for e in col)
-        cols.append((-int(d), pivot, key, col, int(d)))
-    cols.sort(key=lambda t: (t[0], t[1], t[2]))
-    basis = PolyMatrix(
-        [[c[3][i] for c in cols] for i in range(red.m)], n=red.n
-    )
-    return basis, tuple(c[4] for c in cols)
+        out.append((-d, pivot, col))
+    ties = Counter(t[:2] for t in out)
+    out.sort(key=lambda t: t[:2] if ties[t[:2]] == 1
+             else t[:2] + (tuple(e.coeffs for e in t[2]),))
+    basis = PolyMatrix([[t[2][i] for t in out] for i in range(B.m)], n=B.n)
+    return basis, tuple(-t[0] for t in out)
 
 
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:

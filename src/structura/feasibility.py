@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .errors import LengthMismatch, MalformedPrescription
+from .errors import LengthMismatch, MalformedPrescription, _quoted
 from .qpoly import ONE, divides, poly_gcd
 from .polymat import PolyMatrix, is_minimal_basis
 
@@ -132,7 +132,7 @@ class Prescription:
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
-            self._fail(f"unknown variant {self.variant!r}")
+            self._fail(f"unknown variant {_quoted(self.variant)}")
         if not (1 <= self.r <= min(self.m, self.n)):
             self._fail("rank must satisfy 1 <= r <= min(m, n)")
 

@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, require
+from .errors import ParseError, _quoted, require
 from .qpoly import FactoredPoly, Poly, RatFn, _reduced
 from .polymat import PolyMatrix
 from .extract import (
@@ -28,12 +28,6 @@ _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def fraction_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _quoted(v) -> str:
-    """repr(v) cut to about 60 characters, for errors that echo the input."""
-    text = repr(v)
-    return text if len(text) <= 60 else f"{text[:56]}..."
 
 
 def int_from_json(v, name: str) -> int:
@@ -68,7 +62,12 @@ def fraction_from_json(v) -> Fraction:
 
 
 def poly_to_json(p: Poly) -> list:
-    return [fraction_to_json(c) for c in p.coeffs]
+    """fraction_to_json of each coefficient, without building Fractions."""
+    den, out = p.denominator, []
+    for c in p.numerators:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def poly_from_json(v) -> Poly:

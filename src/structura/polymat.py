@@ -273,7 +273,7 @@ def rank(P: PolyMatrix) -> int:
 
     row_degs = (max(e.degree for e in row) for row in P.rows)
     bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
-    coeffs, width = _integer_rows(P.rows), int(P.degree) + 1
+    coeffs, width = [_over_lcm(row)[0] for row in P.rows], int(P.degree) + 1
     best = 0
     for k in range(bound + 1):
         x = (k + 1) // 2 if k % 2 else -(k // 2)
@@ -479,17 +479,23 @@ def _left_inverse_columns(P: PolyMatrix, right: PolyMatrix, diag) -> PolyMatrix:
     times diag[j] (Kailath 1980, 6.3). The product is formed row by row and
     each entry is divided exactly by its invariant factor, skipped when that
     factor is 1. With P^T and left^T in place of P and right, the same
-    columns are those of right^-T.
+    columns are those of right^-T. Each row of P and each column of right
+    is put on integers over its lcm denominator, so an entry of the product
+    is one integer sum over the product of the two.
     """
-    cols = list(zip(*right.rows))[:len(diag)]
+    cols = [_over_lcm(col) for col in list(zip(*right.rows))[:len(diag)]]
     out = []
-    for row in P.rows:
+    for row, row_den in map(_over_lcm, P.rows):
         new = []
-        for col, a in zip(cols, diag):
-            acc = ZERO
-            for e, x in zip(row, col):
-                if not (e.is_zero or x.is_zero):
-                    acc = acc + e * x
+        for (col, col_den), a in zip(cols, diag):
+            acc = [0] * (max(map(len, row)) + max(map(len, col)))
+            for u, v in zip(row, col):
+                if u and v:
+                    for i, y in enumerate(v):
+                        if y:
+                            for k, x in enumerate(u, i):
+                                acc[k] += x * y
+            acc = _reduced(acc, row_den * col_den)
             if a != ONE:
                 acc, rem = divmod(acc, a)
                 require(rem.is_zero, "P @ right = left^-1 @ D: a column of P @ "
@@ -546,14 +552,12 @@ def _frac_rref(rows):
     return M, pivots
 
 
-def _integer_rows(rows) -> list:
-    """The numerators of each row of Polys over the lcm of the row's
-    denominators: every row times a positive integer."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(e.denominator for e in row))
-        out.append([[c * (den // e.denominator) for c in e.numerators] for e in row])
-    return out
+def _over_lcm(polys):
+    """(numerators, den): the numerators of each Poly over the lcm den of
+    their denominators, so that polys[i] = numerators[i] / den."""
+    den = math.lcm(*(e.denominator for e in polys))
+    return [e.numerators if e.denominator == den
+            else [c * (den // e.denominator) for c in e.numerators] for e in polys], den
 
 
 def _frac_rank(rows) -> int:
@@ -577,17 +581,22 @@ def _kernel_vector(rows, n: int):
     return v
 
 
-def _leading_coefficient_rows(cols, degs) -> list:
-    """Rows of the leading column-coefficient matrix, each scaled by a
-    positive integer to integer entries, which keeps the rank and the kernel:
-    entry (i, j) is the coefficient of s^degs[j] in cols[j][i]. Every degree
-    must be finite."""
-    out = []
-    for row in zip(*cols):
-        den = math.lcm(*(e.denominator for e in row))
-        out.append([e.numerators[d] * (den // e.denominator) if d < len(e.numerators) else 0
-                    for e, d in zip(row, degs)])
-    return out
+def _lead(col):
+    """(degree, leading row) of a column of integer coefficient lists without
+    trailing zeros; the degree of a zero column is -1, and its row None."""
+    d = max(map(len, col), default=0) - 1
+    return d, ([a[d] if len(a) > d else 0 for a in col] if d >= 0 else None)
+
+
+def _integer_columns(P: PolyMatrix):
+    """(cols, dens, degs, leads): column j of P as integer coefficient lists
+    over the lcm dens[j] of its denominators, with its degree and leading
+    row. The leading rows are those of the leading column-coefficient matrix,
+    each column times a positive integer, which keeps its rank."""
+    pairs = [_over_lcm(P.col(j)) for j in range(P.n)]
+    cols = [col for col, _ in pairs]
+    leads = [_lead(col) for col in cols]
+    return cols, [den for _, den in pairs], [d for d, _ in leads], [row for _, row in leads]
 
 
 # -- column reduction ---------------------------------------------------------
@@ -599,60 +608,64 @@ class ColumnReduction:
     column_degrees: tuple
 
 
-def column_reduce(P: PolyMatrix) -> ColumnReduction:
-    """Wolovich column reduction of a full-column-rank matrix.
+def _reduce_columns(P: PolyMatrix):
+    """Wolovich column reduction on integer columns: (cols, dens, degs) of
+    the reduced matrix, as _integer_columns gives them.
 
     Repeatedly cancels leading-coefficient dependencies with monomial column
-    replacements; ties break toward the rightmost reducible column. Raises
-    RankDeficient when P does not have full column rank.
+    replacements; ties break toward the rightmost reducible column. Every
+    step is unimodular and lowers one column degree. A column proper matrix
+    has full column rank, so a rank-deficient P never reaches a full-rank
+    leading-coefficient matrix: its degree sum keeps falling until a column
+    is zero, which raises RankDeficient.
     """
-    if P.n == 0:
-        return ColumnReduction(P, ())
-    cols = [list(P.col(j)) for j in range(P.n)]
+    cols, dens, degs, leads = _integer_columns(P)
     while True:
-        degs = [max((e.degree for e in c), default=NEG_INF) for c in cols]
-        # Every step is unimodular and lowers one column degree. A column
-        # proper matrix has full column rank, so a rank-deficient P never
-        # reaches a full-rank leading-coefficient matrix: its degree sum
-        # keeps falling until a column is zero.
-        if NEG_INF in degs:
+        if -1 in degs:
             raise RankDeficient("column reduction requires full column rank")
-        c = _kernel_vector(_leading_coefficient_rows(cols, degs), P.n)
+        c = _kernel_vector(list(zip(*leads)), P.n)
         if c is None:
-            break
+            return cols, dens, degs
         support = [j for j in range(P.n) if c[j]]
         dmax = max(degs[j] for j in support)
         j0 = max(j for j in support if degs[j] == dmax)
-        # the column sum_j c_j / c_j0 s^(dmax - degs[j]) cols[j] on integers
-        # over one denominator, divided by the gcd of all its numerators: the
-        # unique primitive positive multiple, as a content rescale would give
+        # sum_j c_j s^(dmax - degs[j]) cols[j] over the column denominators is
+        # a positive multiple of the rational combination with c_j0 = 1;
+        # divided by the gcd of its numerators it is the unique primitive
+        # positive multiple, as a content rescale would give
         sign = 1 if c[j0] > 0 else -1
-        den = math.lcm(*(e.denominator for j in support for e in cols[j]))
-        new_col = [[0] * (dmax + 1) for _ in range(P.m)]
+        new = [[0] * (dmax + 1) for _ in range(P.m)]
         for j in support:
             w = sign * c[j]
-            for acc, e in zip(new_col, cols[j]):
-                f = w * (den // e.denominator)
-                for t, x in enumerate(e.numerators, dmax - degs[j]):
-                    acc[t] += f * x
-        # a zero combination (gcd 0) stays zero and raises on the next pass
-        g = math.gcd(*(x for acc in new_col for x in acc))
-        cols[j0] = [_reduced([x // g for x in acc] if g > 1 else acc, 1) for acc in new_col]
+            for acc, a in zip(new, cols[j]):
+                for t, x in enumerate(a, dmax - degs[j]):
+                    acc[t] += w * x
+        # a zero combination (gcd 0) is a zero column and raises on the next pass
+        g = math.gcd(*(x for acc in new for x in acc))
+        for acc in new:
+            while acc and not acc[-1]:
+                acc.pop()
+        cols[j0] = [[x // g for x in acc] for acc in new] if g > 1 else new
+        dens[j0] = 1
+        degs[j0], leads[j0] = _lead(cols[j0])
+
+
+def column_reduce(P: PolyMatrix) -> ColumnReduction:
+    """Wolovich column reduction of a full-column-rank matrix (see
+    _reduce_columns); raises RankDeficient when P does not have full column
+    rank."""
+    cols, dens, degs = _reduce_columns(P)
     reduced = PolyMatrix(
-        [[cols[j][i] for j in range(P.n)] for i in range(P.m)], n=P.n
+        [[_reduced(list(col[i]), den) for col, den in zip(cols, dens)] for i in range(P.m)],
+        n=P.n,
     )
-    return ColumnReduction(reduced, reduced.column_degrees())
+    return ColumnReduction(reduced, tuple(degs))
 
 
 def is_column_proper(P: PolyMatrix) -> bool:
     """True when the highest-column-degree coefficient matrix has full rank."""
-    if P.n == 0:
-        return True
-    degs = P.column_degrees()
-    if NEG_INF in degs:
-        return False
-    cols = [P.col(j) for j in range(P.n)]
-    return _frac_rank(_leading_coefficient_rows(cols, degs)) == min(P.m, P.n)
+    _, _, degs, leads = _integer_columns(P)
+    return -1 not in degs and _frac_rank(list(zip(*leads))) == min(P.m, P.n)
 
 
 def is_minimal_basis(K: PolyMatrix):

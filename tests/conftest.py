@@ -6,6 +6,7 @@ Everything takes an explicit random.Random so failures reproduce exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
     _content_scale,
-    _leading_coefficient_rows,
     det,
     invariant_factors,
     rank,
@@ -207,6 +207,19 @@ def smith_partial_multiplicities(P: PolyMatrix, lam) -> tuple:
     return tuple(atom_valuation(a, lin)[0] for a in diag)
 
 
+def _leading_coefficient_rows(cols, degs) -> list:
+    """Rows of the leading column-coefficient matrix, each scaled by a
+    positive integer to integer entries, which keeps the rank and the kernel:
+    entry (i, j) is the coefficient of s^degs[j] in cols[j][i]. Every degree
+    must be finite."""
+    out = []
+    for row in zip(*cols):
+        den = math.lcm(*(e.denominator for e in row))
+        out.append([e.numerators[d] * (den // e.denominator) if d < len(e.numerators) else 0
+                    for e, d in zip(row, degs)])
+    return out
+
+
 def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
     """Wolovich column reduction with each replacement column built in Poly
     arithmetic (monomial times column, summed) and rescaled by _content_scale:
@@ -236,6 +249,33 @@ def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
         [[cols[j][i] for j in range(P.n)] for i in range(P.m)], n=P.n
     )
     return ColumnReduction(reduced, reduced.column_degrees())
+
+
+def poly_normalize_basis(B: PolyMatrix) -> tuple:
+    """Column-reduce, scale leading vectors to a 1 pivot, sort columns, all in
+    Poly and Fraction arithmetic: the reference for extract._normalize_basis.
+
+    Returns (basis, indices descending). The leading vector of a column is
+    scaled by the leading coefficient of its first entry of top degree, and
+    the sort key is (degree descending, first nonzero row, coefficients).
+    """
+    if B.n == 0:
+        return B, ()
+    red = poly_column_reduce(B).reduced
+    cols = []
+    for j in range(red.n):
+        col = [red.rows[i][j] for i in range(red.m)]
+        d = max(e.degree for e in col)
+        lead = next(e.lc for e in col if e.degree == d)
+        col = [e.scale(1 / lead) for e in col]
+        pivot = next(i for i, e in enumerate(col) if not e.is_zero)
+        key = tuple(e.coeffs for e in col)
+        cols.append((-int(d), pivot, key, col, int(d)))
+    cols.sort(key=lambda t: (t[0], t[1], t[2]))
+    basis = PolyMatrix(
+        [[c[3][i] for c in cols] for i in range(red.m)], n=red.n
+    )
+    return basis, tuple(c[4] for c in cols)
 
 
 # -- reference polynomial ----------------------------------------------------

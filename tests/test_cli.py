@@ -131,6 +131,15 @@ class TestJson:
         assert poly_from_json(poly_to_json(p)) == p
         assert poly_to_json(Poly()) == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(hst.lists(hst.one_of(hst.integers(-40, 40),
+                                hst.fractions(min_value=-9, max_value=9, max_denominator=24)),
+                     max_size=6))
+    def test_poly_to_json_matches_fraction_coefficients(self, cs):
+        # the numerator/denominator writer against the Fraction coefficients
+        p = Poly(cs)
+        assert poly_to_json(p) == [fraction_to_json(c) for c in p.coeffs]
+
     def test_matrix_round_trip(self):
         P = M([[S, 1], [0, S * S]])
         assert matrix_from_json(polymatrix_to_json(P)) == P
@@ -432,6 +441,7 @@ class TestCli:
          "polynomial must be a coefficient array, got '777"),
         ("check", dict(WORKED_PRESCRIPTION, alpha=[[1], {"leading": "1", "factors": "7" * 5000}]),
          "bad factored polynomial: {'leading'"),
+        ("check", dict(WORKED_PRESCRIPTION, variant="P" * 5000), "unknown variant 'PPP"),
     ])
     def test_overlong_input_is_shortened_in_the_message(self, tmp_path, capsys, command, doc,
                                                         prefix):

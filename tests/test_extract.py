@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from structura.errors import ShapeMismatch, ZeroMatrix
-from structura.qpoly import ONE, X, Poly, RatFn
+from structura.errors import RankDeficient, ShapeMismatch, ZeroMatrix
+from structura.qpoly import ONE, ZERO, X, Poly, RatFn
 from structura.polymat import PolyMatrix, is_minimal_basis, rank, reversal
 from structura.extract import (
     RationalMatrix,
+    _normalize_basis,
     clear_denominators,
     extract_poly_structure,
     extract_rational_structure,
@@ -22,6 +23,7 @@ from structura.extract import (
 )
 from structura.feasibility import Prescription
 from conftest import (
+    poly_normalize_basis,
     random_low_rank_matrix,
     random_matrix,
     random_split_monic,
@@ -265,8 +267,22 @@ class TestExtractPoly:
                     ((1, 0), M([[S, 0], [-1, 0], [0, 1]])),
                 ),
             ),
+            (  # rational coefficients; both row-span columns have degree 1 and
+               # pivot row 0, so their coefficients order them
+                M([[S * S, Fraction(1, 2), S], [S, 1, Poly([0, Fraction(2, 3)])]]),
+                (ONE, S),
+                (
+                    ((0, 0), M([[1, 0], [2, 1]])),
+                    ((1, 1), M([[Poly([Fraction(-1, 2), 1]), S], [0, 1],
+                                [Fraction(2, 3), Poly([0, Fraction(2, 3)])]])),
+                    ((2,), M([[1], [Poly([0, Fraction(-3, 2), 1])],
+                              [Poly([Fraction(3, 4), Fraction(-3, 2)])]])),
+                    ((), PolyMatrix.zeros(2, 0)),
+                ),
+            ),
         ],
-        ids=["rank-deficient", "nontrivial-factors", "rank-one-factor-s"],
+        ids=["rank-deficient", "nontrivial-factors", "rank-one-factor-s",
+             "rational-coefficients"],
     )
     def test_pinned_bases(self, P, alpha, bases):
         d = extract_poly_structure(P)
@@ -284,6 +300,48 @@ class TestExtractPoly:
             P = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 2)
             d = extract_poly_structure(P)  # identities asserted internally
             assert d.inf_partial_mults[0] == 0
+
+
+@hst.composite
+def bases_to_normalize(draw):
+    """m x n matrices, 1 <= n <= m <= 5 and n <= 4, with coefficients a/b,
+    |a| <= 3 and b <= 4, in one of four kinds: dense; dense times a unimodular factor,
+    which raises the column degrees; with a zero column; or s^k times a
+    constant matrix with a nonzero first row, possibly times a unimodular
+    factor, whose reduced columns often tie on (degree, first nonzero row)."""
+    m = draw(hst.integers(1, 5))
+    n = draw(hst.integers(1, min(m, 4)))
+    kind = draw(hst.sampled_from(["dense", "unimodular", "zero-column", "ties"]))
+    coeff = hst.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if kind == "ties":
+        rows = [[Poly([draw(coeff.filter(bool) if i == 0 else coeff)]) for _ in range(n)]
+                for i in range(m)]
+        B = PolyMatrix(rows, n=n).scale(S ** draw(hst.integers(0, 2)))
+    else:
+        entry = hst.lists(coeff, max_size=3).map(Poly)
+        B = PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(m)], n=n)
+    if kind == "zero-column":
+        j = draw(hst.integers(0, n - 1))
+        B = PolyMatrix([[ZERO if k == j else e for k, e in enumerate(row)] for row in B.rows],
+                       n=n)
+    if kind in ("unimodular", "ties") and draw(hst.booleans()):
+        B = B @ random_unimodular(random.Random(draw(hst.integers(0, 2 ** 16))), n, ops=3)
+    return B
+
+
+class TestNormalizeBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(bases_to_normalize())
+    def test_matches_poly_oracle(self, B):
+        # the integer-column normalization against Poly and Fraction arithmetic;
+        # a rank-deficient basis raises in both
+        try:
+            want = poly_normalize_basis(B)
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                _normalize_basis(B)
+            return
+        assert _normalize_basis(B) == want
 
 
 class TestRationalLayer:

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from structura.errors import (
     DegreeMismatch,
     DegreeTooSmall,
+    InternalInvariantError,
     KOutOfRange,
     RankDeficient,
     ZeroMatrix,
@@ -161,6 +162,34 @@ class TestSmith:
             for k in range(1, sm.rank + 1):
                 prod = prod * sm.diag[k - 1]
                 assert prod == gcd_minors_oracle(P, k)
+
+
+class TestLeftInverseColumns:
+    def test_matches_product_divided_by_invariant_factors(self):
+        # rational coefficients: column j of P @ right, divided exactly by
+        # diag[j], for both the column-span and the row-span call
+        rng = random.Random(89)
+        for _ in range(60):
+            P = random_rational_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 2)
+            if P.is_zero:
+                continue
+            sm = smith_form(P)
+            for A, right in ((P, sm.right), (P.transpose(), sm.left.transpose())):
+                prod = A @ right
+                want = []
+                for i in range(A.m):
+                    row = []
+                    for j, a in enumerate(sm.diag):
+                        q, r = divmod(prod[i, j], a)
+                        assert r.is_zero
+                        row.append(q)
+                    want.append(row)
+                assert _left_inverse_columns(A, right, sm.diag) == PolyMatrix(want, n=sm.rank)
+
+    def test_inexact_division_raises(self):
+        # a checked identity, not an assert: it also fires under python -O
+        with pytest.raises(InternalInvariantError, match="not divisible"):
+            _left_inverse_columns(M([[1, S]]), PolyMatrix.identity(2), (S,))
 
 
 class TestInvariantFactors:
