@@ -59,7 +59,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer past the int() digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

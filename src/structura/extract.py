@@ -8,7 +8,7 @@ The index-sum and dual-sum identities are checked on every extraction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ShapeMismatch, ZeroMatrix, require
 from .qpoly import ONE, ZERO, RatFn, _reduced, poly_lcm
@@ -24,14 +24,12 @@ from .polymat import (
 )
 
 @dataclass(frozen=True)
-class PolyStructuralData:
+class _SubspaceData:
+    """What both structural-data records hold: the shape, the rank, and the
+    minimal indices and bases of the four fundamental subspaces."""
     m: int
     n: int
     rank: int
-    degree: int
-    invariant_factors: tuple
-    inf_partial_mults: tuple  # f_1 <= ... <= f_r, f_1 = 0
-    inf_orders: tuple  # q_i = f_i - degree
     colspan_indices: tuple  # descending
     rowspan_indices: tuple
     right_indices: tuple
@@ -40,6 +38,20 @@ class PolyStructuralData:
     rowspan_basis: PolyMatrix  # n x r (columns span the row space)
     right_null_basis: PolyMatrix  # n x (n - r)
     left_null_basis: PolyMatrix  # m x (m - r)
+
+    def _dual_sums_agree(self) -> bool:
+        """The left-null indices sum to the column-span ones, and the right-null
+        indices to the row-span ones."""
+        return (sum(self.left_indices) == sum(self.colspan_indices)
+                and sum(self.right_indices) == sum(self.rowspan_indices))
+
+
+@dataclass(frozen=True)
+class PolyStructuralData(_SubspaceData):
+    degree: int
+    invariant_factors: tuple
+    inf_partial_mults: tuple  # f_1 <= ... <= f_r, f_1 = 0
+    inf_orders: tuple  # q_i = f_i - degree
 
     def identities(self) -> dict:
         """Whether each index-sum identity holds, by report label: the index
@@ -51,17 +63,10 @@ class PolyStructuralData:
                 - sum(int(a.degree) for a in self.invariant_factors))
         return {
             "eqIST": sum(self.right_indices) + sum(self.left_indices) == rest,
-            "eqsums": _dual_sums_agree(self),
+            "eqsums": self._dual_sums_agree(),
             "eqsumklfa": sum(self.colspan_indices) + sum(self.rowspan_indices) == rest,
             "eqf1": self.inf_partial_mults[0] == 0,
         }
-
-
-def _dual_sums_agree(data) -> bool:
-    """The left-null indices sum to the column-span ones, and the right-null
-    indices to the row-span ones."""
-    return (sum(data.left_indices) == sum(data.colspan_indices)
-            and sum(data.right_indices) == sum(data.rowspan_indices))
 
 
 def _checked(data):
@@ -87,21 +92,10 @@ class RationalMatrix(_DenseMatrix):
 
 
 @dataclass(frozen=True)
-class RatStructuralData:
-    m: int
-    n: int
-    rank: int
+class RatStructuralData(_SubspaceData):
     numerators: tuple  # eps_1 | ... | eps_r
     denominators: tuple  # psi_r | ... | psi_1
     inf_orders: tuple  # q_1 <= ... <= q_r
-    colspan_indices: tuple
-    rowspan_indices: tuple
-    right_indices: tuple
-    left_indices: tuple
-    colspan_basis: PolyMatrix
-    rowspan_basis: PolyMatrix
-    right_null_basis: PolyMatrix
-    left_null_basis: PolyMatrix
 
     def identities(self) -> dict:
         """Whether each index-sum identity holds, by report label: the dual
@@ -111,7 +105,7 @@ class RatStructuralData:
         rest = (sum(int(p.degree) for p in self.denominators)
                 - sum(int(e.degree) for e in self.numerators) - sum(self.inf_orders))
         return {
-            "eqsums": _dual_sums_agree(self),
+            "eqsums": self._dual_sums_agree(),
             "eqIST_rational": sum(self.colspan_indices) + sum(self.rowspan_indices) == rest,
         }
 
@@ -271,22 +265,9 @@ def extract_rational_structure(R: RationalMatrix) -> RatStructuralData:
         psi.append(fr.den)
     q1 = int(psi1.degree) - data.degree
     q = tuple(fi + q1 for fi in data.inf_partial_mults)
+    shared = {fd.name: getattr(data, fd.name) for fd in fields(_SubspaceData)}
     return _checked(RatStructuralData(
-        m=R.m,
-        n=R.n,
-        rank=data.rank,
-        numerators=tuple(eps),
-        denominators=tuple(psi),
-        inf_orders=q,
-        colspan_indices=data.colspan_indices,
-        rowspan_indices=data.rowspan_indices,
-        right_indices=data.right_indices,
-        left_indices=data.left_indices,
-        colspan_basis=data.colspan_basis,
-        rowspan_basis=data.rowspan_basis,
-        right_null_basis=data.right_null_basis,
-        left_null_basis=data.left_null_basis,
-    ))
+        **shared, numerators=tuple(eps), denominators=tuple(psi), inf_orders=q))
 
 
 # -- verification --------------------------------------------------------------
@@ -317,11 +298,10 @@ def spans_equal(computed: PolyMatrix, supplied: PolyMatrix) -> bool:
 
 
 def verify(matrix, prescription) -> VerificationReport:
-    """Extract the structure of a matrix and compare it field-by-field against
-    a prescription; exact equality throughout."""
+    """Extract the structure of a matrix and compare it against a prescription:
+    one table of expected values, then the bases and null indices; exact
+    equality throughout."""
     p = prescription
-    mismatches = []
-
     if p.is_rational:
         if isinstance(matrix, PolyMatrix):
             matrix = RationalMatrix.from_poly_matrix(matrix)
@@ -339,30 +319,15 @@ def verify(matrix, prescription) -> VerificationReport:
 
     if p.is_rational:
         data = extract_rational_structure(matrix)
-        if data.rank != p.r:
-            mismatches.append("rank")
-        if data.numerators != tuple(p.epsilon):
-            mismatches.append("numerators")
-        if data.denominators != tuple(p.psi):
-            mismatches.append("denominators")
-        if data.inf_orders != tuple(p.q):
-            mismatches.append("inf_orders")
+        want = {"rank": p.r, "numerators": tuple(p.epsilon),
+                "denominators": tuple(p.psi), "inf_orders": tuple(p.q)}
     else:
         data = extract_poly_structure(matrix)
-        if data.rank != p.r:
-            mismatches.append("rank")
-        if data.degree != p.d:
-            mismatches.append("degree")
-        if data.invariant_factors != tuple(p.alpha):
-            mismatches.append("invariant_factors")
-        if data.inf_partial_mults != tuple(p.f):
-            mismatches.append("inf_partial_mults")
-
+        want = {"rank": p.r, "degree": p.d, "invariant_factors": tuple(p.alpha),
+                "inf_partial_mults": tuple(p.f)}
     k_want, l_want = p.span_degrees()
-    if data.colspan_indices != tuple(k_want):
-        mismatches.append("colspan_indices")
-    if data.rowspan_indices != tuple(l_want):
-        mismatches.append("rowspan_indices")
+    want.update(colspan_indices=tuple(k_want), rowspan_indices=tuple(l_want))
+    mismatches = [label for label, value in want.items() if getattr(data, label) != value]
 
     if p.uses_bases and data.rank == p.r:
         if not spans_equal(data.colspan_basis, p.K):

@@ -29,6 +29,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
     SumMismatch,
+    _quoted,
     require,
 )
 from .qpoly import (
@@ -68,7 +69,7 @@ def _search_budget() -> int:
         limit = 0
     if limit < 1:
         raise ParseError(
-            f"STRUCTURA_MAX_SEARCH must be a positive integer, got {raw!r}"
+            f"STRUCTURA_MAX_SEARCH must be a positive integer, got {_quoted(raw)}"
         )
     return limit
 
@@ -265,22 +266,25 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
     r = len(alpha)
     if len(h) != r:
         raise LengthMismatch("one target degree per invariant factor")
-    facs = []
-    for a in alpha:
-        fa = split_over_rationals(a)
-        if not fa.is_split:
-            raise FieldNotSplit(
-                "invariant factors do not split into linear factors over Q; "
-                "the construction needs an algebraically closed field"
-            )
-        if fa.leading != 1:
+    # every root of a chain member is a root of the chain's end
+    top = split_over_rationals(alpha[-1] if alpha else ONE)
+    if not top.is_split:
+        raise FieldNotSplit(
+            "invariant factors do not split into linear factors over Q; "
+            "the construction needs an algebraically closed field"
+        )
+    roots = [rt for rt, _ in top.factors]
+    mult = {rt: [0] * r for rt in roots}
+    for i, a in enumerate(alpha):
+        if not a.is_monic:
             raise ValueError("invariant factors must be monic")
-        facs.append(fa)
+        for rt in roots:
+            mult[rt][i] = atom_valuation(a, Poly((-rt, 1)))[0]
+    degs = [int(a.degree) for a in alpha]
+    if (any(sum(mult[rt][i] for rt in roots) != degs[i] for i in range(r))
+            or any(v[i] > v[i + 1] for v in mult.values() for i in range(r - 1))):
+        raise ValueError("invariant factors must be a divisibility chain")
     hh = [int(x) for x in h]
-    degs = [sum(mlt for _, mlt in fa.factors) for fa in facs]
-    for i in range(r - 1):
-        if degs[i] > degs[i + 1]:
-            raise ValueError("invariant factors must be a divisibility chain")
     if any(x < 0 for x in hh):
         raise MajorizationFails("a target degree is negative")
     g = tuple(sorted(hh, reverse=True))
@@ -288,15 +292,6 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
         raise MajorizationFails(
             f"degree reordering {g} is not majorized by {tuple(reversed(degs))}"
         )
-
-    roots = sorted({rt for fa in facs for rt, _ in fa.factors})
-    mult = {rt: [0] * r for rt in roots}
-    for i, fa in enumerate(facs):
-        for rt, mlt in fa.factors:
-            mult[rt][i] = mlt
-    for rt in roots:
-        if any(mult[rt][i] > mult[rt][i + 1] for i in range(r - 1)):
-            raise ValueError("invariant factors must be a divisibility chain")
 
     order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
     budget = _Budget(_search_budget(), SearchExhausted,

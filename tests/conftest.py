@@ -11,14 +11,28 @@ import random
 from fractions import Fraction
 
 from structura.errors import (
+    FieldNotSplit,
     KOutOfRange,
+    LengthMismatch,
+    MajorizationFails,
     PreconditionViolated,
     RankDeficient,
+    SearchExhausted,
+    ShapeMismatch,
     SingularInput,
     ZeroMatrix,
     require,
 )
-from structura.qpoly import NEG_INF, ONE, ZERO, Poly, atom_valuation, divides, poly_gcd
+from structura.qpoly import (
+    NEG_INF,
+    ONE,
+    ZERO,
+    Poly,
+    atom_valuation,
+    divides,
+    poly_gcd,
+    split_over_rationals,
+)
 from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
@@ -27,7 +41,14 @@ from structura.polymat import (
     invariant_factors,
     rank,
 )
-from structura.feasibility import Prescription, g_sequence
+from structura.extract import (
+    RationalMatrix,
+    VerificationReport,
+    extract_poly_structure,
+    extract_rational_structure,
+    spans_equal,
+)
+from structura.feasibility import Prescription, g_sequence, majorizes
 from structura.minors import (
     _dependency_chain,
     _select,
@@ -35,6 +56,7 @@ from structura.minors import (
     star_dual,
     validate_index_tuple,
 )
+from structura.synthesis import _Budget, _distribution_candidates, _search_budget
 
 ROOT_POOL = [Fraction(v) for v in range(-3, 4)]
 
@@ -574,3 +596,146 @@ def rationalize_prescription(rng, p: Prescription) -> Prescription:
         K=p.K,
         Lt=p.Lt,
     )
+
+
+# -- verification and distribution oracles -----------------------------------
+
+
+def fieldwise_verify(matrix, prescription) -> VerificationReport:
+    """verify with one equality test per field: the reference for the labels
+    of extract.verify's comparison table and for their order."""
+    p = prescription
+    mismatches = []
+
+    if p.is_rational:
+        if isinstance(matrix, PolyMatrix):
+            matrix = RationalMatrix.from_poly_matrix(matrix)
+        if not isinstance(matrix, RationalMatrix):
+            raise ShapeMismatch("rational prescription needs a matrix input")
+    elif not isinstance(matrix, PolyMatrix):
+        raise ShapeMismatch("polynomial prescription needs a PolyMatrix")
+    if (matrix.m, matrix.n) != (p.m, p.n):
+        raise ShapeMismatch(
+            f"matrix is {matrix.m}x{matrix.n}, prescription wants {p.m}x{p.n}"
+        )
+    if matrix.is_zero:
+        # every prescription has rank r >= 1, which no zero matrix attains
+        return VerificationReport(passed=False, mismatches=("rank",))
+
+    if p.is_rational:
+        data = extract_rational_structure(matrix)
+        if data.rank != p.r:
+            mismatches.append("rank")
+        if data.numerators != tuple(p.epsilon):
+            mismatches.append("numerators")
+        if data.denominators != tuple(p.psi):
+            mismatches.append("denominators")
+        if data.inf_orders != tuple(p.q):
+            mismatches.append("inf_orders")
+    else:
+        data = extract_poly_structure(matrix)
+        if data.rank != p.r:
+            mismatches.append("rank")
+        if data.degree != p.d:
+            mismatches.append("degree")
+        if data.invariant_factors != tuple(p.alpha):
+            mismatches.append("invariant_factors")
+        if data.inf_partial_mults != tuple(p.f):
+            mismatches.append("inf_partial_mults")
+
+    k_want, l_want = p.span_degrees()
+    if data.colspan_indices != tuple(k_want):
+        mismatches.append("colspan_indices")
+    if data.rowspan_indices != tuple(l_want):
+        mismatches.append("rowspan_indices")
+
+    if p.uses_bases and data.rank == p.r:
+        if not spans_equal(data.colspan_basis, p.K):
+            mismatches.append("colspan_basis")
+        if not spans_equal(data.rowspan_basis, p.Lt):
+            mismatches.append("rowspan_basis")
+
+    if p.uses_null_indices:
+        if data.right_indices != tuple(p.right):
+            mismatches.append("right_indices")
+        if data.left_indices != tuple(p.left):
+            mismatches.append("left_indices")
+
+    return VerificationReport(passed=not mismatches, mismatches=tuple(mismatches))
+
+
+def per_member_distribute_invariant_factors(alpha, h):
+    """distribute_invariant_factors with split_over_rationals run on every
+    chain member, then a degree-order check before the root-by-root one."""
+    r = len(alpha)
+    if len(h) != r:
+        raise LengthMismatch("one target degree per invariant factor")
+    facs = []
+    for a in alpha:
+        fa = split_over_rationals(a)
+        if not fa.is_split:
+            raise FieldNotSplit(
+                "invariant factors do not split into linear factors over Q; "
+                "the construction needs an algebraically closed field"
+            )
+        if fa.leading != 1:
+            raise ValueError("invariant factors must be monic")
+        facs.append(fa)
+    hh = [int(x) for x in h]
+    degs = [sum(mlt for _, mlt in fa.factors) for fa in facs]
+    for i in range(r - 1):
+        if degs[i] > degs[i + 1]:
+            raise ValueError("invariant factors must be a divisibility chain")
+    if any(x < 0 for x in hh):
+        raise MajorizationFails("a target degree is negative")
+    g = tuple(sorted(hh, reverse=True))
+    if not majorizes(g, tuple(reversed(degs))):
+        raise MajorizationFails(
+            f"degree reordering {g} is not majorized by {tuple(reversed(degs))}"
+        )
+
+    roots = sorted({rt for fa in facs for rt, _ in fa.factors})
+    mult = {rt: [0] * r for rt in roots}
+    for i, fa in enumerate(facs):
+        for rt, mlt in fa.factors:
+            mult[rt][i] = mlt
+    for rt in roots:
+        if any(mult[rt][i] > mult[rt][i + 1] for i in range(r - 1)):
+            raise ValueError("invariant factors must be a divisibility chain")
+
+    order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
+    budget = _Budget(_search_budget(), SearchExhausted,
+                     "invariant-factor distribution search")
+    quotas = list(hh)
+    assign: dict = {}
+
+    def rec(idx: int) -> bool:
+        budget.spend()
+        if idx == len(order):
+            return all(x == 0 for x in quotas)
+        rt = order[idx]
+        m_desc = sorted(mult[rt], reverse=True)
+        for vec in _distribution_candidates(m_desc, quotas, budget):
+            for i in range(r):
+                quotas[i] -= vec[i]
+            assign[rt] = vec
+            if rec(idx + 1):
+                return True
+            for i in range(r):
+                quotas[i] += vec[i]
+            del assign[rt]
+        return False
+
+    if not rec(0):
+        raise SearchExhausted("no distribution found within the explored space")
+
+    delta = []
+    for i in range(r):
+        p = ONE
+        for rt in roots:
+            e = assign[rt][i]
+            if e:
+                p = p * (Poly((-rt, 1)) ** e)
+        delta.append(p)
+
+    return delta

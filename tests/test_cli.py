@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from structura.cli import main
-from structura.errors import ParseError
+from structura.errors import ParseError, _quoted
 from structura.qpoly import ONE, X, Poly, RatFn
 from structura.polymat import PolyMatrix
 from structura.extract import (
@@ -449,6 +449,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("malformed input: " + prefix) and len(err) < 200
 
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_deeply_nested_file_exit_two(self, tmp_path, capsys, command):
+        # past the JSON decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"malformed input: {path} is not valid JSON: ")
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("depth", [980, 995])
+    def test_deeply_nested_entry_exit_two(self, tmp_path, capsys, depth):
+        # near the recursion limit: the decoder gives up, or the entry is
+        # refused as a scalar; which one depends on the caller's stack depth
+        path = tmp_path / "m.json"
+        path.write_text('{"m": 1, "n": 1, "entries": [%s]}' % ("[" * depth + "]" * depth))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ") and len(err) < 300
+
     def test_overlong_index_tuple_is_shortened_in_the_message(self, tmp_path, capsys):
         path = write(tmp_path, "e.json", {"m": 1, "n": 1, "entries": [[1]]})
         assert main(["minor-select", path, "--z", "x" * 5000]) == 2
@@ -572,13 +592,20 @@ class TestCli:
         monkeypatch.delenv("STRUCTURA_MAX_SEARCH")
         assert main(["construct", path, "-o", str(tmp_path / "out.json")]) == 0
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    @pytest.mark.parametrize("raw", [
+        "abc", "0", "-3", "1.5",
+        # past the int() digit limit, and a long non-number: both quoted short
+        pytest.param("1" * 5000, id="5000-ones"),
+        pytest.param("x" * 5000, id="5000-xs"),
+    ])
     def test_invalid_search_budget_exit_two(self, tmp_path, monkeypatch, capsys, raw):
         path = write(tmp_path, "p.json", SEARCHING_PRESCRIPTION)
         monkeypatch.setenv("STRUCTURA_MAX_SEARCH", raw)
         assert main(["construct", path]) == 2
         err = capsys.readouterr().err
-        assert "STRUCTURA_MAX_SEARCH" in err and repr(raw) in err
+        assert err.startswith(
+            "malformed input: STRUCTURA_MAX_SEARCH must be a positive integer, got ")
+        assert _quoted(raw) in err and len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "doc",

@@ -1,5 +1,7 @@
 """Structure extraction: invariant factors, infinite structure, subspaces."""
 
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -7,12 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from structura.errors import RankDeficient, ShapeMismatch, ZeroMatrix
+from structura.errors import (
+    ImpossibleSquareCase,
+    MalformedPrescription,
+    RankDeficient,
+    ShapeMismatch,
+    ZeroMatrix,
+)
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
 from structura.polymat import PolyMatrix, is_minimal_basis, rank, reversal
 from structura.extract import (
+    PolyStructuralData,
     RationalMatrix,
+    RatStructuralData,
     _normalize_basis,
+    _SubspaceData,
     clear_denominators,
     extract_poly_structure,
     extract_rational_structure,
@@ -21,13 +32,17 @@ from structura.extract import (
     spans_equal,
     verify,
 )
-from structura.feasibility import Prescription
+from structura.feasibility import Prescription, check_feasibility
+from structura.synthesis import build_minimal_basis, realize_full, realize_rational, realize_span
 from conftest import (
+    fieldwise_verify,
     poly_normalize_basis,
+    random_feasible_poly_prescription,
     random_low_rank_matrix,
     random_matrix,
     random_split_monic,
     random_unimodular,
+    rationalize_prescription,
     smith_partial_multiplicities,
 )
 
@@ -443,7 +458,128 @@ class TestRationalLayer:
             assert dp2.left_indices == dr.left_indices
 
 
+SHARED_FIELDS = (
+    "m", "n", "rank",
+    "colspan_indices", "rowspan_indices", "right_indices", "left_indices",
+    "colspan_basis", "rowspan_basis", "right_null_basis", "left_null_basis",
+)
+
+
+class TestRecords:
+    def test_both_records_lead_with_the_shared_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(_SubspaceData)) == SHARED_FIELDS
+        for record in (PolyStructuralData, RatStructuralData):
+            names = tuple(f.name for f in dataclasses.fields(record))
+            assert names[:len(SHARED_FIELDS)] == SHARED_FIELDS
+            assert "inf_orders" in names[len(SHARED_FIELDS):]
+
+    def test_rational_record_passes_the_polynomial_subspaces_through(self):
+        rng = random.Random(53)
+        dens = [ONE, S, S - ONE, S + ONE, S * S]
+        checked = 0
+        while checked < 25:
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            R = RationalMatrix([[RatFn(Poly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]),
+                                       rng.choice(dens)) for _ in range(n)] for _ in range(m)],
+                               n=n)
+            if R.is_zero:
+                continue
+            rat = extract_rational_structure(R)
+            poly = extract_poly_structure(clear_denominators(R)[1])
+            for name in SHARED_FIELDS:
+                assert getattr(rat, name) == getattr(poly, name), name
+            checked += 1
+
+
+@functools.lru_cache(maxsize=None)
+def realized_case(variant: str, seed: int):
+    """(prescription, matrix realizing it) for a small feasible prescription."""
+    rng = random.Random(seed)
+    poly_variant = "P" + variant[1:]
+    while True:
+        p = random_feasible_poly_prescription(rng, poly_variant, max_r=2, max_mn=4, extra_d=2)
+        if variant.startswith("P"):
+            return p, realize_full(p) if p.uses_null_indices else realize_span(p)
+        p = rationalize_prescription(rng, p)
+        if check_feasibility(p).feasible:
+            return p, realize_rational(p)
+
+
+def _changed_fields(p: Prescription, c: Fraction) -> dict:
+    """field -> builds a changed value of it, for each field p carries."""
+    lin = Poly((-c, 1))
+
+    def grow(part):
+        return (part[0] + 1,) + tuple(part[1:])
+
+    k, l = p.span_degrees()
+    return {
+        "d": lambda: p.d + 1,
+        "alpha": lambda: p.alpha[:-1] + (p.alpha[-1] * lin,),
+        "f": lambda: p.f[:-1] + (p.f[-1] + 1,),
+        "epsilon": lambda: p.epsilon[:-1] + (p.epsilon[-1] * lin,),
+        "psi": lambda: (p.psi[0] * lin,) + p.psi[1:],
+        "q": lambda: p.q[:-1] + (p.q[-1] + 1,),
+        "k": lambda: grow(p.k),
+        "l": lambda: grow(p.l),
+        "right": lambda: grow(p.right),
+        "left": lambda: grow(p.left),
+        # a bidiagonal basis: the same degrees with another span, or new degrees
+        "K": lambda: build_minimal_basis(grow(k) if c else k, p.m),
+        "Lt": lambda: build_minimal_basis(grow(l) if c else l, p.n),
+    }
+
+
+CHANGEABLE = ("d", "alpha", "f", "epsilon", "psi", "q", "k", "l", "right", "left", "K", "Lt")
+VARIANT_NAMES = ("P1_spans", "P2_span_indices", "P3_full",
+                 "R1_spans", "R2_span_indices", "R3_full")
+
+
 class TestVerify:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        variant=hst.sampled_from(VARIANT_NAMES),
+        seed=hst.integers(0, 2),
+        names=hst.sets(hst.sampled_from(CHANGEABLE)),
+        c=hst.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]),
+        rank_one=hst.booleans(),
+    )
+    def test_table_matches_fieldwise_oracle(self, variant, seed, names, c, rank_one):
+        p, A = realized_case(variant, seed)
+        build = _changed_fields(p, c)
+        for name in sorted(names):
+            if getattr(p, name) is None:
+                continue
+            try:
+                p = dataclasses.replace(p, **{name: build[name]()})
+            except (IndexError, MalformedPrescription, ImpossibleSquareCase):
+                pass  # the changed copy would not be a valid prescription
+        if rank_one:  # every row a copy of the first nonzero one
+            row = next(row for row in A.rows if any(not e.is_zero for e in row))
+            A = type(A)([row] * A.m, n=A.n)
+        assert verify(A, p) == fieldwise_verify(A, p)
+
+    def test_several_mismatches_in_table_order(self):
+        p = Prescription(
+            variant="P2_span_indices", m=2, n=2, r=2, d=2,
+            alpha=(ONE, S ** 3), f=(0, 1), k=(1, 0), l=(0, 0),
+        )
+        rep = verify(M([[S, 1], [0, S]]), p)
+        assert rep.mismatches == (
+            "degree", "invariant_factors", "inf_partial_mults", "colspan_indices")
+        assert rep == fieldwise_verify(M([[S, 1], [0, S]]), p)
+
+    def test_several_rational_mismatches_in_table_order(self):
+        p = Prescription(
+            variant="R3_full", m=1, n=2, r=1,
+            epsilon=(S - ONE,), psi=(S * S,), q=(2,), k=(0,), l=(0,), right=(0,), left=(),
+        )
+        R = RationalMatrix([[RatFn(ONE, S), RatFn(ONE)]], n=2)
+        rep = verify(R, p)
+        assert rep.mismatches == (
+            "numerators", "denominators", "inf_orders", "rowspan_indices", "right_indices")
+        assert rep == fieldwise_verify(R, p)
+
     def test_pass_identity(self):
         p = Prescription(
             variant="P2_span_indices",

@@ -35,6 +35,7 @@ from structura.synthesis import (
 from conftest import (
     _check_sa_conditions,
     max_minor_degree,
+    per_member_distribute_invariant_factors,
     random_feasible_poly_prescription,
     rationalize_prescription,
 )
@@ -45,6 +46,45 @@ M = PolyMatrix.from_scalar_rows
 
 def lin(c) -> Poly:
     return Poly((-Fraction(c), 1))
+
+
+CHAIN_ROOTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3))
+
+
+@hst.composite
+def chains_and_targets(draw):
+    """A divisibility chain over CHAIN_ROOTS with r <= 4, and target degrees
+    that are majorized by its reversed degrees (Robin Hood moves from them,
+    in any order) or drawn freely."""
+    r = draw(hst.integers(1, 4))
+    exps = [0] * len(CHAIN_ROOTS)
+    chain = []
+    for _ in range(r):
+        exps = [e + draw(hst.integers(0, 1)) for e in exps]
+        p = ONE
+        for root, e in zip(CHAIN_ROOTS, exps):
+            p = p * lin(root) ** e
+        chain.append(p)
+    if draw(hst.booleans()):
+        w = sorted((int(a.degree) for a in chain), reverse=True)
+        for i, j in draw(hst.lists(hst.tuples(hst.integers(0, r - 1),
+                                              hst.integers(0, r - 1)), max_size=4)):
+            if w[i] - w[j] >= 2:
+                w[i] -= 1
+                w[j] += 1
+                w.sort(reverse=True)
+        h = draw(hst.permutations(w))
+    else:
+        h = draw(hst.lists(hst.integers(-1, 8), min_size=r, max_size=r))
+    return chain, list(h)
+
+
+def _outcome(fn, alpha, h):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(list(alpha), list(h))
+    except Exception as exc:
+        return type(exc)
 
 
 class TestBuildMinimalBasis:
@@ -147,6 +187,36 @@ class TestDistribute:
         # a genuinely majorized unbalanced split succeeds
         delta = distribute_invariant_factors([ONE, S * S * S], [1, 2])
         assert delta == [S, S * S]
+
+    @settings(max_examples=150, deadline=None)
+    @given(chains_and_targets())
+    def test_matches_per_member_oracle(self, case):
+        chain, h = case
+        got = _outcome(distribute_invariant_factors, chain, h)
+        assert got == _outcome(per_member_distribute_invariant_factors, chain, h)
+        if isinstance(got, list):
+            _check_sa_conditions(chain, got)
+
+    def test_splits_the_chain_end_once(self, monkeypatch):
+        import structura.synthesis as synthesis
+
+        seen = []
+        split = synthesis.split_over_rationals
+        monkeypatch.setattr(synthesis, "split_over_rationals",
+                            lambda p: seen.append(p) or split(p))
+        chain = [lin(1), lin(1) * S, lin(1) * S * S * lin(-2)]
+        delta = distribute_invariant_factors(chain, [3, 2, 2])
+        assert seen == [chain[-1]]
+        assert delta == per_member_distribute_invariant_factors(chain, [3, 2, 2])
+
+    def test_empty_chain(self):
+        assert distribute_invariant_factors([], []) == []
+
+    def test_member_degree_beyond_the_chain_end_roots(self):
+        # s^2 + 1 has no root of s^2, so it does not divide it; root by
+        # root the chain looks fine, only the degree sum catches it
+        with pytest.raises(ValueError, match="divisibility chain"):
+            distribute_invariant_factors([S * S + ONE, S * S], [2, 2])
 
     def test_random_conditions_always_hold(self):
         rng = random.Random(11)
