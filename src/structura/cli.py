@@ -24,6 +24,7 @@ from .errors import (
     SingularInput,
     StructuraError,
     ZeroMatrix,
+    _ascii_int,
     _quoted,
 )
 from .extract import (
@@ -128,10 +129,10 @@ def _cmd_verify(args) -> int:
 def _parse_z(raw: str):
     """Comma-separated ASCII digit tokens; blanks and empty tokens are
     skipped."""
-    toks = [tok for tok in raw.replace(" ", "").split(",") if tok]
-    if not all(tok.isascii() and tok.isdigit() for tok in toks):
+    z = [_ascii_int(tok) for tok in raw.replace(" ", "").split(",") if tok]
+    if None in z:
         raise ParseError(f"bad index tuple {_quoted(raw)}")
-    return [int(tok) for tok in toks]
+    return z
 
 
 def _cmd_minor_select(args) -> int:

@@ -16,6 +16,15 @@ def _quoted(v) -> str:
     return text if len(text) <= 60 else f"{text[:56]}..."
 
 
+def _ascii_int(text: str):
+    """text as an int when it is all ASCII digits, None otherwise (also for
+    more digits than int() reads)."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
+
+
 def require(cond, msg: str) -> None:
     """Check an internal identity; unlike assert, it also runs under -O."""
     if not cond:

@@ -13,6 +13,7 @@ budget (default 10^6); exhaustion is reported, never silently mis-answered.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,6 +30,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
     SumMismatch,
+    _ascii_int,
     _quoted,
     require,
 )
@@ -59,15 +61,12 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 def _search_budget() -> int:
     """Node budget from STRUCTURA_MAX_SEARCH, the default when it is unset;
-    anything but a positive integer is malformed input."""
+    anything but a positive integer in ASCII digits is malformed input."""
     raw = os.environ.get("STRUCTURA_MAX_SEARCH", "")
     if not raw:
         return DEFAULT_SEARCH_BUDGET
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
+    limit = _ascii_int(raw)
+    if not limit:
         raise ParseError(
             f"STRUCTURA_MAX_SEARCH must be a positive integer, got {_quoted(raw)}"
         )
@@ -123,43 +122,16 @@ def build_minimal_basis(degrees: Sequence[int], ambient: int) -> PolyMatrix:
     return PolyMatrix(rows, n=r)
 
 
-def _zigzag_block(cm: Sequence[int], cn: Sequence[int]):
-    """One irreducible dual block: columns supported on a shared cut grid.
-
-    Column entries carry the monomial distance to the interval end (left
-    factor) or start with alternating signs (right factor), so every
-    orthogonality product telescopes to zero.
-    """
-    acc = list(itertools.accumulate(cm, initial=0))
-    bcc = list(itertools.accumulate(cn, initial=0))
-    cuts = sorted(set(acc) | set(bcc))
-    rowof = {c: i for i, c in enumerate(cuts)}
-    rows = len(cuts)
-    mcols = []
-    for i in range(len(cm)):
-        lo, hi = acc[i], acc[i + 1]
-        col = [ZERO] * rows
-        for c in cuts:
-            if lo <= c <= hi:
-                col[rowof[c]] = Poly.monomial(1, hi - c)
-        mcols.append(col)
-    ncols = []
-    for j in range(len(cn)):
-        lo, hi = bcc[j], bcc[j + 1]
-        col = [ZERO] * rows
-        for idx, c in enumerate(cuts):
-            if lo <= c <= hi:
-                col[rowof[c]] = Poly.monomial((-1) ** idx, c - lo)
-        ncols.append(col)
-    return rows, mcols, ncols
-
-
 def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
     """Dual minimal bases (M, N) with M^T N = 0 and the prescribed degrees.
 
-    Positive degrees are split into independent zig-zag blocks at common
-    partial sums; zero degrees become private constant columns. The result
-    is validated before returning.
+    The positive degrees of each list tile [0, sum] with intervals. Blocks
+    run between the partial sums both lists reach; each block has one row
+    per cut (a partial sum of either list) in it. A column on [lo, hi] has
+    s^(hi - c) (M) or +-s^(c - lo) (N, signs alternating down the block) at
+    each cut c of its interval, so every product telescopes to zero. Zero
+    degrees become private constant rows, M's first. The result is validated
+    before returning.
     """
     dm = [int(x) for x in deg_m]
     dn = [int(x) for x in deg_n]
@@ -167,55 +139,30 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
         raise ValueError("degrees must be nonnegative")
     if sum(dm) != sum(dn):
         raise SumMismatch("dual bases need equal degree sums")
-    pm_list = [d for d in dm if d > 0]
-    pn_list = [d for d in dn if d > 0]
-    segs = []
-    cm: list = []
-    cn: list = []
-    i = j = sa = sb = 0
-    while i < len(pm_list) or j < len(pn_list):
-        if sa == sb:
-            if cm or cn:
-                segs.append((cm, cn))
-                cm, cn = [], []
-            cm.append(pm_list[i])
-            sa += pm_list[i]
-            i += 1
-            cn.append(pn_list[j])
-            sb += pn_list[j]
-            j += 1
-        elif sa < sb:
-            cm.append(pm_list[i])
-            sa += pm_list[i]
-            i += 1
-        else:
-            cn.append(pn_list[j])
-            sb += pn_list[j]
-            j += 1
-    if cm or cn:
-        segs.append((cm, cn))
+    sums_m = set(itertools.accumulate(dm, initial=0))
+    sums_n = set(itertools.accumulate(dn, initial=0))
+    common, cuts = sorted(sums_m & sums_n), sorted(sums_m | sums_n)
+    at = {key: i for i, key in enumerate(
+        (b, c) for b, e in zip(common, common[1:]) for c in cuts if b <= c <= e)}
 
-    blocks = [_zigzag_block(c_m, c_n) for c_m, c_n in segs]
-    blocks += [(1, [[ONE]], []) for d in dm if d == 0]
-    blocks += [(1, [], [[ONE]]) for d in dn if d == 0]
+    def columns(degs, entry, zero_row):
+        pos, zero, lo = [], [], 0
+        for d in degs:
+            if d:
+                b = max(x for x in common if x <= lo)
+                pos.append({at[b, c]: entry(at[b, c] - at[b, b], c - lo, lo + d - c)
+                            for c in cuts if lo <= c <= lo + d})
+            else:
+                zero.append({zero_row + len(zero): ONE})
+            lo += d
+        return pos + zero
 
-    r, q = len(dm), len(dn)
-    total_rows = sum(b[0] for b in blocks)
-    M_rows = [[ZERO] * r for _ in range(total_rows)]
-    N_rows = [[ZERO] * q for _ in range(total_rows)]
-    roff = moff = noff = 0
-    for rows, mcols, ncols in blocks:
-        for ci, col in enumerate(mcols):
-            for ri, e in enumerate(col):
-                M_rows[roff + ri][moff + ci] = e
-        for ci, col in enumerate(ncols):
-            for ri, e in enumerate(col):
-                N_rows[roff + ri][noff + ci] = e
-        roff += rows
-        moff += len(mcols)
-        noff += len(ncols)
-    M = PolyMatrix(M_rows, n=r)
-    N = PolyMatrix(N_rows, n=q)
+    mcols = columns(dm, lambda k, up, down: Poly.monomial(1, down), len(at))
+    ncols = columns(dn, lambda k, up, down: Poly.monomial((-1) ** k, up),
+                    len(at) + dm.count(0))
+    height = len(at) + dm.count(0) + dn.count(0)
+    M, N = (PolyMatrix([[col.get(i, ZERO) for col in cols] for i in range(height)],
+                       n=len(cols)) for cols in (mcols, ncols))
 
     require((M.transpose() @ N).is_zero, "dual bases must annihilate each other")
     okM, dM = is_minimal_basis(M)
@@ -296,39 +243,25 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
     order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
     budget = _Budget(_search_budget(), SearchExhausted,
                      "invariant-factor distribution search")
-    quotas = list(hh)
-    assign: dict = {}
 
-    def rec(idx: int) -> bool:
+    def rec(idx: int, quotas):
+        """{root: vector} for order[idx:] that uses up quotas, or None."""
         budget.spend()
         if idx == len(order):
-            return all(x == 0 for x in quotas)
+            return {} if all(x == 0 for x in quotas) else None
         rt = order[idx]
         m_desc = sorted(mult[rt], reverse=True)
         for vec in _distribution_candidates(m_desc, quotas, budget):
-            for i in range(r):
-                quotas[i] -= vec[i]
-            assign[rt] = vec
-            if rec(idx + 1):
-                return True
-            for i in range(r):
-                quotas[i] += vec[i]
-            del assign[rt]
-        return False
+            rest = rec(idx + 1, [q - v for q, v in zip(quotas, vec)])
+            if rest is not None:
+                return {rt: vec, **rest}
+        return None
 
-    if not rec(0):
+    assign = rec(0, hh)
+    if assign is None:
         raise SearchExhausted("no distribution found within the explored space")
-
-    delta = []
-    for i in range(r):
-        p = ONE
-        for rt in roots:
-            e = assign[rt][i]
-            if e:
-                p = p * (Poly((-rt, 1)) ** e)
-        delta.append(p)
-
-    return delta
+    return [math.prod((Poly((-rt, 1)) ** assign[rt][i] for rt in roots if assign[rt][i]),
+                      start=ONE) for i in range(r)]
 
 
 # -- triangular realization -----------------------------------------------------
@@ -531,17 +464,12 @@ def _realize_zero_inf(alpha, d: int, K: PolyMatrix, Lt: PolyMatrix) -> PolyMatri
     return K_asc @ E @ Lt_desc.transpose()
 
 
-def _mobius_point(alpha_last: Poly, avoid: Optional[Poly]) -> Fraction:
-    """Smallest nonnegative integer that is a root of neither argument."""
-    a = 0
-    while True:
-        fa = Fraction(a)
-        if alpha_last(fa) != 0 and (avoid is None or avoid(fa) != 0):
-            return fa
-        a += 1
+def _mobius_point(p: Poly) -> Fraction:
+    """Smallest nonnegative integer that is not a root of p."""
+    return next(Fraction(a) for a in itertools.count() if p(Fraction(a)) != 0)
 
 
-def _realize_poly(p: Prescription, alpha, f, d: int, avoid=None) -> PolyMatrix:
+def _realize_poly(p: Prescription, alpha, f, d: int, avoid=ONE) -> PolyMatrix:
     """Realize (alpha, f, d) between minimal bases chosen for the span data
     of p: dual bases when p prescribes null indices too, the given or the
     bidiagonal ones otherwise. A nonzero f goes through a Mobius frame at a
@@ -555,7 +483,7 @@ def _realize_poly(p: Prescription, alpha, f, d: int, avoid=None) -> PolyMatrix:
         K, Lt = build_minimal_basis(p.k, p.m), build_minimal_basis(p.l, p.n)
     if all(fi == 0 for fi in f):
         return _realize_zero_inf(alpha, d, K, Lt)
-    a = _mobius_point(alpha[-1], avoid)
+    a = _mobius_point(alpha[-1] * avoid)
     Kbar, Ltbar = scale_basis_mobius(K, a), scale_basis_mobius(Lt, a)
     betas = []
     for al, fi in zip(alpha, f):
@@ -611,6 +539,6 @@ def realize_rational(p: Prescription) -> RationalMatrix:
     # eqx>0 and eqy>0 read only the span data, which is shared.
     d = int(psi1.degree) - p.q[0]
     f = tuple(qi - p.q[0] for qi in p.q)
-    A = _realize_poly(p, tuple(alpha), f, d, avoid=psi1 if psi1 != ONE else None)
+    A = _realize_poly(p, tuple(alpha), f, d, avoid=psi1)
     rows = [[RatFn(e, psi1) for e in row] for row in A.rows]
     return RationalMatrix(rows, n=A.n)

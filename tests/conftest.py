@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from structura.errors import (
     FieldNotSplit,
@@ -20,6 +21,7 @@ from structura.errors import (
     SearchExhausted,
     ShapeMismatch,
     SingularInput,
+    SumMismatch,
     ZeroMatrix,
     require,
 )
@@ -39,6 +41,7 @@ from structura.polymat import (
     _content_scale,
     det,
     invariant_factors,
+    is_minimal_basis,
     rank,
 )
 from structura.extract import (
@@ -596,6 +599,112 @@ def rationalize_prescription(rng, p: Prescription) -> Prescription:
         K=p.K,
         Lt=p.Lt,
     )
+
+
+# -- dual minimal basis oracle -----------------------------------------------
+
+
+def _zigzag_block(cm: Sequence[int], cn: Sequence[int]):
+    """One irreducible dual block: columns supported on a shared cut grid.
+
+    Column entries carry the monomial distance to the interval end (left
+    factor) or start with alternating signs (right factor), so every
+    orthogonality product telescopes to zero.
+    """
+    acc = list(itertools.accumulate(cm, initial=0))
+    bcc = list(itertools.accumulate(cn, initial=0))
+    cuts = sorted(set(acc) | set(bcc))
+    rowof = {c: i for i, c in enumerate(cuts)}
+    rows = len(cuts)
+    mcols = []
+    for i in range(len(cm)):
+        lo, hi = acc[i], acc[i + 1]
+        col = [ZERO] * rows
+        for c in cuts:
+            if lo <= c <= hi:
+                col[rowof[c]] = Poly.monomial(1, hi - c)
+        mcols.append(col)
+    ncols = []
+    for j in range(len(cn)):
+        lo, hi = bcc[j], bcc[j + 1]
+        col = [ZERO] * rows
+        for idx, c in enumerate(cuts):
+            if lo <= c <= hi:
+                col[rowof[c]] = Poly.monomial((-1) ** idx, c - lo)
+        ncols.append(col)
+    return rows, mcols, ncols
+
+
+def segmented_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
+    """Dual minimal bases (M, N) with M^T N = 0 and the prescribed degrees.
+
+    Positive degrees are split into independent zig-zag blocks at common
+    partial sums; zero degrees become private constant columns. The result
+    is validated before returning.
+    """
+    dm = [int(x) for x in deg_m]
+    dn = [int(x) for x in deg_n]
+    if any(x < 0 for x in dm + dn):
+        raise ValueError("degrees must be nonnegative")
+    if sum(dm) != sum(dn):
+        raise SumMismatch("dual bases need equal degree sums")
+    pm_list = [d for d in dm if d > 0]
+    pn_list = [d for d in dn if d > 0]
+    segs = []
+    cm: list = []
+    cn: list = []
+    i = j = sa = sb = 0
+    while i < len(pm_list) or j < len(pn_list):
+        if sa == sb:
+            if cm or cn:
+                segs.append((cm, cn))
+                cm, cn = [], []
+            cm.append(pm_list[i])
+            sa += pm_list[i]
+            i += 1
+            cn.append(pn_list[j])
+            sb += pn_list[j]
+            j += 1
+        elif sa < sb:
+            cm.append(pm_list[i])
+            sa += pm_list[i]
+            i += 1
+        else:
+            cn.append(pn_list[j])
+            sb += pn_list[j]
+            j += 1
+    if cm or cn:
+        segs.append((cm, cn))
+
+    blocks = [_zigzag_block(c_m, c_n) for c_m, c_n in segs]
+    blocks += [(1, [[ONE]], []) for d in dm if d == 0]
+    blocks += [(1, [], [[ONE]]) for d in dn if d == 0]
+
+    r, q = len(dm), len(dn)
+    total_rows = sum(b[0] for b in blocks)
+    M_rows = [[ZERO] * r for _ in range(total_rows)]
+    N_rows = [[ZERO] * q for _ in range(total_rows)]
+    roff = moff = noff = 0
+    for rows, mcols, ncols in blocks:
+        for ci, col in enumerate(mcols):
+            for ri, e in enumerate(col):
+                M_rows[roff + ri][moff + ci] = e
+        for ci, col in enumerate(ncols):
+            for ri, e in enumerate(col):
+                N_rows[roff + ri][noff + ci] = e
+        roff += rows
+        moff += len(mcols)
+        noff += len(ncols)
+    M = PolyMatrix(M_rows, n=r)
+    N = PolyMatrix(N_rows, n=q)
+
+    require((M.transpose() @ N).is_zero, "dual bases must annihilate each other")
+    okM, dM = is_minimal_basis(M)
+    okN, dN = is_minimal_basis(N)
+    require(okM and okN, "constructed factors must be minimal bases")
+    require(sorted(dM) == sorted(dm) and sorted(dN) == sorted(dn),
+            "constructed factors must have the prescribed degrees")
+    return M, N
 
 
 # -- verification and distribution oracles -----------------------------------

@@ -570,12 +570,19 @@ class TestCli:
         assert main(["minor-select", path, "--z", z]) == 2
         assert capsys.readouterr().err.startswith("malformed input:")
 
-    @pytest.mark.parametrize("z", ["1_0", "\u0661,2", "+1", "\u00b2"])
+    @pytest.mark.parametrize("z", [
+        "1_0", "\u0661,2", "+1", "\u00b2",
+        # ASCII digits, but more than int() reads: quoted short
+        pytest.param("9" * 5000, id="5000-nines"),
+    ])
     def test_minor_select_non_ascii_digit_index_exit_two(self, tmp_path, capsys, z):
-        # int() would read these as 10, [1, 2], 1 and fail on the last only
+        # int() would read the first three as 10, [1, 2], 1, and raise
+        # ValueError on the last two
         path = write(tmp_path, "i.json", polymatrix_to_json(PolyMatrix.identity(11)))
         assert main(["minor-select", path, "--z", z]) == 2
-        assert capsys.readouterr().err.startswith("malformed input: bad index tuple")
+        err = capsys.readouterr().err
+        assert err.startswith(f"malformed input: bad index tuple {_quoted(z)}")
+        assert len(err.encode()) < 200
 
     def test_unwritable_output_exit_two(self, tmp_path):
         mat = {"m": 1, "n": 1, "entries": [[1]]}
@@ -594,6 +601,8 @@ class TestCli:
 
     @pytest.mark.parametrize("raw", [
         "abc", "0", "-3", "1.5",
+        # int() reads these as 5, 1000, 5 and 5; only ASCII digits pass
+        "\u0665", "1_000", "+5", " 5",
         # past the int() digit limit, and a long non-number: both quoted short
         pytest.param("1" * 5000, id="5000-ones"),
         pytest.param("x" * 5000, id="5000-xs"),

@@ -23,6 +23,7 @@ from structura.polymat import PolyMatrix, is_minimal_basis, smith_form
 from structura.extract import verify
 from structura.feasibility import Prescription, check_feasibility
 from structura.synthesis import (
+    _mobius_point,
     build_dual_minimal_bases,
     build_minimal_basis,
     distribute_invariant_factors,
@@ -38,6 +39,7 @@ from conftest import (
     per_member_distribute_invariant_factors,
     random_feasible_poly_prescription,
     rationalize_prescription,
+    segmented_dual_minimal_bases,
 )
 
 S = X
@@ -79,10 +81,31 @@ def chains_and_targets(draw):
     return chain, list(h)
 
 
-def _outcome(fn, alpha, h):
-    """fn's result, or the type of what it raised."""
+@hst.composite
+def degree_list_pairs(draw):
+    """Two lists of 0-5 degrees in 0..4, in any order; in half of the draws
+    the second is raised or lowered, entry by entry, to the first's sum."""
+    degrees = hst.lists(hst.integers(0, 4), max_size=5)
+    dm, dn = draw(degrees), draw(degrees)
+    if draw(hst.booleans()):
+        gap = sum(dm) - sum(dn)
+        for i, x in enumerate(dn):
+            step = max(-x, min(4 - x, gap))
+            dn[i] += step
+            gap -= step
+        while gap:  # every entry is 4 now, and sum(dm) <= 20 leaves room
+            dn.append(min(4, gap))
+            gap -= dn[-1]
+    return dm, dn
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of what it raised (with the message, for a
+    SearchExhausted)."""
     try:
-        return fn(list(alpha), list(h))
+        return fn(*map(list, args))
+    except SearchExhausted as exc:
+        return SearchExhausted, str(exc)
     except Exception as exc:
         return type(exc)
 
@@ -158,6 +181,16 @@ class TestDualBases:
             assert sorted(gm, reverse=True) == list(dm)
             assert sorted(gn, reverse=True) == list(dn)
 
+    @settings(max_examples=300, deadline=None)
+    @given(degree_list_pairs())
+    @example(([1, 0, 2], [0, 3]))  # one block, zero columns on both sides
+    @example(([2, 1, 1], [1, 2, 1]))  # blocks [0, 3] and [3, 4], rows 0-3 and 4-5
+    @example(([1, 1], [2, 0, 1]))  # unequal sums
+    def test_matches_segmented_oracle(self, pair):
+        dm, dn = pair
+        assert (_outcome(build_dual_minimal_bases, dm, dn)
+                == _outcome(segmented_dual_minimal_bases, dm, dn))
+
 
 class TestDistribute:
     def test_concentrated_square(self):
@@ -189,11 +222,17 @@ class TestDistribute:
         assert delta == [S, S * S]
 
     @settings(max_examples=150, deadline=None)
-    @given(chains_and_targets())
-    def test_matches_per_member_oracle(self, case):
+    @given(chains_and_targets(), hst.sampled_from(["2", "5", "20", None]))
+    def test_matches_per_member_oracle(self, case, budget):
         chain, h = case
-        got = _outcome(distribute_invariant_factors, chain, h)
-        assert got == _outcome(per_member_distribute_invariant_factors, chain, h)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is None:
+                mp.delenv("STRUCTURA_MAX_SEARCH", raising=False)
+            else:
+                mp.setenv("STRUCTURA_MAX_SEARCH", budget)
+            got = _outcome(distribute_invariant_factors, chain, h)
+            want = _outcome(per_member_distribute_invariant_factors, chain, h)
+        assert got == want
         if isinstance(got, list):
             _check_sa_conditions(chain, got)
 
@@ -515,6 +554,10 @@ class TestRealizeSpanZeroInf:
 
 
 class TestRealizeSpan:
+    def test_mobius_point(self):
+        assert _mobius_point(S * lin(1)) == 2
+        assert _mobius_point(ONE) == 0
+
     def test_mobius_lift_full_rank(self):
         p = Prescription(
             variant="P2_span_indices",
