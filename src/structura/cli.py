@@ -217,9 +217,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FieldNotSplit as exc:
         print(
-            "field-not-split: the prescribed invariant data does not factor "
-            f"into linear factors over Q ({exc}); the sufficiency construction "
-            "requires an algebraically closed field.",
+            f"field-not-split: {exc}; the construction needs an "
+            "algebraically closed field",
             file=sys.stderr,
         )
         return EXIT_NOT_SPLIT

@@ -41,13 +41,13 @@ from .qpoly import (
     atom_valuation,
     coprime_basis,
     mobius_tilde,
+    poly_gcd,
     split_over_rationals,
 )
 from .polymat import (
     PolyMatrix,
     _left_inverse_columns,
-    invariant_factors,
-    is_minimal_basis,
+    is_column_proper,
     mobius_frame,
     scale_basis_mobius,
     smith_form,
@@ -130,8 +130,14 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
     per cut (a partial sum of either list) in it. A column on [lo, hi] has
     s^(hi - c) (M) or +-s^(c - lo) (N, signs alternating down the block) at
     each cut c of its interval, so every product telescopes to zero. Zero
-    degrees become private constant rows, M's first. The result is validated
-    before returning.
+    degrees become private constant rows, M's first.
+
+    Each basis is the other's certificate: M^T N = 0, the column counts add
+    up to the height, both are column proper and their degree sums agree, so
+    M and N are dual minimal bases (Forney 1975, "Minimal bases of rational
+    vector spaces", SIAM J. Control 13; De Teran, Dopico, Mackey and Van
+    Dooren 2016, Linear Algebra Appl. 488). Their degree lists are then
+    checked against the prescribed ones.
     """
     dm = [int(x) for x in deg_m]
     dn = [int(x) for x in deg_n]
@@ -164,11 +170,12 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
     M, N = (PolyMatrix([[col.get(i, ZERO) for col in cols] for i in range(height)],
                        n=len(cols)) for cols in (mcols, ncols))
 
-    require((M.transpose() @ N).is_zero, "dual bases must annihilate each other")
-    okM, dM = is_minimal_basis(M)
-    okN, dN = is_minimal_basis(N)
-    require(okM and okN, "constructed factors must be minimal bases")
-    require(sorted(dM) == sorted(dm) and sorted(dN) == sorted(dn),
+    require((M.transpose() @ N).is_zero and M.n + N.n == height,
+            "dual bases must annihilate each other and fill the height")
+    require(is_column_proper(M) and is_column_proper(N),
+            "constructed factors must be column proper")
+    dM, dN = M.column_degrees(), N.column_degrees()
+    require(sum(dM) == sum(dN) and sorted(dM) == sorted(dm) and sorted(dN) == sorted(dn),
             "constructed factors must have the prescribed degrees")
     return M, N
 
@@ -214,11 +221,12 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
     if len(h) != r:
         raise LengthMismatch("one target degree per invariant factor")
     # every root of a chain member is a root of the chain's end
-    top = split_over_rationals(alpha[-1] if alpha else ONE)
+    end = alpha[-1] if alpha else ONE
+    top = split_over_rationals(end)
     if not top.is_split:
         raise FieldNotSplit(
-            "invariant factors do not split into linear factors over Q; "
-            "the construction needs an algebraically closed field"
+            f"the chain end {_quoted(str(end))} does not split into linear "
+            "factors over Q"
         )
     roots = [rt for rt, _ in top.factors]
     mult = {rt: [0] * r for rt in roots}
@@ -305,10 +313,44 @@ def _gamma_candidates(size, gmax):
                 yield tuple(prof)
 
 
+def _bordered_exponents(beta, prof, xr) -> tuple:
+    """Invariant-factor exponents of N(t) = [[diag(t^beta), z], [0, t^xr]],
+    z_i = t^prof[i], or 0 where prof[i] is None; beta is ascending, as
+    _beta_candidates gives it.
+
+    Every nonzero minor of this diagonal-plus-last-column shape is one
+    signed monomial: a principal minor of the diagonal, times t^xr when it
+    takes the corner, or z_i times a principal minor of the diagonal without
+    row i. So the k-th determinantal divisor is t^d_k with d_k the smaller
+    of the sum of the k smallest of beta and xr, and of the least
+    prof[i] + the sum of the k - 1 smallest of beta without beta_i over the
+    nonzero z_i; the invariant factors are t^(d_k - d_(k-1)). A unimodular
+    U(t) stays unimodular under t -> a(s), so N(a(s)) has the invariant
+    factors a^(d_k - d_(k-1)) for any monic a.
+    """
+    size = len(beta)
+    low = list(itertools.accumulate(beta, initial=0))
+    both = list(itertools.accumulate(sorted((*beta, xr)), initial=0))
+    prev, out = 0, []
+    for k in range(1, size + 2):
+        dk = both[k]
+        if k <= size:
+            for i, g in enumerate(prof):
+                if g is not None:
+                    # the k - 1 smallest of beta without beta_i
+                    rest = low[k - 1] if i >= k - 1 else low[k] - beta[i]
+                    dk = min(dk, g + rest)
+        out.append(dk - prev)
+        prev = dk
+    return tuple(out)
+
+
 def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
     """Upper triangular matrix with diagonal atom^x_i and invariant-factor
     exponents m (ascending) in the single atom; None when the complete
-    candidate space is exhausted."""
+    candidate space is exhausted. Candidates are decided from their
+    exponents by _bordered_exponents; matrices are built only for the
+    accepted one."""
     r = len(x)
     if r == 1:
         return PolyMatrix([[atom ** x[0]]])
@@ -326,32 +368,27 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
         lows.append(max(mtot[kk - 1], mtot[kk] - xr, 0))
     lows.append(total_b)
 
-    target = tuple(atom ** mi for mi in m)
     gmax = sum(m)
-    corner = [ZERO] * size + [atom ** xr]
     for beta in _beta_candidates(size, total_b, lows, bots):
         budget.spend()
         block = _atom_triangular(x[:-1], beta, atom, budget)
         if block is None:
             continue
-        # block has Smith form U block V = D = diag(atom^beta), so
-        # T = [[block, y], [0, atom^xr]] with y = U^-1 z is equivalent to
-        # diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]]: only the
-        # accepted z needs U and y
-        D = [[atom ** b if i == j else ZERO for j, b in enumerate(beta)]
-             for i in range(size)]
         for prof in _gamma_candidates(size, gmax):
             budget.spend()
-            z = [ZERO if gv is None else atom ** gv for gv in prof]
-            bordered = [D[i] + [z[i]] for i in range(size)]
-            if invariant_factors(PolyMatrix(bordered + [corner], n=r)) == target:
+            if _bordered_exponents(beta, prof, xr) == m:
+                # block has Smith form U block V = D = diag(atom^beta), so
+                # T = [[block, y], [0, atom^xr]] with y = U^-1 z is equivalent
+                # to diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]], the
+                # bordered matrix whose exponents were just read
                 sm = smith_form(block)
                 require(tuple(sm.diag) == tuple(atom ** b for b in beta),
                         "completed block has the wrong invariant factors")
+                z = [ZERO if gv is None else atom ** gv for gv in prof]
                 Ui = _left_inverse_columns(block, sm.right, sm.diag)
                 y = Ui @ PolyMatrix([[e] for e in z], n=1)
                 rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
-                return PolyMatrix(rows + [corner], n=r)
+                return PolyMatrix(rows + [[ZERO] * size + [atom ** xr]], n=r)
     return None
 
 
@@ -363,7 +400,18 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
     a matrix exists iff the k-fold prefix products of alpha divide every
     k-fold product of delta, with equal totals (Sa 1979, Thompson 1979): at
     each atom, the exponents of alpha are majorized by the ascending
-    exponents of delta. Every candidate is validated by Smith re-extraction.
+    exponents of delta.
+
+    The result carries an exact certificate instead of a Smith
+    re-extraction. For r = 2, [[delta_1, alpha_1], [0, delta_2]] has the
+    determinantal divisors gcd(delta_1, alpha_1, delta_2) and
+    delta_1 delta_2, checked with one gcd. For other r, each atom's factor is
+    equivalent to a bordered matrix whose invariant factors are read from
+    its exponents (_bordered_exponents), the atoms are checked pairwise
+    coprime, and the product of their powers is checked against alpha: the
+    factors' determinants are then pairwise coprime, and the Smith form of
+    such a product is the product of the Smith forms, because at each prime
+    every factor but one is a unit.
     """
     r = len(alpha)
     if len(delta) != r:
@@ -385,10 +433,10 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
             )
 
     if r == 2:
-        E = PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
-        require(invariant_factors(E) == tuple(alpha),
+        g = poly_gcd(poly_gcd(delta[0], alpha[0]), delta[1])
+        require(g == alpha[0] and delta[0] * delta[1] == g * alpha[1],
                 "2x2 realization has the wrong invariant factors")
-        return E
+        return PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
 
     budget = _Budget(_search_budget(), CompletionSearchExhausted,
                      "completion search")
@@ -403,7 +451,11 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
         E = E @ T
     require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
             "triangular realization has the wrong diagonal")
-    require(invariant_factors(E) == tuple(alpha),
+    atoms = [atom for atom, _, _ in exponents]
+    require(all(poly_gcd(a, b) == ONE for a, b in itertools.combinations(atoms, 2)),
+            "triangular realization needs pairwise coprime atoms")
+    require(all(math.prod((atom ** m[i] for atom, _, m in exponents), start=ONE) == alpha[i]
+                for i in range(r)),
             "triangular realization has the wrong invariant factors")
     return E
 

@@ -305,6 +305,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "algebraically closed" in err
 
+    @pytest.mark.parametrize("end", [[1, 0, 2, 0, 1], [12345] * 25 + [1]])
+    def test_construct_not_split_message_names_the_chain_end_once(
+            self, tmp_path, capsys, end):
+        doc = {"variant": "P2_span_indices", "m": 1, "n": 1, "r": 1,
+               "d": len(end) - 1, "alpha": [end], "f": [0], "k": [0], "l": [0]}
+        assert main(["construct", write(tmp_path, "p.json", doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("field-not-split: the chain end '")
+        assert len(err.encode()) < 200
+        assert err.count("algebraically closed") == 1 and err.count("over Q") == 1
+
     def test_construct_infeasible_exit_one(self, tmp_path):
         doc = dict(WORKED_PRESCRIPTION)
         doc["d"] = 6

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from structura.errors import (
@@ -12,17 +12,19 @@ from structura.errors import (
     FieldNotSplit,
     ImpossibleSquareCase,
     Infeasible,
+    InternalInvariantError,
     MajorizationFails,
     NonMonicDiagonal,
     PreconditionViolated,
     SearchExhausted,
     SumMismatch,
 )
-from structura.qpoly import ONE, X, Poly
-from structura.polymat import PolyMatrix, is_minimal_basis, smith_form
+from structura.qpoly import ONE, X, ZERO, Poly
+from structura.polymat import PolyMatrix, invariant_factors, is_minimal_basis, smith_form
 from structura.extract import verify
 from structura.feasibility import Prescription, check_feasibility
 from structura.synthesis import (
+    _bordered_exponents,
     _mobius_point,
     build_dual_minimal_bases,
     build_minimal_basis,
@@ -40,6 +42,7 @@ from conftest import (
     random_feasible_poly_prescription,
     rationalize_prescription,
     segmented_dual_minimal_bases,
+    smith_checked_triangular_realization,
 )
 
 S = X
@@ -180,6 +183,19 @@ class TestDualBases:
             assert fm and fn
             assert sorted(gm, reverse=True) == list(dm)
             assert sorted(gn, reverse=True) == list(dn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(degree_list_pairs())
+    def test_both_bases_pass_the_smith_test(self, pair):
+        # the builder certifies its output by Forney's test; the full
+        # minimal-basis test (a Smith elimination each) must agree
+        dm, dn = pair
+        assume(sum(dm) == sum(dn))
+        Mb, Nb = build_dual_minimal_bases(dm, dn)
+        assert is_minimal_basis(Mb) == (True, Mb.column_degrees())
+        assert is_minimal_basis(Nb) == (True, Nb.column_degrees())
+        assert sorted(Mb.column_degrees()) == sorted(dm)
+        assert sorted(Nb.column_degrees()) == sorted(dn)
 
     @settings(max_examples=300, deadline=None)
     @given(degree_list_pairs())
@@ -347,9 +363,119 @@ class TestTriangular:
         assert tuple(E.rows[i][i] for i in range(4)) == tuple(delta)
         assert smith_form(E).diag == tuple(alpha)
 
+    def test_certificate_refuses_atoms_that_share_a_factor(self, monkeypatch):
+        # s(s - 1) divides nothing here, so the realization itself is right,
+        # but the product certificate holds only over pairwise coprime atoms
+        import structura.synthesis as synthesis
+
+        basis = synthesis.coprime_basis
+        monkeypatch.setattr(synthesis, "coprime_basis",
+                            lambda polys: basis(polys) + [S * lin(1)])
+        with pytest.raises(InternalInvariantError, match="pairwise coprime"):
+            triangular_realization([ONE, ONE, S ** 3], [S, S, S])
+
+
+BORDER_ATOMS = (S, lin(2), Poly([1, 0, 1]), Poly([1, 1, 1]))
+
+
+@hst.composite
+def bordered_cases(draw):
+    """An atom, the ascending diagonal exponents beta (1-4 of them), a
+    profile of the bordered column (None = zero entry) and the corner."""
+    size = draw(hst.integers(1, 4))
+    beta = tuple(sorted(draw(hst.lists(hst.integers(0, 3), min_size=size, max_size=size))))
+    prof = tuple(draw(hst.lists(hst.none() | hst.integers(0, 4),
+                                min_size=size, max_size=size)))
+    return draw(hst.sampled_from(BORDER_ATOMS)), beta, prof, draw(hst.integers(0, 3))
+
+
+class TestBorderedExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(bordered_cases())
+    @example((S, (0, 1, 1), (2, None, 0), 2))
+    @example((Poly([1, 1, 1]), (0, 1, 2, 3), (None, 1, 0, 4), 0))
+    def test_agrees_with_smith_elimination(self, case):
+        atom, beta, prof, xr = case
+        size = len(beta)
+        rows = [[atom ** b if i == j else ZERO for j, b in enumerate(beta)]
+                + [ZERO if prof[i] is None else atom ** prof[i]] for i in range(size)]
+        N = PolyMatrix(rows + [[ZERO] * size + [atom ** xr]], n=size + 1)
+        want = invariant_factors(N)
+        assert tuple(atom ** e for e in _bordered_exponents(beta, prof, xr)) == want
+
 
 # exponent columns at the atoms s, s - 1 and the non-split s^2 + 1
 SA_ATOMS = (S, lin(1), Poly([1, 0, 1]))
+
+
+@hst.composite
+def completion_cases(draw):
+    """alpha and delta over SA_ATOMS with r <= 4: per atom, ascending
+    exponents m of alpha in 0..2 and exponents x of delta with the same
+    total. Mostly x is a permutation of m evened out by moves of one from a
+    larger to a smaller entry, which keeps the Sa-Thompson conditions; else
+    x is any composition of the total."""
+    r = draw(hst.integers(1, 4))
+    feasible = draw(hst.integers(0, 3)) > 0
+    alpha, delta = [ONE] * r, [ONE] * r
+    for atom in SA_ATOMS:
+        m = sorted(draw(hst.lists(hst.integers(0, 2), min_size=r, max_size=r)))
+        if feasible:
+            x = list(draw(hst.permutations(m)))
+            for i, j in draw(hst.lists(hst.tuples(hst.integers(0, r - 1),
+                                                  hst.integers(0, r - 1)), max_size=3)):
+                if x[i] - x[j] >= 2:
+                    x[i], x[j] = x[i] - 1, x[j] + 1
+        else:
+            cuts = sorted(draw(hst.lists(hst.integers(0, sum(m)),
+                                         min_size=r - 1, max_size=r - 1)))
+            x = [b - a for a, b in zip([0] + cuts, cuts + [sum(m)])]
+        alpha = [a * atom ** e for a, e in zip(alpha, m)]
+        delta = [d * atom ** e for d, e in zip(delta, x)]
+    return alpha, delta
+
+
+def _completion_outcome(fn, alpha, delta):
+    """fn's result, the message of a CompletionSearchExhausted, or the
+    type of anything else it raised."""
+    try:
+        return fn(list(alpha), list(delta))
+    except CompletionSearchExhausted as exc:
+        return str(exc)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestSmithCheckedOracle:
+    """triangular_realization against conftest's search, which decides every
+    candidate and the result by Smith elimination."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(completion_cases(), hst.sampled_from(["1", "4", "15", "60", "400"]))
+    @example(([ONE, lin(1), (S ** 2) * lin(1) ** 2],
+              [S * lin(1), lin(1), S * lin(1)]), "3")
+    @example(([ONE, S, S, S ** 3], [S, S, S, S * S]), "400")
+    def test_same_matrix_or_message(self, case, budget):
+        alpha, delta = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("STRUCTURA_MAX_SEARCH", budget)
+            got = _completion_outcome(triangular_realization, alpha, delta)
+            want = _completion_outcome(smith_checked_triangular_realization, alpha, delta)
+        assert got == want
+
+    def test_same_matrix_at_the_default_budget(self):
+        rng = random.Random(16)
+        for _ in range(12):
+            r = rng.randint(1, 4)
+            alpha, delta = [ONE] * r, [ONE] * r
+            for atom in SA_ATOMS:
+                m = sorted(rng.randint(0, 2) for _ in range(r))
+                # delta's exponents: m reversed majorizes m (Sa-Thompson holds)
+                alpha = [a * atom ** e for a, e in zip(alpha, m)]
+                delta = [d * atom ** e for d, e in zip(delta, rng.sample(m, r))]
+            E = triangular_realization(alpha, delta)
+            assert E == smith_checked_triangular_realization(alpha, delta)
+            assert smith_form(E).diag == tuple(alpha)
 
 
 @hst.composite
