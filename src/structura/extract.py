@@ -16,11 +16,13 @@ from .polymat import (
     PolyMatrix,
     _DenseMatrix,
     _frac_rank,
+    _integer_columns,
+    _integer_lines,
     _over_lcm,
     _left_inverse_columns,
     _reduce_columns,
+    _smith_core,
     rank,
-    smith_form,
 )
 
 @dataclass(frozen=True)
@@ -164,8 +166,10 @@ def inf_structure(P: PolyMatrix):
     return _inf_structure(P, rank(P))
 
 
-def _normalize_basis(B: PolyMatrix) -> tuple:
-    """Column-reduce, scale leading vectors to a 1 pivot, sort columns.
+def _normalize_basis(cols, dens, m: int) -> tuple:
+    """Column-reduce, scale leading vectors to a 1 pivot, sort columns, for
+    the m-row basis whose column j is cols[j] over dens[j] (integer
+    coefficient lists, as _reduce_columns takes them).
 
     Returns (basis, indices descending). Normalization makes golden tests
     deterministic; spans and degrees are what the theory pins down. The
@@ -173,9 +177,9 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     sorted by degree (descending), then by their first nonzero row, and only
     columns that tie on both are ordered by their coefficients.
     """
-    if B.n == 0:
-        return B, ()
-    cols, _, degs = _reduce_columns(B)
+    if not cols:
+        return PolyMatrix.zeros(m, 0), ()
+    cols, _, degs = _reduce_columns(cols, dens)
     out = []
     for col, d in zip(cols, degs):
         lead = next(a[d] for a in col if len(a) > d)
@@ -186,38 +190,39 @@ def _normalize_basis(B: PolyMatrix) -> tuple:
     ties = Counter(t[:2] for t in out)
     out.sort(key=lambda t: t[:2] if ties[t[:2]] == 1
              else t[:2] + (tuple(e.coeffs for e in t[2]),))
-    basis = PolyMatrix([[t[2][i] for t in out] for i in range(B.m)], n=B.n)
+    basis = PolyMatrix([[t[2][i] for t in out] for i in range(m)], n=len(out))
     return basis, tuple(-t[0] for t in out)
 
 
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     """Full structural data; every sum identity is checked before returning.
 
-    With U = sm.left, V = sm.right and D the padded diagonal, U P V = D gives
-    P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases are
-    the first rank columns of U^-1 and of V^-T, obtained from these products
-    by exact division; the null bases are the trailing columns of V and the
-    trailing rows of U.
+    With U and V the Smith transformers and D the padded diagonal, U P V = D
+    gives P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases
+    are the first rank columns of U^-1 and of V^-T, obtained from these
+    products by exact division; the null bases are the trailing columns of V
+    and the trailing rows of U. All four reach _normalize_basis as the
+    integer columns that _smith_core and _left_inverse_columns return.
     """
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
-    sm = smith_form(P)
-    r = sm.rank
+    diag, (U, Ud), (Vt, Vd) = _smith_core(P, track=True)
+    r = len(diag)
     d, f, q = _inf_structure(P, r)
 
-    col_basis, k_idx = _normalize_basis(_left_inverse_columns(P, sm.right, sm.diag))
+    col_basis, k_idx = _normalize_basis(
+        *_left_inverse_columns(_integer_lines(P.rows), (Vt, Vd), diag), P.m)
     row_basis, l_idx = _normalize_basis(
-        _left_inverse_columns(P.transpose(), sm.left.transpose(), sm.diag))
-    rnull_basis, d_idx = _normalize_basis(sm.right.submatrix(range(P.n), range(r, P.n)))
-    lnull_basis, v_idx = _normalize_basis(
-        sm.left.submatrix(range(r, P.m), range(P.m)).transpose())
+        *_left_inverse_columns(_integer_columns(P), (U, Ud), diag), P.n)
+    rnull_basis, d_idx = _normalize_basis(Vt[r:], Vd[r:], P.n)
+    lnull_basis, v_idx = _normalize_basis(U[r:], Ud[r:], P.m)
 
     return _checked(PolyStructuralData(
         m=P.m,
         n=P.n,
         rank=r,
         degree=d,
-        invariant_factors=sm.diag,
+        invariant_factors=diag,
         inf_partial_mults=f,
         inf_orders=q,
         colspan_indices=k_idx,

@@ -4,6 +4,10 @@ minimal-basis test.
 
 The rank is read from values of the matrix at distinct rationals, with no
 polynomial elimination; column_reduce detects rank deficiency by itself.
+The Smith elimination and column reduction run on integer coefficient
+lists: the working rows of the Smith core are primitive integer lines, and
+its transformers, like the columns that column reduction and basis
+normalization take, are integer lists over one denominator per line.
 
 All operations are pure; matrices are immutable value objects. Pivoting rules
 are deterministic (minimal degree, then smallest (row, col) lexicographically)
@@ -25,9 +29,7 @@ from .errors import (
     ZeroMatrix,
     require,
 )
-from .qpoly import NEG_INF, ONE, ZERO, Poly, _reduced, as_fraction
-
-_MINUS_ONE = Poly.constant(-1)
+from .qpoly import NEG_INF, ONE, ZERO, Poly, _pdivmod, _reduced, as_fraction
 
 
 class _DenseMatrix:
@@ -300,194 +302,265 @@ class SmithDecomposition:
     rank: int
 
 
-def _content_scale(polys) -> Fraction:
-    """Scale factor turning the coefficients into integers with gcd 1.
-
-    Keeps coefficient growth in check during elimination; scaling a row or
-    column is a unimodular operation. Each Poly holds integer numerators
-    whose content is coprime to its denominator, so the gcd of all
-    numerators and the lcm of all denominators are those of the reduced
-    coefficients.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        num_gcd = math.gcd(num_gcd, *p.numerators)
-        den_lcm = math.lcm(den_lcm, p.denominator)
-    if num_gcd in (0, den_lcm):
-        return Fraction(1)
-    return Fraction(den_lcm, num_gcd)
-
-
-def _ext_gcd(a: Poly, b: Poly):
-    """Monic g with x*a + y*b = g; remainders kept monic to limit growth."""
-    r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while not r1.is_zero:
-        q, r2 = divmod(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-        if not r1.is_zero and r1.lc != 1:
-            inv = 1 / r1.lc
-            r1, s1, t1 = r1.scale(inv), s1.scale(inv), t1.scale(inv)
-    if r0.lc != 1:
-        inv = 1 / r0.lc
-        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
-    return r0, s0, t0
-
-
-def _transposed(rows) -> list:
-    return [list(col) for col in zip(*rows)]
-
-
-# Elimination steps of the Smith core. Each is a row operation on the working
-# matrix W and, when X is not None, the same operation on the rows of X, the
-# transformer of the side being reduced. Column steps on a matrix are these
-# row steps on its transpose (Kailath 1980, Linear Systems, 6.3).
-
-
-def _swap(W, X, a, b):
-    if a == b:
-        return
-    for M in (W, X) if X is not None else (W,):
-        M[a], M[b] = M[b], M[a]
-
-
-def _row_sub(W, X, i, t, q):
-    # row_i -= q * row_t
-    for M in (W, X) if X is not None else (W,):
-        dst = M[i]
-        for j, e in enumerate(M[t]):
-            if not e.is_zero:
-                dst[j] = dst[j] - q * e
-
-
-def _block(W, X, t, i, xx, yy, u, v):
-    # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
-    for M in (W, X) if X is not None else (W,):
-        rt, ri = M[t], M[i]
-        for j, (a, b) in enumerate(zip(rt, ri)):
-            rt[j] = xx * a + yy * b
-            ri[j] = u * b - v * a
-
-
-def _scale(W, X, t, c: Fraction):
-    for M in (W, X) if X is not None else (W,):
-        M[t] = [e.scale(c) for e in M[t]]
-
-
-def _normalize(W, X, i):
-    c = _content_scale(W[i])
-    if c != 1:
-        _scale(W, X, i, c)
-
-
-def _clear_below(W, X, t):
-    """Clear column t of W below the pivot W[t][t] by row steps."""
-    for i in range(t + 1, len(W)):
-        b = W[i][t]
-        if b.is_zero:
+def _comb(p, a, q, b) -> list:
+    """p * a + q * b for integer coefficient lists, trailing zeros stripped."""
+    if not (p and a):
+        p, a, q, b = q, b, p, ()
+    if not (q and b):
+        if not (p and a):
+            return []
+        if len(p) == 1:
+            c = p[0]
+            return [c * e for e in a]
+        q = b = ()
+    acc = [0] * (max(len(p) + len(a), len(q) + len(b)) - 1)
+    for x, y in ((p, a), (q, b)):
+        if len(x) == 1:
+            c = x[0]
+            for k, e in enumerate(y):
+                acc[k] += c * e
             continue
-        a = W[t][t]
-        q, rem = divmod(b, a)
-        if rem.is_zero:
-            _row_sub(W, X, i, t, q)
+        for i, c in enumerate(x):
+            if c:
+                for k, e in enumerate(y, i):
+                    acc[k] += c * e
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _exact_quotient(a, b):
+    """a / b for integer coefficient lists, b nonzero and primitive, or None
+    when b does not divide a. By Gauss's lemma the quotient then has integer
+    coefficients, so pseudo-division never rescales."""
+    if len(a) < len(b):
+        return None if a else []
+    quo, _, rem = _pdivmod(a, b)
+    return None if rem else quo
+
+
+def _content(line) -> int:
+    """gcd of every coefficient of a list of integer coefficient lists."""
+    return math.gcd(*(c for e in line for c in e))
+
+
+def _divided(line, g: int) -> list:
+    return [[c // g for c in e] for e in line] if g > 1 else line
+
+
+def _ext_gcd(a, b):
+    """Bezout block of nonzero integer coefficient lists, b not a multiple of
+    a: ((x, y, D), (w, u, E)) with x a + y b = D g for the monic gcd g,
+    u = E a / g, w = -E b / g and D, E > 0, so [[x/D, y/D], [w/E, u/E]] has
+    determinant 1. x/D and y/D are the unique pair of degrees below those
+    of b / g and a / g, so the extended Euclidean algorithm over Q returns
+    the same; here it runs on integer triples s a + t b = r, with each
+    pseudo-division step divided by the content of the whole triple.
+    """
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, scale, r2 = _pdivmod(r0, r1) if len(r0) >= len(r1) else ([], 1, r0)
+        neg = [-c for c in q]
+        s2, t2 = _comb([scale], s0, neg, s1), _comb([scale], t0, neg, t1)
+        g = math.gcd(*r2, *s2, *t2)
+        if g > 1:
+            r2, s2, t2 = ([c // g for c in x] for x in (r2, s2, t2))
+        r0, r1, s0, s1, t0, t1 = r1, r2, s1, s2, t1, t2
+    # g = r0 / lc with lc the leading coefficient of r0 = c0 * r0p
+    lc = r0[-1]
+    sign = 1 if lc > 0 else -1
+    c0, r0p = math.gcd(*r0), _primitive(r0)
+    u, v = _exact_quotient(a, r0p), _exact_quotient(b, r0p)
+    return (([sign * c for c in s0], [sign * c for c in t0], abs(lc)),
+            ([-lc * c for c in v], [lc * c for c in u], c0))
+
+
+def _line(W, i, by_cols):
+    return [row[i] for row in W] if by_cols else W[i]
+
+
+def _put(W, X, by_cols, i, new):
+    w, x = new
+    if by_cols:
+        for row, e in zip(W, w):
+            row[i] = e
+    else:
+        W[i] = w
+    if X is not None:
+        X[0][i], X[1][i] = x
+
+
+def _combined(W, X, by_cols, t, i, p, q, den):
+    """(p * line t + q * line i) / den of W (its rows, or its columns when
+    by_cols is set), rescaled to primitive integer form, and the same step on
+    rows t and i of the transformer X. The content G of p * line t + q *
+    line i is den times that rescale, so the transformer row is divided by
+    G; a line that comes out zero is not rescaled, and its row is divided by
+    den."""
+    w = [_comb(p, a, q, b) for a, b in zip(_line(W, t, by_cols), _line(W, i, by_cols))]
+    g = _content(w)
+    w = _divided(w, g)
+    if X is None:
+        return w, None
+    nums, dens = X
+    dt, di = dens[t], dens[i]
+    lcm = math.lcm(dt, di)
+    if dt != lcm:
+        p = [c * (lcm // dt) for c in p]
+    if di != lcm:
+        q = [c * (lcm // di) for c in q]
+    x = [_comb(p, a, q, b) for a, b in zip(nums[t], nums[i])]
+    d = lcm * (g or den)
+    g = math.gcd(d, _content(x))
+    return w, (_divided(x, g), d // g)
+
+
+def _clear(W, X, t, by_cols):
+    """Clear the pivot's column of W below W[t][t] by row steps, or its row
+    right of W[t][t] by column steps when by_cols is set.
+
+    An entry b that the pivot a divides is cleared by subtracting b / a
+    times the pivot's line; any other by the Bezout block of (a, b), which
+    leaves a constant multiple of their gcd in the pivot.
+    """
+    for i in range(t + 1, len(W[0]) if by_cols else len(W)):
+        b = W[t][i] if by_cols else W[i][t]
+        if not b:
+            continue
+        ca, ap = math.gcd(*W[t][t]), _primitive(W[t][t])
+        quo = _exact_quotient(b, ap)
+        if quo is not None:
+            # line_i - (quo / ca) line_t
+            _put(W, X, by_cols, i, _combined(W, X, by_cols, t, i, [-c for c in quo], [ca], ca))
         else:
-            g, xx, yy = _ext_gcd(a, b)
-            _block(W, X, t, i, xx, yy, a // g, b // g)
-            _normalize(W, X, t)
-        _normalize(W, X, i)
+            (x, y, d), (w, u, e) = _ext_gcd(W[t][t], b)
+            new_t = _combined(W, X, by_cols, t, i, x, y, d)
+            _put(W, X, by_cols, i, _combined(W, X, by_cols, t, i, w, u, e))
+            _put(W, X, by_cols, t, new_t)
 
 
 def _smith_core(P: PolyMatrix, track: bool):
-    """Smith elimination over Q[s]: (diag, U, V).
+    """Smith elimination over Q[s] on integer rows: (diag, U, V^T).
 
-    Every step is a row operation. The column half of each pivot step runs
-    on the transpose of the working matrix, where V acts as the left
-    transformer V^T; it is kept transposed and turned back once at the end.
-    The transformers are updated only when track is set, and are None
-    otherwise; the elimination on the working matrix, and so the diagonal,
-    is the same either way. Entries are cleared with single-shot Bezout block
-    transforms instead of iterated remainder steps, and rows/columns are
-    rescaled to primitive integer form after every operation, which keeps
-    coefficients tame.
+    W holds integer coefficient lists. Its rows, then its columns, are first
+    rescaled to primitive integer form, and every later row or column step
+    (_combined) rescales the line it changes the same way; a nonzero constant
+    is a unit of Q[s]. A line that becomes zero is not rescaled. The column
+    half of each pivot step runs on the columns of W by index, with V^T as
+    its transformer, so row j of V^T is column j of V. The pivot row of U is
+    divided by the pivot's leading coefficient, which may be negative; W
+    keeps the integer pivot, since no later step reads that row.
+
+    With track set, U and V^T are (numerator lists, dens), row i being
+    numerators[i] over dens[i] > 0, coprime to them; without it they are
+    None, and the steps on W, so the diagonal, are the same.
     """
     m, n = P.m, P.n
-    U, Vt = ([list(r) for r in PolyMatrix.identity(k).rows] if track else None
-             for k in (m, n))
-    W = [list(row) for row in P.rows]
-    t = 0
-    if m and n:  # zip(*W) of a 0 x n matrix has no rows, not n empty ones
-        for i in range(m):
-            _normalize(W, U, i)
-        W = _transposed(W)
-        for j in range(n):
-            _normalize(W, Vt, j)
-        W = _transposed(W)
-    while t < min(m, n):
-        piv = _find_pivot(W, t, m, n)
+    U = Vt = None
+    if track:
+        U, Vt = (([[[1] if i == j else [] for j in range(k)] for i in range(k)], [1] * k)
+                 for k in (m, n))
+    W = []
+    for i, row in enumerate(P.rows):
+        nums, den = _over_lcm(row)
+        g = _content(nums)
+        W.append(_divided(nums, g))
+        if track and g:
+            c = Fraction(den, g)
+            U[0][i][i], U[1][i] = [c.numerator], c.denominator
+    for j in range(n if m else 0):
+        g = _content(row[j] for row in W)
+        if g > 1:
+            for row in W:
+                row[j] = [c // g for c in row[j]]
+            if track:
+                Vt[1][j] = g
+    diag = []
+    for t in range(min(m, n)):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = W[i][j]
+                if e and (piv is None or len(e) < piv[0]):
+                    piv = (len(e), i, j)
         if piv is None:
             break
-        _swap(W, U, t, piv[1])
-        W = _transposed(W)
-        _swap(W, Vt, t, piv[2])
-        W = _transposed(W)
+        _, pi, pj = piv
+        W[t], W[pi] = W[pi], W[t]
+        for row in W:
+            row[t], row[pj] = row[pj], row[t]
+        for X, k in ((U, pi), (Vt, pj)):
+            if X is not None:
+                for side in X:
+                    side[t], side[k] = side[k], side[t]
         while True:
-            _clear_below(W, U, t)
-            W = _transposed(W)
-            _clear_below(W, Vt, t)
-            W = _transposed(W)
-            if any(not W[i][t].is_zero for i in range(t + 1, m)):
+            _clear(W, U, t, False)
+            _clear(W, Vt, t, True)
+            if any(W[i][t] for i in range(t + 1, m)):
                 continue
-            a = W[t][t]
+            ap = _primitive(W[t][t])
             bad = next((i for i in range(t + 1, m)
-                        if any(not (e % a).is_zero for e in W[i][t + 1:])), None)
+                        if any(_exact_quotient(e, ap) is None for e in W[i][t + 1:])), None)
             if bad is None:
                 break
-            _row_sub(W, U, t, bad, _MINUS_ONE)
-            _normalize(W, U, t)
-        lc = W[t][t].lc
-        if lc != 1:
-            _scale(W, U, t, 1 / lc)
-        t += 1
-    diag = tuple(W[i][i] for i in range(t))
-    return diag, U, _transposed(Vt) if track else None
+            _put(W, U, False, t, _combined(W, U, False, t, bad, [1], [1], 1))
+        a = W[t][t]
+        lc = a[-1]
+        diag.append(_reduced([c if lc > 0 else -c for c in a], abs(lc)))
+        if track and lc != 1:
+            nums, den = U[0][t], U[1][t] * abs(lc)
+            nums = nums if lc > 0 else [[-c for c in e] for e in nums]
+            g = math.gcd(den, _content(nums))
+            U[0][t], U[1][t] = _divided(nums, g), den // g
+    return tuple(diag), U, Vt
+
+
+def _column_matrix(cols, dens, m: int) -> PolyMatrix:
+    """The PolyMatrix whose column j is cols[j] over dens[j]."""
+    return PolyMatrix(
+        [[_reduced(list(col[i]), den) for col, den in zip(cols, dens)] for i in range(m)],
+        n=len(cols),
+    )
 
 
 def smith_form(P: PolyMatrix) -> SmithDecomposition:
-    """Smith normal form over Q[s] with unimodular transformers.
+    """Smith normal form over Q[s] with unimodular transformers, as
+    PolyMatrix values.
 
-    The only entry point that builds the transformers; callers that read
-    just the diagonal use invariant_factors.
+    _smith_core eliminates on integer rows, each rescaled to primitive form
+    after every step except when it becomes zero, and keeps each transformer
+    row over one denominator; this turns those rows into Polys. Callers that
+    read just the diagonal use invariant_factors, and extraction reads the
+    integer transformers of _smith_core directly.
     """
-    diag, U, V = _smith_core(P, track=True)
+    diag, (U, Ud), Vt = _smith_core(P, track=True)
     return SmithDecomposition(
-        left=PolyMatrix(U, n=P.m),
+        left=_column_matrix(U, Ud, P.m).transpose(),
         diag=diag,
-        right=PolyMatrix(V, n=P.n),
+        right=_column_matrix(*Vt, P.n),
         rank=len(diag),
     )
 
 
-def _left_inverse_columns(P: PolyMatrix, right: PolyMatrix, diag) -> PolyMatrix:
-    """The first len(diag) columns of left^-1, for a Smith decomposition
-    left @ P @ right = D with diagonal diag.
+def _left_inverse_columns(rows, cols, diag):
+    """(cols, dens): the first len(diag) columns of left^-1, for a Smith
+    decomposition left @ A @ right = D with diagonal diag, given the rows of
+    A and the columns of right as (numerator lists, dens).
 
-    P @ right = left^-1 @ D, so column j of P @ right is column j of left^-1
-    times diag[j] (Kailath 1980, 6.3). The product is formed row by row and
-    each entry is divided exactly by its invariant factor, skipped when that
-    factor is 1. With P^T and left^T in place of P and right, the same
-    columns are those of right^-T. Each row of P and each column of right
-    is put on integers over its lcm denominator, so an entry of the product
-    is one integer sum over the product of the two.
+    A @ right = left^-1 @ D, so column j of A @ right is column j of left^-1
+    times diag[j] (Kailath 1980, 6.3). Each entry of the product is one
+    integer sum over the lcm of the row denominators, divided exactly by the
+    primitive part of its invariant factor, skipped when that is 1. With
+    A = P^T and the rows of left for the columns of right, the same columns
+    are those of right^-T.
     """
-    cols = [_over_lcm(col) for col in list(zip(*right.rows))[:len(diag)]]
-    out = []
-    for row, row_den in map(_over_lcm, P.rows):
+    row_nums, row_dens = rows
+    lcm = math.lcm(*row_dens)
+    out, dens = [], []
+    for col, col_den, a in zip(*cols, diag):
+        ga, ap = math.gcd(*a.numerators), _primitive(a.numerators)
         new = []
-        for (col, col_den), a in zip(cols, diag):
+        for row, row_den in zip(row_nums, row_dens):
             acc = [0] * (max(map(len, row)) + max(map(len, col)))
             for u, v in zip(row, col):
                 if u and v:
@@ -495,14 +568,22 @@ def _left_inverse_columns(P: PolyMatrix, right: PolyMatrix, diag) -> PolyMatrix:
                         if y:
                             for k, x in enumerate(u, i):
                                 acc[k] += x * y
-            acc = _reduced(acc, row_den * col_den)
+            while acc and not acc[-1]:
+                acc.pop()
+            if row_den != lcm:
+                acc = [c * (lcm // row_den) for c in acc]
             if a != ONE:
-                acc, rem = divmod(acc, a)
-                require(rem.is_zero, "P @ right = left^-1 @ D: a column of P @ "
+                acc = _exact_quotient(acc, ap)
+                require(acc is not None, "P @ right = left^-1 @ D: a column of P @ "
                         "right is not divisible by its invariant factor")
+            if a.denominator != 1:
+                acc = [c * a.denominator for c in acc]
             new.append(acc)
-        out.append(new)
-    return PolyMatrix(out, n=len(diag))
+        den = lcm * col_den * ga
+        g = math.gcd(den, _content(new))
+        out.append(_divided(new, g))
+        dens.append(den // g)
+    return out, dens
 
 
 def invariant_factors(P: PolyMatrix) -> tuple:
@@ -588,15 +669,25 @@ def _lead(col):
     return d, ([a[d] if len(a) > d else 0 for a in col] if d >= 0 else None)
 
 
+def _integer_lines(lines):
+    """(numerator lists, dens): each line of Polys over the lcm of its
+    denominators, as _over_lcm gives it."""
+    pairs = [_over_lcm(line) for line in lines]
+    return [nums for nums, _ in pairs], [den for _, den in pairs]
+
+
 def _integer_columns(P: PolyMatrix):
-    """(cols, dens, degs, leads): column j of P as integer coefficient lists
-    over the lcm dens[j] of its denominators, with its degree and leading
-    row. The leading rows are those of the leading column-coefficient matrix,
-    each column times a positive integer, which keeps its rank."""
-    pairs = [_over_lcm(P.col(j)) for j in range(P.n)]
-    cols = [col for col, _ in pairs]
-    leads = [_lead(col) for col in cols]
-    return cols, [den for _, den in pairs], [d for d, _ in leads], [row for _, row in leads]
+    """(cols, dens): column j of P as integer coefficient lists over the lcm
+    dens[j] of its denominators."""
+    return _integer_lines(P.col(j) for j in range(P.n))
+
+
+def _leads(cols):
+    """(degs, leads): the degree and leading row (_lead) of each column. The
+    leading rows are those of the leading column-coefficient matrix, each
+    column times a positive integer, which keeps its rank."""
+    pairs = [_lead(col) for col in cols]
+    return [d for d, _ in pairs], [row for _, row in pairs]
 
 
 # -- column reduction ---------------------------------------------------------
@@ -608,25 +699,28 @@ class ColumnReduction:
     column_degrees: tuple
 
 
-def _reduce_columns(P: PolyMatrix):
-    """Wolovich column reduction on integer columns: (cols, dens, degs) of
-    the reduced matrix, as _integer_columns gives them.
+def _reduce_columns(cols, dens):
+    """Wolovich column reduction of the matrix whose column j is cols[j]
+    over dens[j], on integer columns: (cols, dens, degs) of the reduced
+    matrix. Each column is a list of integer coefficient lists without
+    trailing zeros.
 
     Repeatedly cancels leading-coefficient dependencies with monomial column
     replacements; ties break toward the rightmost reducible column. Every
     step is unimodular and lowers one column degree. A column proper matrix
-    has full column rank, so a rank-deficient P never reaches a full-rank
-    leading-coefficient matrix: its degree sum keeps falling until a column
-    is zero, which raises RankDeficient.
+    has full column rank, so a rank-deficient matrix never reaches a
+    full-rank leading-coefficient matrix: its degree sum keeps falling until
+    a column is zero, which raises RankDeficient.
     """
-    cols, dens, degs, leads = _integer_columns(P)
+    cols, dens, n = list(cols), list(dens), len(cols)
+    degs, leads = _leads(cols)
     while True:
         if -1 in degs:
             raise RankDeficient("column reduction requires full column rank")
-        c = _kernel_vector(list(zip(*leads)), P.n)
+        c = _kernel_vector(list(zip(*leads)), n)
         if c is None:
             return cols, dens, degs
-        support = [j for j in range(P.n) if c[j]]
+        support = [j for j in range(n) if c[j]]
         dmax = max(degs[j] for j in support)
         j0 = max(j for j in support if degs[j] == dmax)
         # sum_j c_j s^(dmax - degs[j]) cols[j] over the column denominators is
@@ -634,7 +728,7 @@ def _reduce_columns(P: PolyMatrix):
         # divided by the gcd of its numerators it is the unique primitive
         # positive multiple, as a content rescale would give
         sign = 1 if c[j0] > 0 else -1
-        new = [[0] * (dmax + 1) for _ in range(P.m)]
+        new = [[0] * (dmax + 1) for _ in cols[j0]]
         for j in support:
             w = sign * c[j]
             for acc, a in zip(new, cols[j]):
@@ -654,17 +748,13 @@ def column_reduce(P: PolyMatrix) -> ColumnReduction:
     """Wolovich column reduction of a full-column-rank matrix (see
     _reduce_columns); raises RankDeficient when P does not have full column
     rank."""
-    cols, dens, degs = _reduce_columns(P)
-    reduced = PolyMatrix(
-        [[_reduced(list(col[i]), den) for col, den in zip(cols, dens)] for i in range(P.m)],
-        n=P.n,
-    )
-    return ColumnReduction(reduced, tuple(degs))
+    cols, dens, degs = _reduce_columns(*_integer_columns(P))
+    return ColumnReduction(_column_matrix(cols, dens, P.m), tuple(degs))
 
 
 def is_column_proper(P: PolyMatrix) -> bool:
     """True when the highest-column-degree coefficient matrix has full rank."""
-    _, _, degs, leads = _integer_columns(P)
+    degs, leads = _leads(_integer_columns(P)[0])
     return -1 not in degs and _frac_rank(list(zip(*leads))) == min(P.m, P.n)
 
 

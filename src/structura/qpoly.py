@@ -40,6 +40,43 @@ def _reduced(nums: list, den: int) -> "Poly":
     return _make(tuple(nums), den)
 
 
+def _pdivmod(a, b):
+    """Pseudo-division of integer coefficient lists (Knuth, TAOCP vol. 2,
+    4.6.1): (quo, scale, rem) with scale * a = quo * b + rem, scale > 0 and
+    len(rem) < len(b), trailing zeros stripped. b is nonzero and a no
+    shorter than b. The remainder is rescaled only by the part of b's leading
+    coefficient that a step's leading term does not already hold, and never
+    when that coefficient is +-1."""
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    scale = 1
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if lb == 1 or lb == -1:
+            q = c * lb
+        else:
+            g = math.gcd(c, lb)
+            mult = abs(lb) // g
+            if mult != 1:
+                scale *= mult
+                for i in range(k + db):
+                    rem[i] *= mult
+                for i in range(k + 1, len(quo)):
+                    quo[i] *= mult
+            q = c // g if lb > 0 else -(c // g)
+        quo[k] = q
+        for j in range(db):
+            rem[k + j] -= q * b[j]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, scale, rem
+
+
 def _make(nums: tuple, den: int) -> "Poly":
     """Poly from numerators and denominator already in normal form."""
     p = object.__new__(Poly)
@@ -208,10 +245,8 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly"):
-        """Division over Q by pseudo-division over Z (Knuth, TAOCP vol. 2,
-        4.6.1): the remainder is rescaled only by the part of the divisor's
-        leading numerator that a step's leading term does not already hold,
-        and never when that numerator is +-1."""
+        """Division over Q by pseudo-division over Z (_pdivmod) by the
+        primitive part of the divisor's numerators."""
         b = other.numerators
         if not b:
             raise DivisionByZeroPoly("division by the zero polynomial")
@@ -222,31 +257,7 @@ class Poly:
         cb = math.gcd(*b)
         if cb != 1:
             b = [c // cb for c in b]
-        db = len(b) - 1
-        lb = b[-1]
-        rem = list(a)
-        quo = [0] * (len(a) - db)
-        scale = 1  # scale * a = quo * b + rem, all integer
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + db]
-            if not c:
-                continue
-            if lb == 1 or lb == -1:
-                q = c * lb
-            else:
-                g = math.gcd(c, lb)
-                mult = abs(lb) // g
-                if mult != 1:
-                    scale *= mult
-                    for i in range(k + db):
-                        rem[i] *= mult
-                    for i in range(k + 1, len(quo)):
-                        quo[i] *= mult
-                q = c // g if lb > 0 else -(c // g)
-            quo[k] = q
-            for j in range(db):
-                rem[k + j] -= q * b[j]
-        del rem[db:]
+        quo, scale, rem = _pdivmod(a, b)
         den = scale * self.denominator
         # self = (quo * b + rem) / den and other = cb * b / other.denominator
         return (_reduced([c * other.denominator for c in quo], den * cb),

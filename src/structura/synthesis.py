@@ -46,11 +46,13 @@ from .qpoly import (
 )
 from .polymat import (
     PolyMatrix,
+    _column_matrix,
+    _integer_lines,
     _left_inverse_columns,
+    _smith_core,
     is_column_proper,
     mobius_frame,
     scale_basis_mobius,
-    smith_form,
 )
 from .extract import RationalMatrix
 from .qpoly import RatFn
@@ -381,11 +383,12 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
                 # T = [[block, y], [0, atom^xr]] with y = U^-1 z is equivalent
                 # to diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]], the
                 # bordered matrix whose exponents were just read
-                sm = smith_form(block)
-                require(tuple(sm.diag) == tuple(atom ** b for b in beta),
+                diag, _, right = _smith_core(block, track=True)
+                require(diag == tuple(atom ** b for b in beta),
                         "completed block has the wrong invariant factors")
                 z = [ZERO if gv is None else atom ** gv for gv in prof]
-                Ui = _left_inverse_columns(block, sm.right, sm.diag)
+                Ui = _column_matrix(
+                    *_left_inverse_columns(_integer_lines(block.rows), right, diag), size)
                 y = Ui @ PolyMatrix([[e] for e in z], n=1)
                 rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
                 return PolyMatrix(rows + [[ZERO] * size + [atom ** xr]], n=r)

@@ -40,7 +40,10 @@ from structura.qpoly import (
 from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
-    _content_scale,
+    _column_matrix,
+    _find_pivot,
+    _integer_columns,
+    _integer_lines,
     _left_inverse_columns,
     det,
     invariant_factors,
@@ -240,6 +243,167 @@ def smith_partial_multiplicities(P: PolyMatrix, lam) -> tuple:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
     lin = Poly((-lam, 1))
     return tuple(atom_valuation(a, lin)[0] for a in diag)
+
+
+def _content_scale(polys) -> Fraction:
+    """Scale factor turning the coefficients into integers with gcd 1; 1 for
+    a zero or already primitive integer line.
+
+    Each Poly holds integer numerators whose content is coprime to its
+    denominator, so the gcd of all numerators and the lcm of all
+    denominators are those of the reduced coefficients.
+    """
+    num_gcd = 0
+    den_lcm = 1
+    for p in polys:
+        num_gcd = math.gcd(num_gcd, *p.numerators)
+        den_lcm = math.lcm(den_lcm, p.denominator)
+    if num_gcd in (0, den_lcm):
+        return Fraction(1)
+    return Fraction(den_lcm, num_gcd)
+
+
+def poly_ext_gcd(a: Poly, b: Poly):
+    """Monic g with x*a + y*b = g by the extended Euclidean algorithm in
+    Poly arithmetic, remainders kept monic: (g, x, y)."""
+    r0, r1 = a, b
+    s0, s1 = ONE, ZERO
+    t0, t1 = ZERO, ONE
+    while not r1.is_zero:
+        q, r2 = divmod(r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+        if not r1.is_zero and r1.lc != 1:
+            inv = 1 / r1.lc
+            r1, s1, t1 = r1.scale(inv), s1.scale(inv), t1.scale(inv)
+    if r0.lc != 1:
+        inv = 1 / r0.lc
+        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    return r0, s0, t0
+
+
+# Elimination steps of the Poly Smith oracle. Each is a row operation on the
+# working matrix W and, when X is not None, the same operation on the rows of
+# X, the transformer of the side being reduced. Column steps on a matrix are
+# these row steps on its transpose (Kailath 1980, Linear Systems, 6.3).
+
+
+def _transposed(rows) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+def _swap(W, X, a, b):
+    if a == b:
+        return
+    for M in (W, X) if X is not None else (W,):
+        M[a], M[b] = M[b], M[a]
+
+
+def _row_sub(W, X, i, t, q):
+    # row_i -= q * row_t
+    for M in (W, X) if X is not None else (W,):
+        dst = M[i]
+        for j, e in enumerate(M[t]):
+            if not e.is_zero:
+                dst[j] = dst[j] - q * e
+
+
+def _block(W, X, t, i, xx, yy, u, v):
+    # [row_t; row_i] <- [[xx, yy], [-v, u]] @ [row_t; row_i], det 1
+    for M in (W, X) if X is not None else (W,):
+        rt, ri = M[t], M[i]
+        for j, (a, b) in enumerate(zip(rt, ri)):
+            rt[j] = xx * a + yy * b
+            ri[j] = u * b - v * a
+
+
+def _scale(W, X, t, c: Fraction):
+    for M in (W, X) if X is not None else (W,):
+        M[t] = [e.scale(c) for e in M[t]]
+
+
+def _normalize(W, X, i):
+    c = _content_scale(W[i])
+    if c != 1:
+        _scale(W, X, i, c)
+
+
+def _clear_below(W, X, t):
+    """Clear column t of W below the pivot W[t][t] by row steps."""
+    for i in range(t + 1, len(W)):
+        b = W[i][t]
+        if b.is_zero:
+            continue
+        a = W[t][t]
+        q, rem = divmod(b, a)
+        if rem.is_zero:
+            _row_sub(W, X, i, t, q)
+        else:
+            g, xx, yy = poly_ext_gcd(a, b)
+            _block(W, X, t, i, xx, yy, a // g, b // g)
+            _normalize(W, X, t)
+        _normalize(W, X, i)
+
+
+def poly_smith_core(P: PolyMatrix, track: bool):
+    """Smith elimination with Poly entries: (diag, U, V) as lists of Poly
+    rows, or (diag, None, None) without track. The reference for
+    polymat._smith_core, which runs the same steps, pivots and rescales on
+    integer rows.
+
+    Every step is a row operation followed by a rescale of the row to
+    primitive integer form (_content_scale). The column half of each pivot
+    step runs on the transpose of the working matrix, where V acts as the
+    left transformer V^T; it is kept transposed and turned back at the end.
+    """
+    m, n = P.m, P.n
+    U, Vt = ([list(r) for r in PolyMatrix.identity(k).rows] if track else None
+             for k in (m, n))
+    W = [list(row) for row in P.rows]
+    t = 0
+    if m and n:  # zip(*W) of a 0 x n matrix has no rows, not n empty ones
+        for i in range(m):
+            _normalize(W, U, i)
+        W = _transposed(W)
+        for j in range(n):
+            _normalize(W, Vt, j)
+        W = _transposed(W)
+    while t < min(m, n):
+        piv = _find_pivot(W, t, m, n)
+        if piv is None:
+            break
+        _swap(W, U, t, piv[1])
+        W = _transposed(W)
+        _swap(W, Vt, t, piv[2])
+        W = _transposed(W)
+        while True:
+            _clear_below(W, U, t)
+            W = _transposed(W)
+            _clear_below(W, Vt, t)
+            W = _transposed(W)
+            if any(not W[i][t].is_zero for i in range(t + 1, m)):
+                continue
+            a = W[t][t]
+            bad = next((i for i in range(t + 1, m)
+                        if any(not (e % a).is_zero for e in W[i][t + 1:])), None)
+            if bad is None:
+                break
+            _row_sub(W, U, t, bad, Poly.constant(-1))
+            _normalize(W, U, t)
+        lc = W[t][t].lc
+        if lc != 1:
+            _scale(W, U, t, 1 / lc)
+        t += 1
+    diag = tuple(W[i][i] for i in range(t))
+    return diag, U, _transposed(Vt) if track else None
+
+
+def left_inverse_matrix(A: PolyMatrix, right: PolyMatrix, diag) -> PolyMatrix:
+    """polymat._left_inverse_columns on PolyMatrix arguments: the first
+    len(diag) columns of left^-1 for left @ A @ right = D, as a PolyMatrix."""
+    cols = _left_inverse_columns(_integer_lines(A.rows), _integer_columns(right), diag)
+    return _column_matrix(*cols, A.m)
 
 
 def _leading_coefficient_rows(cols, degs) -> list:
@@ -642,7 +806,7 @@ def _smith_checked_atom_triangular(x, m, atom, budget):
                 sm = smith_form(block)
                 require(tuple(sm.diag) == tuple(atom ** b for b in beta),
                         "completed block has the wrong invariant factors")
-                Ui = _left_inverse_columns(block, sm.right, sm.diag)
+                Ui = left_inverse_matrix(block, sm.right, sm.diag)
                 y = Ui @ PolyMatrix([[e] for e in z], n=1)
                 rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
                 return PolyMatrix(rows + [corner], n=r)

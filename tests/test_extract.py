@@ -17,7 +17,7 @@ from structura.errors import (
     ZeroMatrix,
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
-from structura.polymat import PolyMatrix, is_minimal_basis, rank, reversal
+from structura.polymat import PolyMatrix, _integer_columns, is_minimal_basis, rank, reversal
 from structura.extract import (
     PolyStructuralData,
     RationalMatrix,
@@ -354,9 +354,9 @@ class TestNormalizeBasis:
             want = poly_normalize_basis(B)
         except RankDeficient:
             with pytest.raises(RankDeficient):
-                _normalize_basis(B)
+                _normalize_basis(*_integer_columns(B), B.m)
             return
-        assert _normalize_basis(B) == want
+        assert _normalize_basis(*_integer_columns(B), B.m) == want
 
 
 class TestRationalLayer:

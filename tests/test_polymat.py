@@ -22,8 +22,9 @@ from structura.polymat import (
     PolyMatrix,
     _frac_rank,
     _frac_rref,
+    _ext_gcd,
     _kernel_vector,
-    _left_inverse_columns,
+    _smith_core,
     column_reduce,
     det,
     invariant_factors,
@@ -41,8 +42,11 @@ from conftest import (
     fraction_rref,
     gcd_minors_oracle,
     is_unimodular,
+    left_inverse_matrix,
     max_minor_degree,
     poly_column_reduce,
+    poly_ext_gcd,
+    poly_smith_core,
     random_low_rank_matrix,
     random_matrix,
     random_rational_matrix,
@@ -65,9 +69,9 @@ def check_smith(P):
         return PolyMatrix.identity(k).submatrix(range(k), range(sm.rank))
 
     # the derived leading columns of left^-1 and right^-T are inverse columns
-    assert sm.left @ _left_inverse_columns(P, sm.right, sm.diag) == (
+    assert sm.left @ left_inverse_matrix(P, sm.right, sm.diag) == (
         first_columns_of_identity(P.m))
-    assert sm.right.transpose() @ _left_inverse_columns(
+    assert sm.right.transpose() @ left_inverse_matrix(
         P.transpose(), sm.left.transpose(), sm.diag) == first_columns_of_identity(P.n)
     for i in range(sm.rank - 1):
         assert (sm.diag[i + 1] % sm.diag[i]).is_zero
@@ -164,6 +168,98 @@ class TestSmith:
                 assert prod == gcd_minors_oracle(P, k)
 
 
+@hst.composite
+def smith_inputs(draw):
+    """0-5 x 0-5 matrices of degree <= 2 with coefficients a/b, |a| <= 3 and
+    b <= 3, in one of three kinds: dense; low rank, every row after the
+    first k a combination of those k with polynomial weights (a weight of 1
+    and zeros elsewhere repeats a row); or with zero rows and columns."""
+    m, n = draw(hst.integers(0, 5)), draw(hst.integers(0, 5))
+    coeff = hst.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entry = hst.lists(coeff, max_size=3).map(Poly)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    kind = draw(hst.sampled_from(["dense", "low-rank", "zeros"]))
+    if kind == "low-rank" and m > 1:
+        k = draw(hst.integers(1, m - 1))
+        weight = hst.one_of(hst.just(ONE), hst.just(ZERO), entry)
+        for i in range(k, m):
+            ws = [draw(weight) for _ in range(k)]
+            rows[i] = [sum((w * rows[r][j] for r, w in enumerate(ws)), ZERO)
+                       for j in range(n)]
+    if kind == "zeros":
+        for i in draw(hst.sets(hst.integers(0, max(m - 1, 0)), max_size=m)):
+            rows[i] = [ZERO] * n
+        for j in draw(hst.sets(hst.integers(0, max(n - 1, 0)), max_size=n)):
+            for row in rows:
+                row[j] = ZERO
+    return PolyMatrix(rows, n=n)
+
+
+def poly_rows(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+class TestIntegerSmithCore:
+    """_smith_core on integer rows against the Poly elimination it replaced
+    (conftest.poly_smith_core): the same steps, so the same (diag, U, V)."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(smith_inputs(), hst.booleans())
+    def test_matches_poly_oracle(self, P, track):
+        diag, U, V = poly_smith_core(P, track)
+        assert invariant_factors(P) == diag
+        if not track:
+            assert U is None and V is None and _smith_core(P, track=False)[1:] == (None, None)
+            return
+        sm = smith_form(P)
+        assert sm.diag == diag
+        assert (sm.left.rows, sm.right.rows) == (poly_rows(U), poly_rows(V))
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, m, n):
+        P = PolyMatrix.zeros(m, n)
+        sm = smith_form(P)
+        assert sm.diag == () and sm.left == PolyMatrix.identity(m)
+        assert sm.right == PolyMatrix.identity(n)
+        assert poly_smith_core(P, True) == ((), [list(r) for r in sm.left.rows],
+                                            [list(r) for r in sm.right.rows])
+
+    def test_zero_row_keeps_its_transformer_scale(self):
+        # the second row of W becomes zero and is not rescaled, so its row of
+        # V^T is divided by the step's multiplier, not by a content
+        P = M([[3, 0, -1], [-1, 1, -2 * S]])
+        sm = check_smith(P)
+        third = Fraction(1, 3)
+        assert sm.right.col(2) == (Poly([third]), Poly([third, 2]), ONE)
+        assert (sm.left.rows, sm.right.rows) == tuple(map(poly_rows, poly_smith_core(P, True)[1:]))
+
+    @pytest.mark.parametrize("rows, left, right", [
+        # Bezout coefficients -1/2 and 1/2, and the second row becomes zero
+        ([[S], [S + Poly([2])]], [[Poly([Fraction(-1, 2)]), Poly([Fraction(1, 2)])],
+                                  [Poly([-2, -1]), S]], [[ONE]]),
+        ([[2 * S, S + ONE], [S + Poly([3]), 0]],
+         [[Poly([Fraction(-1, 6)]), Poly([Fraction(1, 3)])], [Poly([3, 1]), Poly([0, -2])]],
+         [[ONE, Poly([Fraction(1, 6), Fraction(1, 6)])], [ZERO, ONE]]),
+    ])
+    def test_rational_bezout_coefficients(self, rows, left, right):
+        P = M(rows)
+        sm = check_smith(P)
+        assert (sm.left.rows, sm.right.rows) == (poly_rows(left), poly_rows(right))
+        assert (sm.left.rows, sm.right.rows) == tuple(map(poly_rows, poly_smith_core(P, True)[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.integers(-6, 6), min_size=1, max_size=5),
+           hst.lists(hst.integers(-6, 6), min_size=1, max_size=5))
+    def test_ext_gcd_matches_poly_oracle(self, a, b):
+        A, B = Poly(a), Poly(b)
+        assume(not A.is_zero and not B.is_zero and not (B % A).is_zero)
+        (x, y, d), (w, u, e) = _ext_gcd(list(A.numerators), list(B.numerators))
+        g, xx, yy = poly_ext_gcd(A, B)
+        assert d > 0 and e > 0
+        assert (Poly(x).scale(Fraction(1, d)), Poly(y).scale(Fraction(1, d))) == (xx, yy)
+        assert (Poly(u).scale(Fraction(1, e)), Poly(w).scale(Fraction(-1, e))) == (A // g, B // g)
+
+
 class TestLeftInverseColumns:
     def test_matches_product_divided_by_invariant_factors(self):
         # rational coefficients: column j of P @ right, divided exactly by
@@ -184,12 +280,12 @@ class TestLeftInverseColumns:
                         assert r.is_zero
                         row.append(q)
                     want.append(row)
-                assert _left_inverse_columns(A, right, sm.diag) == PolyMatrix(want, n=sm.rank)
+                assert left_inverse_matrix(A, right, sm.diag) == PolyMatrix(want, n=sm.rank)
 
     def test_inexact_division_raises(self):
         # a checked identity, not an assert: it also fires under python -O
         with pytest.raises(InternalInvariantError, match="not divisible"):
-            _left_inverse_columns(M([[1, S]]), PolyMatrix.identity(2), (S,))
+            left_inverse_matrix(M([[1, S]]), PolyMatrix.identity(2), (S,))
 
 
 class TestInvariantFactors:
