@@ -7,7 +7,6 @@ The index-sum and dual-sum identities are checked on every extraction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields
 
 from .errors import ShapeMismatch, ZeroMatrix, require
@@ -20,7 +19,7 @@ from .polymat import (
     _integer_lines,
     _over_lcm,
     _left_inverse_columns,
-    _reduce_columns,
+    _popov,
     _smith_core,
     rank,
 )
@@ -167,29 +166,22 @@ def inf_structure(P: PolyMatrix):
 
 
 def _normalize_basis(cols, dens, m: int) -> tuple:
-    """Column-reduce, scale leading vectors to a 1 pivot, sort columns, for
-    the m-row basis whose column j is cols[j] over dens[j] (integer
-    coefficient lists, as _reduce_columns takes them).
-
-    Returns (basis, indices descending). Normalization makes golden tests
-    deterministic; spans and degrees are what the theory pins down. The
-    leading vector's pivot is the first entry of top degree; columns are
-    sorted by degree (descending), then by their first nonzero row, and only
-    columns that tie on both are ordered by their coefficients.
-    """
+    """(basis, indices descending): the column Popov form of the m-row basis
+    whose column j is cols[j] over dens[j], as _popov takes them. Each pivot
+    (the last entry of top degree in its column) is monic and of higher
+    degree than the other entries of its row, and the columns run by degree
+    descending, then by pivot row. The form is unique per module (Kailath 1980, 6.7;
+    Beckermann-Labahn-Villard 2006), so every basis of one module prints the
+    same; that of a unimodular basis is I."""
     if not cols:
         return PolyMatrix.zeros(m, 0), ()
-    cols, _, degs = _reduce_columns(cols, dens)
+    cols, leads = _popov(cols, dens)
     out = []
-    for col, d in zip(cols, degs):
-        lead = next(a[d] for a in col if len(a) > d)
+    for col, (d, p) in zip(cols, leads):
+        lead = col[p][d]
         sign = 1 if lead > 0 else -1
-        col = [_reduced([sign * x for x in a], sign * lead) for a in col]
-        pivot = next(i for i, e in enumerate(col) if not e.is_zero)
-        out.append((-d, pivot, col))
-    ties = Counter(t[:2] for t in out)
-    out.sort(key=lambda t: t[:2] if ties[t[:2]] == 1
-             else t[:2] + (tuple(e.coeffs for e in t[2]),))
+        out.append((-d, p, [_reduced([sign * x for x in a], sign * lead) for a in col]))
+    out.sort(key=lambda t: t[:2])
     basis = PolyMatrix([[t[2][i] for t in out] for i in range(m)], n=len(out))
     return basis, tuple(-t[0] for t in out)
 
@@ -201,8 +193,11 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     gives P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases
     are the first rank columns of U^-1 and of V^-T, obtained from these
     products by exact division; the null bases are the trailing columns of V
-    and the trailing rows of U. All four reach _normalize_basis as the
-    integer columns that _smith_core and _left_inverse_columns return.
+    and the trailing rows of U. Each basis printed is the column Popov form
+    of its module (_normalize_basis), read from the integer columns that
+    _smith_core and _left_inverse_columns return. A span of full rank is all
+    of Q[s]^m or Q[s]^n, whose Popov form is I with indices all 0, so that
+    span takes I without _left_inverse_columns.
     """
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
@@ -210,9 +205,10 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     r = len(diag)
     d, f, q = _inf_structure(P, r)
 
-    col_basis, k_idx = _normalize_basis(
+    full = (PolyMatrix.identity(r), (0,) * r)  # the Popov form of a full-rank span
+    col_basis, k_idx = full if r == P.m else _normalize_basis(
         *_left_inverse_columns(_integer_lines(P.rows), (Vt, Vd), diag), P.m)
-    row_basis, l_idx = _normalize_basis(
+    row_basis, l_idx = full if r == P.n else _normalize_basis(
         *_left_inverse_columns(_integer_columns(P), (U, Ud), diag), P.n)
     rnull_basis, d_idx = _normalize_basis(Vt[r:], Vd[r:], P.n)
     lnull_basis, v_idx = _normalize_basis(U[r:], Ud[r:], P.m)

@@ -1,5 +1,5 @@
 """Polynomial-matrix kernel: determinant, rank, Smith form (with or without
-transformers), column reduction, reversal, Mobius frames, and the
+transformers), weak Popov and Popov forms, reversal, Mobius frames, and the
 minimal-basis test.
 
 The rank is read from values of the matrix at distinct rationals, with no
@@ -645,30 +645,6 @@ def _frac_rank(rows) -> int:
     return len(_frac_rref(rows)[1])
 
 
-def _kernel_vector(rows, n: int):
-    """The kernel vector of the last free column of an integer matrix with n
-    columns, times the lcm L of the pivot entries: L in the free column,
-    -M[r][free] * L / M[r][pc] in pivot column pc, zero elsewhere; None when
-    every column has a pivot."""
-    M, pivots = _frac_rref(rows)
-    free = next((c for c in reversed(range(n)) if c not in pivots), None)
-    if free is None:
-        return None
-    L = math.lcm(*(M[r][pc] for r, pc in enumerate(pivots)))
-    v = [0] * n
-    v[free] = L
-    for r, pc in enumerate(pivots):
-        v[pc] = -M[r][free] * (L // M[r][pc])
-    return v
-
-
-def _lead(col):
-    """(degree, leading row) of a column of integer coefficient lists without
-    trailing zeros; the degree of a zero column is -1, and its row None."""
-    d = max(map(len, col), default=0) - 1
-    return d, ([a[d] if len(a) > d else 0 for a in col] if d >= 0 else None)
-
-
 def _integer_lines(lines):
     """(numerator lists, dens): each line of Polys over the lcm of its
     denominators, as _over_lcm gives it."""
@@ -682,15 +658,7 @@ def _integer_columns(P: PolyMatrix):
     return _integer_lines(P.col(j) for j in range(P.n))
 
 
-def _leads(cols):
-    """(degs, leads): the degree and leading row (_lead) of each column. The
-    leading rows are those of the leading column-coefficient matrix, each
-    column times a positive integer, which keeps its rank."""
-    pairs = [_lead(col) for col in cols]
-    return [d for d, _ in pairs], [row for _, row in pairs]
-
-
-# -- column reduction ---------------------------------------------------------
+# -- column reduction: weak Popov form ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -699,63 +667,97 @@ class ColumnReduction:
     column_degrees: tuple
 
 
-def _reduce_columns(cols, dens):
-    """Wolovich column reduction of the matrix whose column j is cols[j]
-    over dens[j], on integer columns: (cols, dens, degs) of the reduced
-    matrix. Each column is a list of integer coefficient lists without
-    trailing zeros.
+def _pivot(col):
+    """(degree, pivot row) of a column of integer coefficient lists without
+    trailing zeros, the pivot being its last row of top degree; (-1, None)
+    for a zero column."""
+    lens = [len(a) for a in col]
+    top = max(lens, default=0)
+    return (top - 1, len(lens) - 1 - lens[::-1].index(top)) if top else (-1, None)
 
-    Repeatedly cancels leading-coefficient dependencies with monomial column
-    replacements; ties break toward the rightmost reducible column. Every
-    step is unimodular and lowers one column degree. A column proper matrix
-    has full column rank, so a rank-deficient matrix never reaches a
-    full-rank leading-coefficient matrix: its degree sum keeps falling until
-    a column is zero, which raises RankDeficient.
+
+def _cancel(col, other, i: int, e: int, d: int):
+    """The simple transformation a * col - b * s^(e - d) * other, made
+    primitive, which cancels the s^e term in row i of col against the s^d
+    term there of other: a and b are those two coefficients over their gcd,
+    with a > 0."""
+    x, y = col[i][e], other[i][d]
+    g = math.gcd(x, y)
+    a, b = (y // g, x // g) if y > 0 else (-y // g, -x // g)
+    shifted = [0] * (e - d) + [-b]
+    new = [_comb([a], u, shifted, v) for u, v in zip(col, other)]
+    return _divided(new, _content(new))
+
+
+def _weak_popov(cols, dens):
+    """Weak Popov form of the matrix whose column j is cols[j] over dens[j]:
+    (cols, dens, leads), leads[j] the (degree, pivot row) of column j, with
+    distinct pivot rows (Mulders-Storjohann 2003).
+
+    While two columns share a pivot row, the one with the larger (degree,
+    index) is replaced by _cancel against the other, a unimodular step that
+    lowers its degree or moves its pivot up; a replaced column is primitive
+    over denominator 1. Distinct pivot rows give a full-rank leading
+    coefficient matrix, which a rank-deficient matrix never reaches: a column
+    becomes zero instead, which raises RankDeficient.
     """
-    cols, dens, n = list(cols), list(dens), len(cols)
-    degs, leads = _leads(cols)
-    while True:
-        if -1 in degs:
+    cols, dens = list(cols), list(dens)
+    leads = [_pivot(col) for col in cols]
+    owner, todo = {}, list(range(len(cols)))
+    while todo:
+        j = todo.pop()
+        d, p = leads[j]
+        if p is None:
             raise RankDeficient("column reduction requires full column rank")
-        c = _kernel_vector(list(zip(*leads)), n)
-        if c is None:
-            return cols, dens, degs
-        support = [j for j in range(n) if c[j]]
-        dmax = max(degs[j] for j in support)
-        j0 = max(j for j in support if degs[j] == dmax)
-        # sum_j c_j s^(dmax - degs[j]) cols[j] over the column denominators is
-        # a positive multiple of the rational combination with c_j0 = 1;
-        # divided by the gcd of its numerators it is the unique primitive
-        # positive multiple, as a content rescale would give
-        sign = 1 if c[j0] > 0 else -1
-        new = [[0] * (dmax + 1) for _ in cols[j0]]
-        for j in support:
-            w = sign * c[j]
-            for acc, a in zip(new, cols[j]):
-                for t, x in enumerate(a, dmax - degs[j]):
-                    acc[t] += w * x
-        # a zero combination (gcd 0) is a zero column and raises on the next pass
-        g = math.gcd(*(x for acc in new for x in acc))
-        for acc in new:
-            while acc and not acc[-1]:
-                acc.pop()
-        cols[j0] = [[x // g for x in acc] for acc in new] if g > 1 else new
-        dens[j0] = 1
-        degs[j0], leads[j0] = _lead(cols[j0])
+        k = owner.setdefault(p, j)
+        if k == j:
+            continue
+        if (leads[k][0], k) > (d, j):
+            owner[p], j, k = j, k, j
+        cols[j] = _cancel(cols[j], cols[k], p, leads[j][0], leads[k][0])
+        dens[j], leads[j] = 1, _pivot(cols[j])
+        todo.append(j)
+    return cols, dens, leads
+
+
+def _popov(cols, dens):
+    """(cols, leads) as _weak_popov gives them, in column Popov form up to
+    the order and scale of the columns: from the weak Popov form, each column
+    cancels by _cancel every term of degree >= d_j in the pivot row of each
+    other column j, largest (degree, row) first. That brings in terms of
+    lower (degree, row) only and changes no leading term, so one pass per
+    column leaves every entry beside a pivot of lower degree."""
+    cols, _, leads = _weak_popov(cols, dens)
+    owner = {p: (d, j) for j, (d, p) in enumerate(leads)}
+    for k, col in enumerate(cols):
+        while True:
+            e, i = max(((len(col[i]) - 1, i) for i, (d, j) in owner.items()
+                        if j != k and len(col[i]) > d), default=(-1, None))
+            if i is None:
+                break
+            d, j = owner[i]
+            col = _cancel(col, cols[j], i, e, d)
+        cols[k] = col
+    return cols, leads
 
 
 def column_reduce(P: PolyMatrix) -> ColumnReduction:
-    """Wolovich column reduction of a full-column-rank matrix (see
-    _reduce_columns); raises RankDeficient when P does not have full column
-    rank."""
-    cols, dens, degs = _reduce_columns(*_integer_columns(P))
-    return ColumnReduction(_column_matrix(cols, dens, P.m), tuple(degs))
+    """Column reduction of a full-column-rank matrix to a weak Popov form
+    (see _weak_popov), which is column reduced; raises RankDeficient when P
+    does not have full column rank."""
+    cols, dens, leads = _weak_popov(*_integer_columns(P))
+    return ColumnReduction(_column_matrix(cols, dens, P.m), tuple(d for d, _ in leads))
 
 
 def is_column_proper(P: PolyMatrix) -> bool:
     """True when the highest-column-degree coefficient matrix has full rank."""
-    degs, leads = _leads(_integer_columns(P)[0])
-    return -1 not in degs and _frac_rank(list(zip(*leads))) == min(P.m, P.n)
+    cols = _integer_columns(P)[0]
+    degs = [max(map(len, col), default=0) - 1 for col in cols]
+    if -1 in degs:
+        return False
+    # each row of the leading coefficient matrix times a positive integer
+    leads = [[a[d] if len(a) > d else 0 for a, d in zip(row, degs)] for row in zip(*cols)]
+    return _frac_rank(leads) == min(P.m, P.n)
 
 
 def is_minimal_basis(K: PolyMatrix):

@@ -422,7 +422,8 @@ def _leading_coefficient_rows(cols, degs) -> list:
 def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
     """Wolovich column reduction with each replacement column built in Poly
     arithmetic (monomial times column, summed) and rescaled by _content_scale:
-    the reference for column_reduce's integer column update."""
+    another reduced basis of the span that column_reduce reduces, with the
+    same column degrees."""
     if P.n == 0:
         return ColumnReduction(P, ())
     cols = [list(P.col(j)) for j in range(P.n)]
@@ -452,7 +453,8 @@ def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
 
 def poly_normalize_basis(B: PolyMatrix) -> tuple:
     """Column-reduce, scale leading vectors to a 1 pivot, sort columns, all in
-    Poly and Fraction arithmetic: the reference for extract._normalize_basis.
+    Poly and Fraction arithmetic: the reference for the degrees of
+    extract._normalize_basis, whose Popov form is another basis of the span.
 
     Returns (basis, indices descending). The leading vector of a column is
     scaled by the leading coefficient of its first entry of top degree, and

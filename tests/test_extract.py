@@ -17,7 +17,16 @@ from structura.errors import (
     ZeroMatrix,
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
-from structura.polymat import PolyMatrix, _integer_columns, is_minimal_basis, rank, reversal
+from structura.polymat import (
+    PolyMatrix,
+    _integer_columns,
+    _integer_lines,
+    _left_inverse_columns,
+    _smith_core,
+    is_minimal_basis,
+    rank,
+    reversal,
+)
 from structura.extract import (
     PolyStructuralData,
     RationalMatrix,
@@ -40,6 +49,7 @@ from conftest import (
     random_feasible_poly_prescription,
     random_low_rank_matrix,
     random_matrix,
+    random_rational_matrix,
     random_split_monic,
     random_unimodular,
     rationalize_prescription,
@@ -252,22 +262,28 @@ class TestExtractPoly:
     @pytest.mark.parametrize(
         "P, alpha, bases",
         [
-            (  # 3x4 of rank 2: the third row is the sum of the first two
+            (  # 3x4 of rank 2: the third row is the sum of the first two.
+               # Checked by hand: the column space is {v : v3 = v1 + v2}, whose
+               # constant basis with monic pivots in the last nonzero rows
+               # 1 and 2 and zeros beside them is (-1, 1, 0), (1, 0, 1); the
+               # right null columns (s, 0, -1, 0) and (-1, s, 0, 1) solve
+               # P x = 0, have monic pivots s in rows 0 and 1, and the -1
+               # beside the first pivot is of lower degree
                 M([[S, 1, S * S, 0], [1, 0, S, 1], [S + ONE, 1, S * S + S, 1]]),
                 (ONE, ONE),
                 (
-                    ((0, 0), M([[1, 0], [0, 1], [1, 1]])),
+                    ((0, 0), M([[-1, 1], [1, 0], [0, 1]])),
                     ((1, 1), M([[1, 0], [0, -1], [S, 0], [1, S]])),
-                    ((1, 1), M([[-1, S], [S, 0], [0, -1], [1, 0]])),
-                    ((0,), M([[1], [1], [-1]])),
+                    ((1, 1), M([[S, -1], [0, S], [-1, 0], [0, 1]])),
+                    ((0,), M([[-1], [-1], [1]])),
                 ),
             ),
             (  # full row rank, invariant factors (s, s)
                 M([[S, S * S, 0], [S, 0, S * S - S]]),
                 (S, S),
                 (
-                    ((0, 0), M([[1, 0], [1, 1]])),
-                    ((1, 1), M([[1, 0], [S, S], [0, ONE - S]])),
+                    ((0, 0), M([[1, 0], [0, 1]])),
+                    ((1, 1), M([[1, 1], [S, 0], [0, S - ONE]])),
                     ((2,), M([[S * S - S], [ONE - S], [-S]])),
                     ((), PolyMatrix.zeros(2, 0)),
                 ),
@@ -282,14 +298,15 @@ class TestExtractPoly:
                     ((1, 0), M([[S, 0], [-1, 0], [0, 1]])),
                 ),
             ),
-            (  # rational coefficients; both row-span columns have degree 1 and
-               # pivot row 0, so their coefficients order them
+            (  # rational coefficients; the two row-span columns of degree 1
+               # have their pivots in rows 0 and 2
                 M([[S * S, Fraction(1, 2), S], [S, 1, Poly([0, Fraction(2, 3)])]]),
                 (ONE, S),
                 (
-                    ((0, 0), M([[1, 0], [2, 1]])),
-                    ((1, 1), M([[Poly([Fraction(-1, 2), 1]), S], [0, 1],
-                                [Fraction(2, 3), Poly([0, Fraction(2, 3)])]])),
+                    ((0, 0), M([[1, 0], [0, 1]])),
+                    ((1, 1), M([[Poly([Fraction(-1, 2), 1]), Fraction(3, 4)],
+                                [0, Fraction(3, 2)],
+                                [Fraction(2, 3), Poly([-1, 1])]])),
                     ((2,), M([[1], [Poly([0, Fraction(-3, 2), 1])],
                               [Poly([Fraction(3, 4), Fraction(-3, 2)])]])),
                     ((), PolyMatrix.zeros(2, 0)),
@@ -344,19 +361,106 @@ def bases_to_normalize(draw):
     return B
 
 
+def assert_column_popov(B: PolyMatrix, indices):
+    """B is in column Popov form with column degrees indices: the pivot of
+    each column (its last entry of top degree) is monic and in a row of its
+    own, where every other entry has lower degree, and the columns run by
+    degree descending, then by pivot row."""
+    keys = []
+    for j in range(B.n):
+        col = B.col(j)
+        d = max(e.degree for e in col)
+        p = max(i for i, e in enumerate(col) if e.degree == d)
+        assert col[p].lc == 1
+        assert all(B.rows[p][k].degree < d for k in range(B.n) if k != j)
+        keys.append((-d, p))
+    assert len({p for _, p in keys}) == B.n
+    assert keys == sorted(keys)
+    assert tuple(-d for d, _ in keys) == indices
+
+
 class TestNormalizeBasis:
     @settings(max_examples=200, deadline=None)
     @given(bases_to_normalize())
     def test_matches_poly_oracle(self, B):
-        # the integer-column normalization against Poly and Fraction arithmetic;
-        # a rank-deficient basis raises in both
+        # a Popov form of the same span, with the degrees of the Wolovich
+        # reduction in Poly arithmetic (another reduced basis); a
+        # rank-deficient basis raises in both
         try:
-            want = poly_normalize_basis(B)
+            _, want = poly_normalize_basis(B)
         except RankDeficient:
             with pytest.raises(RankDeficient):
                 _normalize_basis(*_integer_columns(B), B.m)
             return
-        assert _normalize_basis(*_integer_columns(B), B.m) == want
+        basis, indices = _normalize_basis(*_integer_columns(B), B.m)
+        assert indices == want
+        assert_column_popov(basis, indices)
+        assert rank(PolyMatrix.hstack(B, basis)) == B.n
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases_to_normalize(), hst.integers(0, 2 ** 16))
+    def test_unchanged_by_a_unimodular_factor(self, B, seed):
+        # the Popov form is unique per module, whichever basis reaches it
+        BU = B @ random_unimodular(random.Random(seed), B.n, ops=4)
+        try:
+            want = _normalize_basis(*_integer_columns(B), B.m)
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                _normalize_basis(*_integer_columns(BU), B.m)
+            return
+        assert _normalize_basis(*_integer_columns(BU), B.m) == want
+
+
+def _canonical_cases(seed: int, count: int):
+    """(P, L, R): nonzero matrices up to 4x4, low-rank, dense or with
+    rational coefficients, with unimodular L and R of matching sizes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            P = random_low_rank_matrix(rng, m, n, rng.randint(1, min(m, n)))
+        elif kind == 1:
+            P = random_matrix(rng, m, n, 2)
+        else:
+            P = random_rational_matrix(rng, m, n, 2)
+        if not P.is_zero:
+            out.append((P, random_unimodular(rng, m, ops=4), random_unimodular(rng, n, ops=4)))
+    return out
+
+
+class TestCanonicalBases:
+    def test_right_factor_keeps_the_column_space_and_left_null_bases(self):
+        for P, _, R in _canonical_cases(1801, 30):
+            a, b = extract_poly_structure(P), extract_poly_structure(P @ R)
+            assert (a.colspan_indices, a.colspan_basis) == (b.colspan_indices, b.colspan_basis)
+            assert (a.left_indices, a.left_null_basis) == (b.left_indices, b.left_null_basis)
+
+    def test_left_factor_keeps_the_row_space_and_right_null_bases(self):
+        for P, L, _ in _canonical_cases(1802, 30):
+            a, b = extract_poly_structure(P), extract_poly_structure(L @ P)
+            assert (a.rowspan_indices, a.rowspan_basis) == (b.rowspan_indices, b.rowspan_basis)
+            assert (a.right_indices, a.right_null_basis) == (b.right_indices, b.right_null_basis)
+
+    def test_general_path_gives_the_identity_for_full_rank_spans(self):
+        # extraction takes I for a span of rank m or n; the Popov form of the
+        # left^-1 columns that it skips is exactly that
+        seen = [0, 0]
+        for P, _, _ in _canonical_cases(1803, 40):
+            diag, U, Vt = _smith_core(P, track=True)
+            r = len(diag)
+            if r == P.m:
+                got = _normalize_basis(
+                    *_left_inverse_columns(_integer_lines(P.rows), Vt, diag), P.m)
+                assert got == (PolyMatrix.identity(r), (0,) * r)
+                seen[0] += 1
+            if r == P.n:
+                got = _normalize_basis(
+                    *_left_inverse_columns(_integer_columns(P), U, diag), P.n)
+                assert got == (PolyMatrix.identity(r), (0,) * r)
+                seen[1] += 1
+        assert min(seen) >= 10
 
 
 class TestRationalLayer:

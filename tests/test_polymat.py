@@ -23,7 +23,6 @@ from structura.polymat import (
     _frac_rank,
     _frac_rref,
     _ext_gcd,
-    _kernel_vector,
     _smith_core,
     column_reduce,
     det,
@@ -38,7 +37,6 @@ from structura.polymat import (
 )
 from conftest import (
     cofactor_det,
-    fraction_kernel_vector,
     fraction_rref,
     gcd_minors_oracle,
     is_unimodular,
@@ -376,8 +374,7 @@ class TestIntegerGaussJordan:
     @given(rational_rows)
     def test_matches_rational_rref(self, rows):
         # each integer row is its pivot entry times the rational rref row,
-        # with the same pivots, and the kernel vector is a positive multiple
-        # of the rational one of the last free column
+        # with the same pivots
         int_rows = []
         for row in rows:
             den = math.lcm(*(x.denominator for x in row))
@@ -388,14 +385,6 @@ class TestIntegerGaussJordan:
         for r, pc in enumerate(pivots):
             assert [Fraction(x, M[r][pc]) for x in M[r]] == ref[r]
             assert math.gcd(*M[r]) == 1
-        n = len(rows[0]) if rows else 0
-        v, expected = _kernel_vector(int_rows, n), fraction_kernel_vector(rows, n)
-        if expected is None:
-            assert v is None and len(pivots) == n
-        else:
-            free = max(c for c in range(n) if c not in pivots)
-            assert v[free] > 0
-            assert [x * v[free] for x in expected] == v
 
 
 class TestRank:
@@ -488,14 +477,15 @@ class TestColumnReduce:
         import structura.polymat as polymat
 
         steps = []
-        kernel = polymat._kernel_vector
+        cancel = polymat._cancel
 
-        def counting(rows, n):
-            steps.append(rows)
-            return kernel(rows, n)
+        def counting(*args):
+            steps.append(args)
+            return cancel(*args)
 
-        monkeypatch.setattr(polymat, "_kernel_vector", counting)
-        # a 3x3 rank-2 product that reduces five times before a column vanishes
+        monkeypatch.setattr(polymat, "_cancel", counting)
+        # a 3x3 rank-2 product that takes five simple transformations before
+        # a column vanishes
         product = M([[1, 0], [S, 1], [S * S, S]]) @ M([[1, S, S * S + ONE], [0, 1, S]])
         for P in (
             M([[S, S], [S, S]]),
@@ -525,7 +515,8 @@ class TestColumnReduce:
 
     @staticmethod
     def assert_matches_poly_oracle(P):
-        # the integer column update gives exactly the Poly-arithmetic result
+        # the weak Popov form and the Wolovich reduction in Poly arithmetic
+        # reach different reduced bases of one span, with the same degrees
         try:
             want = poly_column_reduce(P)
         except RankDeficient:
@@ -533,12 +524,13 @@ class TestColumnReduce:
                 column_reduce(P)
             return
         got = column_reduce(P)
-        assert got.reduced == want.reduced
-        assert got.column_degrees == want.column_degrees
+        assert sorted(got.column_degrees) == sorted(want.column_degrees)
+        assert got.column_degrees == got.reduced.column_degrees()
+        assert rank(PolyMatrix.hstack(got.reduced, want.reduced)) == P.n
 
     def test_matches_poly_arithmetic_oracle(self):
         # rational coefficients, with a unimodular right factor raising the
-        # column degrees: about 110 replacement steps over the 80 matrices
+        # column degrees
         rng = random.Random(71)
         for _ in range(80):
             m = rng.randint(2, 4)
