@@ -49,10 +49,6 @@ class FieldNotSplit(StructuraError):
 
 
 # matrix kernel
-class KOutOfRange(StructuraError):
-    pass
-
-
 class RankDeficient(StructuraError):
     pass
 

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, _quoted, require
-from .qpoly import FactoredPoly, Poly, RatFn, _reduced
+from .qpoly import FactoredPoly, Poly, RatFn, _reduced, split_over_rationals
 from .polymat import PolyMatrix
 from .extract import (
     PolyStructuralData,
@@ -235,8 +235,6 @@ def _rational_eigenvalues(polys) -> list:
     root of the chain. Cofactor content (irreducible over Q) stays inside
     the reported polynomials themselves.
     """
-    from .qpoly import split_over_rationals
-
     roots = set()
     for p in polys:
         if p.is_zero or p.is_constant:

@@ -18,7 +18,9 @@ from .polymat import PolyMatrix, det, rank
 
 
 def validate_index_tuple(Z: Sequence[int], r: int) -> tuple:
-    Z = tuple(int(z) for z in Z)
+    Z = tuple(Z)
+    if any(type(z) is not int for z in Z):
+        raise ParseError("indices must be integers")
     if not Z:
         raise ParseError("index tuple must be nonempty")
     if Z[0] < 1 or Z[-1] > r:

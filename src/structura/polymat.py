@@ -2,16 +2,20 @@
 transformers), weak Popov and Popov forms, reversal, Mobius frames, and the
 minimal-basis test.
 
-The rank is read from values of the matrix at distinct rationals, with no
-polynomial elimination; column_reduce detects rank deficiency by itself.
-The Smith elimination and column reduction run on integer coefficient
-lists: the working rows of the Smith core are primitive integer lines, and
-its transformers, like the columns that column reduction and basis
-normalization take, are integer lists over one denominator per line.
+Every elimination runs on integer coefficient lists, by row steps. The
+Smith core keeps primitive integer rows and runs the column half of each
+pivot step as the same row steps on the transposed working matrix; its
+transformers, like the columns that column reduction and basis
+normalization take, are integer lists over one denominator per line. det is
+a fraction-free elimination of the rows over their lcms. The rank is read
+from values of the matrix at distinct rationals by forward elimination over
+Q, with no polynomial elimination; column_reduce detects rank deficiency by
+itself.
 
-All operations are pure; matrices are immutable value objects. Pivoting rules
-are deterministic (minimal degree, then smallest (row, col) lexicographically)
-so identical inputs always produce identical transformers.
+All operations are pure; matrices are immutable value objects. det and the
+Smith core share one deterministic pivot rule, _find_pivot (the shortest
+nonzero entry, then the smallest (row, col)), so identical inputs always
+produce identical transformers.
 """
 
 from __future__ import annotations
@@ -198,59 +202,60 @@ class PolyMatrix(_DenseMatrix):
 # -- determinants, rank -----------------------------------------------------
 
 
-def _exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divmod(a, b)
-    require(r.is_zero, "fraction-free elimination produced a nonzero remainder")
-    return q
-
-
-def _find_pivot(S, t, m, n):
-    """(degree, row, col) of the minimal-degree nonzero entry in rows t..m-1
-    and columns t..n-1 of S, ties to the smallest (row, col); None when that
-    block is zero."""
+def _find_pivot(W, t, m, n):
+    """(length, row, col) of the shortest nonzero coefficient list in rows
+    t..m-1 and columns t..n-1 of W, ties to the smallest (row, col); None
+    when that block is zero. The pivot rule of _bareiss and _smith_core."""
     best = None
     for i in range(t, m):
         for j in range(t, n):
-            e = S[i][j]
-            if not e.is_zero and (best is None or e.degree < best[0]):
-                best = (e.degree, i, j)
+            e = W[i][j]
+            if e and (best is None or len(e) < best[0]):
+                best = (len(e), i, j)
     return best
 
 
-def _bareiss(rows) -> Poly:
-    """Determinant of a square matrix by fraction-free elimination with the
-    _find_pivot rule."""
-    M = [list(r) for r in rows]
+def _bareiss(M) -> list:
+    """Determinant of a square matrix M of integer coefficient lists, as one,
+    by fraction-free elimination in place with the _find_pivot rule. Each
+    update pivot * M[i][j] - M[i][k] * M[k][j] is divided exactly by the
+    previous pivot: by its primitive part, then by its content."""
     n = len(M)
-    denom = ONE
-    sign = 1
+    prev, sign = [1], 1
     for k in range(n):
         best = _find_pivot(M, k, n, n)
         if best is None:
-            return ZERO
+            return []
         _, pi, pj = best
-        if pi != k:
-            M[k], M[pi] = M[pi], M[k]
-            sign = -sign
-        if pj != k:
-            for row in M:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
+        M[k], M[pi] = M[pi], M[k]
+        for row in M:
+            row[k], row[pj] = row[pj], row[k]
+        sign *= (-1) ** ((pi != k) + (pj != k))
         piv = M[k][k]
+        c, pp = math.gcd(*prev), _primitive(prev)
         for i in range(k + 1, n):
+            f = [-x for x in M[i][k]]
             for j in range(k + 1, n):
-                M[i][j] = _exact_div(M[i][j] * piv - M[i][k] * M[k][j], denom)
-            M[i][k] = ZERO
-        denom = piv
+                e = _comb(piv, M[i][j], f, M[k][j])
+                if k:
+                    e = _exact_quotient(e, pp)
+                    require(e is not None and not any(x % c for x in e),
+                            "fraction-free elimination produced a nonzero remainder")
+                    e = [x // c for x in e]
+                M[i][j] = e
+            M[i][k] = []
+        prev = piv
     # the last pivot is the determinant up to the sign of the permutations
-    return denom if sign > 0 else -denom
+    return prev if sign > 0 else [-x for x in prev]
 
 
 def det(P: PolyMatrix) -> Poly:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination on the rows
+    of P over their lcms, divided by the product of those lcms."""
     if not P.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss(P.rows)
+    rows, dens = _integer_lines(P.rows)
+    return _reduced(_bareiss(rows), math.prod(dens))
 
 
 def rank(P: PolyMatrix) -> int:
@@ -375,29 +380,19 @@ def _ext_gcd(a, b):
             ([-lc * c for c in v], [lc * c for c in u], c0))
 
 
-def _line(W, i, by_cols):
-    return [row[i] for row in W] if by_cols else W[i]
-
-
-def _put(W, X, by_cols, i, new):
-    w, x = new
-    if by_cols:
-        for row, e in zip(W, w):
-            row[i] = e
-    else:
-        W[i] = w
+def _put(W, X, i, new):
+    W[i], x = new
     if X is not None:
         X[0][i], X[1][i] = x
 
 
-def _combined(W, X, by_cols, t, i, p, q, den):
-    """(p * line t + q * line i) / den of W (its rows, or its columns when
-    by_cols is set), rescaled to primitive integer form, and the same step on
-    rows t and i of the transformer X. The content G of p * line t + q *
-    line i is den times that rescale, so the transformer row is divided by
-    G; a line that comes out zero is not rescaled, and its row is divided by
-    den."""
-    w = [_comb(p, a, q, b) for a, b in zip(_line(W, t, by_cols), _line(W, i, by_cols))]
+def _combined(W, X, t, i, p, q, den):
+    """(p * row t + q * row i) / den of W, rescaled to primitive integer
+    form, and the same step on rows t and i of the transformer X. The content
+    G of p * row t + q * row i is den times that rescale, so the transformer
+    row is divided by G; a row that comes out zero is not rescaled, and its
+    transformer row is divided by den."""
+    w = [_comb(p, a, q, b) for a, b in zip(W[t], W[i])]
     g = _content(w)
     w = _divided(w, g)
     if X is None:
@@ -415,40 +410,43 @@ def _combined(W, X, by_cols, t, i, p, q, den):
     return w, (_divided(x, g), d // g)
 
 
-def _clear(W, X, t, by_cols):
-    """Clear the pivot's column of W below W[t][t] by row steps, or its row
-    right of W[t][t] by column steps when by_cols is set.
+def _clear(W, X, t):
+    """Clear the pivot's column of W below W[t][t] by row steps.
 
     An entry b that the pivot a divides is cleared by subtracting b / a
-    times the pivot's line; any other by the Bezout block of (a, b), which
+    times the pivot's row; any other by the Bezout block of (a, b), which
     leaves a constant multiple of their gcd in the pivot.
     """
-    for i in range(t + 1, len(W[0]) if by_cols else len(W)):
-        b = W[t][i] if by_cols else W[i][t]
+    for i in range(t + 1, len(W)):
+        b = W[i][t]
         if not b:
             continue
         ca, ap = math.gcd(*W[t][t]), _primitive(W[t][t])
         quo = _exact_quotient(b, ap)
         if quo is not None:
-            # line_i - (quo / ca) line_t
-            _put(W, X, by_cols, i, _combined(W, X, by_cols, t, i, [-c for c in quo], [ca], ca))
+            # row_i - (quo / ca) row_t
+            _put(W, X, i, _combined(W, X, t, i, [-c for c in quo], [ca], ca))
         else:
             (x, y, d), (w, u, e) = _ext_gcd(W[t][t], b)
-            new_t = _combined(W, X, by_cols, t, i, x, y, d)
-            _put(W, X, by_cols, i, _combined(W, X, by_cols, t, i, w, u, e))
-            _put(W, X, by_cols, t, new_t)
+            new_t = _combined(W, X, t, i, x, y, d)
+            _put(W, X, i, _combined(W, X, t, i, w, u, e))
+            _put(W, X, t, new_t)
+
+
+def _transposed(W) -> list:
+    return [list(col) for col in zip(*W)]
 
 
 def _smith_core(P: PolyMatrix, track: bool):
     """Smith elimination over Q[s] on integer rows: (diag, U, V^T).
 
     W holds integer coefficient lists. Its rows, then its columns, are first
-    rescaled to primitive integer form, and every later row or column step
-    (_combined) rescales the line it changes the same way; a nonzero constant
-    is a unit of Q[s]. A line that becomes zero is not rescaled. The column
-    half of each pivot step runs on the columns of W by index, with V^T as
-    its transformer, so row j of V^T is column j of V. The pivot row of U is
-    divided by the pivot's leading coefficient, which may be negative; W
+    rescaled to primitive integer form, and every later step (_combined)
+    rescales the row it changes the same way; a nonzero constant is a unit
+    of Q[s]. A row that becomes zero is not rescaled. The column half of each
+    pivot step is the same row steps on the transpose of W, with V^T as
+    their transformer, so row j of V^T is column j of V. The pivot row of U
+    is divided by the pivot's leading coefficient, which may be negative; W
     keeps the integer pivot, since no later step reads that row.
 
     With track set, U and V^T are (numerator lists, dens), row i being
@@ -460,29 +458,19 @@ def _smith_core(P: PolyMatrix, track: bool):
     if track:
         U, Vt = (([[[1] if i == j else [] for j in range(k)] for i in range(k)], [1] * k)
                  for k in (m, n))
-    W = []
-    for i, row in enumerate(P.rows):
-        nums, den = _over_lcm(row)
-        g = _content(nums)
-        W.append(_divided(nums, g))
-        if track and g:
-            c = Fraction(den, g)
-            U[0][i][i], U[1][i] = [c.numerator], c.denominator
-    for j in range(n if m else 0):
-        g = _content(row[j] for row in W)
-        if g > 1:
-            for row in W:
-                row[j] = [c // g for c in row[j]]
-            if track:
-                Vt[1][j] = g
+    W, dens = _integer_lines(P.rows)
+    for X in (U, Vt):  # the rows of W, then those of W^T; X is the identity
+        for i, row in enumerate(W):
+            g = _content(row)
+            W[i] = _divided(row, g)
+            if X is not None and g:
+                c = Fraction(dens[i], g)
+                X[0][i][i], X[1][i] = [c.numerator], c.denominator
+        # W^T has no rows when m or n is 0, and then no pivot step is taken
+        W, dens = _transposed(W), [1] * n
     diag = []
     for t in range(min(m, n)):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = W[i][j]
-                if e and (piv is None or len(e) < piv[0]):
-                    piv = (len(e), i, j)
+        piv = _find_pivot(W, t, m, n)
         if piv is None:
             break
         _, pi, pj = piv
@@ -494,8 +482,10 @@ def _smith_core(P: PolyMatrix, track: bool):
                 for side in X:
                     side[t], side[k] = side[k], side[t]
         while True:
-            _clear(W, U, t, False)
-            _clear(W, Vt, t, True)
+            _clear(W, U, t)
+            W = _transposed(W)
+            _clear(W, Vt, t)
+            W = _transposed(W)
             if any(W[i][t] for i in range(t + 1, m)):
                 continue
             ap = _primitive(W[t][t])
@@ -503,7 +493,7 @@ def _smith_core(P: PolyMatrix, track: bool):
                         if any(_exact_quotient(e, ap) is None for e in W[i][t + 1:])), None)
             if bad is None:
                 break
-            _put(W, U, False, t, _combined(W, U, False, t, bad, [1], [1], 1))
+            _put(W, U, t, _combined(W, U, t, bad, [1], [1], 1))
         a = W[t][t]
         lc = a[-1]
         diag.append(_reduced([c if lc > 0 else -c for c in a], abs(lc)))
@@ -600,37 +590,25 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _frac_rref(rows):
-    """Gauss-Jordan elimination of an integer matrix over Q, run on integers.
-
-    Each row is made primitive, and every row update p * row_i - f * row_r
-    is divided by its gcd again. Returns (rows, pivot cols): row r is zero in
-    the other pivot columns and before pivots[r], so it is M[r][pivots[r]]
-    times row r of the reduced row echelon form over Q. The pivots are those
-    of elimination over Q, since each integer row is a nonzero multiple of
-    the rational row at every step.
-    """
+def _frac_rank(rows) -> int:
+    """Rank over Q of an integer matrix by forward elimination: each row is
+    made primitive, and each row below a pivot becomes p * row_i - f * row_r,
+    made primitive again, a nonzero multiple of the rational row."""
     M = [_primitive(row) for row in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots = []
     r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
         prow = M[r]
         p = prow[c]
-        for i in range(m):
+        for i in range(r + 1, len(M)):
             f = M[i][c]
-            if i != r and f:
+            if f:
                 M[i] = _primitive([p * x - f * y for x, y in zip(M[i], prow)])
-        pivots.append(c)
         r += 1
-        if r == m:
-            break
-    return M, pivots
+    return r
 
 
 def _over_lcm(polys):
@@ -639,10 +617,6 @@ def _over_lcm(polys):
     den = math.lcm(*(e.denominator for e in polys))
     return [e.numerators if e.denominator == den
             else [c * (den // e.denominator) for c in e.numerators] for e in polys], den
-
-
-def _frac_rank(rows) -> int:
-    return len(_frac_rref(rows)[1])
 
 
 def _integer_lines(lines):

@@ -99,6 +99,12 @@ class TestSelect:
             with pytest.raises(ParseError):
                 select_nonzero_minor(E, bad)
 
+    @pytest.mark.parametrize("bad", [[2.7], ["2"], [True, 2.0]])
+    def test_indices_that_are_not_plain_ints(self, bad):
+        # int() would read these as (2,), (2,) and (1, 2)
+        with pytest.raises(ParseError, match="integers"):
+            select_nonzero_minor(PolyMatrix.identity(3), bad)
+
     def test_worked_bounds_on_random_five_by_five(self):
         rng = random.Random(11)
         for _ in range(5):
