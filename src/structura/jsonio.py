@@ -24,6 +24,7 @@ from .feasibility import FeasibilityReport, Prescription
 
 
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTS = re.compile(r"(?:[+-]?[0-9]+(?:,[+-]?[0-9]+)*)?")
 
 
 def fraction_to_json(x: Fraction) -> str:
@@ -71,8 +72,18 @@ def poly_to_json(p: Poly) -> list:
 
 
 def poly_from_json(v) -> Poly:
+    """Integers over 1 from all JSON ints, or all strings whose comma-join is one
+    _INTS match that int() reads ("1,2" and "" are not); others per _scalar_pair."""
     if not isinstance(v, list):
         raise ParseError(f"polynomial must be a coefficient array, got {_quoted(v)}")
+    try:
+        if _INTS.fullmatch(",".join(v)):
+            return _reduced(list(map(int, v)), 1)
+    except TypeError:  # not all strings
+        if all(type(c) is int for c in v):
+            return _reduced(list(v), 1)
+    except ValueError:  # a comma inside a scalar, "", or more digits than int() reads
+        pass
     pairs = [_scalar_pair(c) for c in v]
     den = math.lcm(*(q for _, q in pairs))
     return _reduced([p * (den // q) for p, q in pairs], den)
@@ -139,27 +150,27 @@ def matrix_from_json(obj):
         raise ParseError(f"matrix shape must be positive, got m={m}, n={n}")
     if not isinstance(entries, list) or len(entries) != m * n:
         raise ParseError(f"expected {m * n} row-major entries")
-    rational = any(isinstance(e, dict) for e in entries)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            e = entries[i * n + j]
-            if rational:
-                if isinstance(e, dict):
-                    num = poly_from_json(e.get("num", []))
-                    den = poly_from_json(e.get("den", [1]))
-                else:
-                    num, den = poly_from_json(e), Poly([1])
-                if den.is_zero:
-                    raise ParseError("entry with zero denominator")
-                row.append(RatFn(num, den))
-            else:
-                row.append(poly_from_json(e))
-        rows.append(row)
-    if rational:
-        return RationalMatrix(rows, n=n)
-    return PolyMatrix(rows, n=n)
+    if any(isinstance(e, dict) for e in entries):
+        cls, read = RationalMatrix, _ratfn_from_json
+    else:
+        cls, read = PolyMatrix, poly_from_json
+    flat = list(map(read, entries))
+    return cls._of_rows(tuple(tuple(flat[k : k + n]) for k in range(0, m * n, n)), n)
+
+
+def _ratfn_from_json(e) -> RatFn:
+    """A polynomial or a {"num": [...], "den": [...]} entry, den [1] by default."""
+    if not isinstance(e, dict):
+        return RatFn(poly_from_json(e))
+    for key in e:
+        if key not in ("num", "den"):
+            raise ParseError(f"unknown rational entry key {_quoted(key)}")
+    if "num" not in e:
+        raise ParseError("rational entry needs num")
+    num, den = poly_from_json(e["num"]), poly_from_json(e.get("den", [1]))
+    if den.is_zero:
+        raise ParseError("entry with zero denominator")
+    return RatFn(num, den)
 
 
 def int_list(v, name: str) -> tuple:

@@ -59,6 +59,13 @@ class _DenseMatrix:
                     raise TypeError(f"entries must be {entry_type.__name__}")
         self.m, self.n, self.rows = m, n, rows
 
+    @classmethod
+    def _of_rows(cls, rows: tuple, n: int):
+        """The matrix on rows, length-n tuples of entry_type, unchecked."""
+        M = object.__new__(cls)
+        M.m, M.n, M.rows = len(rows), n, rows
+        return M
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

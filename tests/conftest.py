@@ -18,6 +18,7 @@ from structura.errors import (
     FieldNotSplit,
     LengthMismatch,
     MajorizationFails,
+    ParseError,
     PreconditionViolated,
     RankDeficient,
     SearchExhausted,
@@ -26,6 +27,7 @@ from structura.errors import (
     StructuraError,
     SumMismatch,
     ZeroMatrix,
+    _quoted,
     require,
 )
 from structura.qpoly import (
@@ -33,6 +35,7 @@ from structura.qpoly import (
     ONE,
     ZERO,
     Poly,
+    _reduced,
     atom_valuation,
     coprime_basis,
     divides,
@@ -60,6 +63,7 @@ from structura.extract import (
     spans_equal,
 )
 from structura.feasibility import Prescription, g_sequence, majorizes
+from structura.jsonio import _scalar_pair
 from structura.minors import (
     _dependency_chain,
     _select,
@@ -1125,3 +1129,18 @@ def per_member_distribute_invariant_factors(alpha, h):
         delta.append(p)
 
     return delta
+
+
+# -- JSON reading oracle --------------------------------------------------------
+
+
+def scalarwise_poly_from_json(v) -> Poly:
+    """poly_from_json with every array read scalar by scalar: one _scalar_pair
+    per coefficient, the numerators over the lcm of the denominators, then the
+    gcd reduction. The reference for the accept/reject decisions, values and
+    ParseError texts of the whole-array reader."""
+    if not isinstance(v, list):
+        raise ParseError(f"polynomial must be a coefficient array, got {_quoted(v)}")
+    pairs = [_scalar_pair(c) for c in v]
+    den = math.lcm(*(q for _, q in pairs))
+    return _reduced([p * (den // q) for p, q in pairs], den)

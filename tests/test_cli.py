@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from conftest import scalarwise_poly_from_json
+from structura import jsonio
 from structura.cli import main
 from structura.errors import ParseError, _quoted
 from structura.qpoly import ONE, X, Poly, RatFn
@@ -82,6 +84,36 @@ JSON_SCALARS = hst.one_of(
 )
 
 
+INTEGER_STRINGS = hst.builds(
+    lambda sign, zeros, digits: sign + zeros + digits,
+    hst.sampled_from(["", "+", "-"]),
+    hst.sampled_from(["", "0", "00"]),
+    hst.text("0123456789", min_size=1, max_size=12),
+)
+
+# an integer string broken by a separator, blank, sign or non-ASCII digit
+# spliced in anywhere
+SPLICED_STRINGS = hst.builds(
+    lambda text, at, junk: text[: at % (len(text) + 1)] + junk + text[at % (len(text) + 1) :],
+    INTEGER_STRINGS,
+    hst.integers(0, 14),
+    hst.sampled_from([",", ",,", " ", "_", ".", "e", "/", "/0", "+", "-", "\n", "\u0663"]),
+)
+MUTATED_SCALARS = hst.one_of(
+    SPLICED_STRINGS,
+    hst.sampled_from([True, False, None, 1.5, 2.0, [1], {"num": [1]}, "", ","]),
+)
+
+
+def read_outcome(read, v):
+    """(numerators, denominator) of read(v), or the text of its ParseError."""
+    try:
+        p = read(v)
+    except ParseError as exc:
+        return str(exc)
+    return p.numerators, p.denominator
+
+
 class TestJson:
     def test_fraction_codec(self):
         assert fraction_to_json(Fraction(3)) == "3"
@@ -125,6 +157,115 @@ class TestJson:
             fraction_from_json(scalar)
         with pytest.raises(ParseError):
             poly_from_json(["1", scalar])
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.one_of(
+        hst.lists(hst.integers(-(10**30), 10**30), max_size=6),
+        hst.lists(INTEGER_STRINGS, max_size=6),
+        hst.lists(hst.one_of(hst.integers(-99, 99), INTEGER_STRINGS), max_size=6),
+        hst.lists(JSON_SCALARS, max_size=6),
+        hst.lists(hst.one_of(INTEGER_STRINGS, SPLICED_STRINGS), min_size=1, max_size=6),
+        hst.lists(hst.one_of(INTEGER_STRINGS, JSON_SCALARS, MUTATED_SCALARS), max_size=6),
+    ))
+    @example(["1_0"])
+    @example(["1", " 2"])
+    @example(["1,2"])
+    @example(["1", "2,3"])
+    @example(["-0"])
+    @example(["+007", "0"])
+    @example([1, "2"])
+    @example(["\u0663"])
+    @example(["7" * 5000])
+    @example([True])
+    def test_poly_reader_matches_the_scalarwise_oracle(self, v):
+        assert read_outcome(poly_from_json, v) == read_outcome(scalarwise_poly_from_json, v)
+
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            (["1,2"], "bad rational scalar '1,2'"),
+            (["1", "2,3"], "bad rational scalar '2,3'"),
+            (["-0"], ((), 1)),
+            (["+007", "0"], ((7,), 1)),
+            ([1, "2"], ((1, 2), 1)),
+            (["\u0663"], "bad rational scalar '\u0663'"),
+            (["7" * 5000], f"bad rational scalar {_quoted('7' * 5000)}"),
+            ([True], "not a rational scalar: True"),
+            ([0, -3, 0, 0], ((0, -3), 1)),
+            (["4", "-6/4"], ((8, -3), 2)),
+            (["1/2", "3"], ((1, 6), 2)),
+        ],
+        ids=["comma", "comma-second", "minus-zero", "plus-leading-zeros", "int-and-string",
+             "arabic-indic-digit", "5000-digit", "bool", "trailing-zeros", "reducible-fraction",
+             "fraction"],
+    )
+    def test_poly_reader_pinned_arrays(self, v, want):
+        assert read_outcome(poly_from_json, v) == want
+        assert read_outcome(scalarwise_poly_from_json, v) == want
+
+    @pytest.mark.parametrize("v", [[], [1, -2, 0], ["1", "-2", "+007", "0"], [10**40, 3]])
+    def test_integer_arrays_skip_the_scalar_reader(self, v, monkeypatch):
+        def per_scalar(c):
+            raise AssertionError(f"scalar {c!r} read on its own")
+
+        monkeypatch.setattr(jsonio, "_scalar_pair", per_scalar)
+        got = poly_from_json(v)
+        assert got == Poly([int(c) for c in v]) and got.denominator == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hst.integers(1, 3),
+        hst.integers(1, 3),
+        hst.booleans(),
+        hst.data(),
+    )
+    def test_matrix_reader_matches_entrywise_oracle(self, m, n, rational, data):
+        entry = hst.lists(hst.one_of(INTEGER_STRINGS, JSON_SCALARS), max_size=4)
+        if rational:
+            entry = hst.one_of(entry, hst.fixed_dictionaries(
+                {"num": entry}, optional={"den": entry.filter(any)}))
+        entries = data.draw(hst.lists(entry, min_size=m * n, max_size=m * n))
+        try:
+            got = matrix_from_json({"m": m, "n": n, "entries": entries})
+        except ParseError as exc:  # a zero denominator read as such
+            assert str(exc) == "entry with zero denominator"
+            return
+        if any(isinstance(e, dict) for e in entries):
+            def read(e):
+                if not isinstance(e, dict):
+                    return RatFn(scalarwise_poly_from_json(e))
+                return RatFn(scalarwise_poly_from_json(e["num"]),
+                             scalarwise_poly_from_json(e.get("den", [1])))
+            want = RationalMatrix(
+                [[read(entries[i * n + j]) for j in range(n)] for i in range(m)], n=n)
+        else:
+            want = PolyMatrix(
+                [[scalarwise_poly_from_json(entries[i * n + j]) for j in range(n)]
+                 for i in range(m)], n=n)
+        assert got == want and (got.m, got.n) == (m, n)
+        assert type(got)(got.rows, n=n) == got  # tuples of entry_type, as __init__ builds
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"nom": ["1"]}, "unknown rational entry key 'nom'"),
+            ({"num": ["1"], "dem": ["2"]}, "unknown rational entry key 'dem'"),
+            ({"den": ["2"]}, "rational entry needs num"),
+            ({}, "rational entry needs num"),
+            ({"num": ["1"], "den": []}, "entry with zero denominator"),
+        ],
+        ids=["misspelled-num", "misspelled-den", "den-only", "empty", "zero-den"],
+    )
+    def test_rational_entry_keys(self, tmp_path, capsys, entry, message):
+        doc = {"m": 1, "n": 2, "entries": [entry, ["1"]]}
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            matrix_from_json(doc)
+        assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err == f"malformed input: {message}\n"
+
+    def test_rational_entry_den_defaults_to_one(self):
+        got = matrix_from_json({"m": 1, "n": 2, "entries": [{"num": ["1", "2"]}, [3]]})
+        assert got == RationalMatrix([[RatFn(Poly([1, 2])), RatFn(Poly([3]))]])
 
     def test_poly_round_trip(self):
         p = Poly([Fraction(1, 2), 0, -3])
