@@ -2,8 +2,9 @@
 verify realizations, and demonstrate the bounded minor selection.
 
 Exit codes: 0 success/feasible/pass, 1 infeasible or verification failure,
-2 malformed input, 3 non-split invariant data, 4 search budget exhausted,
-5 internal error (an identity the library checks on its own output failed).
+2 malformed input, 3 non-split invariant data, 4 completion search budget
+exhausted, 5 internal error (an identity the library checks on its own output
+failed).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     InternalInvariantError,
     MalformedPrescription,
     ParseError,
-    SearchExhausted,
     SingularInput,
     StructuraError,
     ZeroMatrix,
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SearchExhausted, CompletionSearchExhausted) as exc:
+    except CompletionSearchExhausted as exc:
         print(f"search-exhausted: {exc}", file=sys.stderr)
         return EXIT_SEARCH
     except (ParseError, MalformedPrescription, ZeroMatrix, SingularInput) as exc:

@@ -95,10 +95,6 @@ class MajorizationFails(StructuraError):
     pass
 
 
-class SearchExhausted(StructuraError):
-    pass
-
-
 class CompletionSearchExhausted(StructuraError):
     pass
 

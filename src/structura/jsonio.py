@@ -89,7 +89,18 @@ def poly_from_json(v) -> Poly:
     return _reduced([p * (den // q) for p, q in pairs], den)
 
 
+def _check_keys(obj: dict, what: str, required: tuple, optional: tuple = ()) -> None:
+    """Every key of obj is required or optional, and every required key is
+    there; the first unknown key is named."""
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ParseError(f"unknown {what} key {_quoted(key)}")
+    if any(key not in obj for key in required):
+        raise ParseError(f"{what} needs {', '.join(required)}")
+
+
 def factored_from_json(v) -> FactoredPoly:
+    _check_keys(v, "factored polynomial", ("leading",), ("factors", "cofactor"))
     try:
         return FactoredPoly(
             fraction_from_json(v["leading"]),
@@ -138,12 +149,11 @@ def rationalmatrix_to_json(R: RationalMatrix) -> dict:
 
 def matrix_from_json(obj):
     """PolyMatrix or RationalMatrix, keyed on the entry encoding."""
-    try:
-        m, n = obj["m"], obj["n"]
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("matrix object needs m, n, entries") from exc
-    m, n = int_from_json(m, "m"), int_from_json(n, "n")
+    if not isinstance(obj, dict):
+        raise ParseError("matrix object needs m, n, entries")
+    _check_keys(obj, "matrix object", ("m", "n", "entries"))
+    m, n = int_from_json(obj["m"], "m"), int_from_json(obj["n"], "n")
+    entries = obj["entries"]
     # every command needs a nonempty matrix, so an empty shape stops here,
     # before any row is built
     if m < 1 or n < 1:
@@ -162,11 +172,7 @@ def _ratfn_from_json(e) -> RatFn:
     """A polynomial or a {"num": [...], "den": [...]} entry, den [1] by default."""
     if not isinstance(e, dict):
         return RatFn(poly_from_json(e))
-    for key in e:
-        if key not in ("num", "den"):
-            raise ParseError(f"unknown rational entry key {_quoted(key)}")
-    if "num" not in e:
-        raise ParseError("rational entry needs num")
+    _check_keys(e, "rational entry", ("num",), ("den",))
     num, den = poly_from_json(e["num"]), poly_from_json(e.get("den", [1]))
     if den.is_zero:
         raise ParseError("entry with zero denominator")
@@ -181,18 +187,19 @@ def int_list(v, name: str) -> tuple:
     return tuple(int_from_json(x, f"{name} entry") for x in v)
 
 
+_PRESCRIPTION_KEYS = ("d", "alpha", "epsilon", "psi", "f", "q", "k", "l", "right", "left",
+                      "K", "Lt")
+
+
 def prescription_from_json(obj) -> Prescription:
     if not isinstance(obj, dict):
         raise ParseError("prescription must be a JSON object")
-    try:
-        variant, m, n, r = obj["variant"], obj["m"], obj["n"], obj["r"]
-    except KeyError as exc:
-        raise ParseError("prescription needs variant, m, n, r") from exc
+    _check_keys(obj, "prescription", ("variant", "m", "n", "r"), _PRESCRIPTION_KEYS)
     kwargs = dict(
-        variant=variant,
-        m=int_from_json(m, "m"),
-        n=int_from_json(n, "n"),
-        r=int_from_json(r, "r"),
+        variant=obj["variant"],
+        m=int_from_json(obj["m"], "m"),
+        n=int_from_json(obj["n"], "n"),
+        r=int_from_json(obj["r"], "r"),
     )
     if "d" in obj and obj["d"] is not None:
         kwargs["d"] = int_from_json(obj["d"], "d")

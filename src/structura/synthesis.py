@@ -6,7 +6,8 @@ Euclidean column replacements, assemble between minimal bases, and lift
 nonzero infinite structure through a Mobius substitution. Rational targets
 wrap the polynomial construction in a denominator clearing.
 
-All searches are deterministic and bounded by the STRUCTURA_MAX_SEARCH node
+The distribution is a direct construction. The one search, the triangular
+completion, is deterministic and bounded by the STRUCTURA_MAX_SEARCH node
 budget (default 10^6); exhaustion is reported, never silently mis-answered.
 """
 
@@ -28,7 +29,6 @@ from .errors import (
     NonMonicDiagonal,
     ParseError,
     PreconditionViolated,
-    SearchExhausted,
     SumMismatch,
     _ascii_int,
     _quoted,
@@ -76,21 +76,21 @@ def _search_budget() -> int:
 
 
 class _Budget:
-    """Node budget of one search; exhaustion names the stage, the nodes spent
-    and the limit, and the atom when the caller has set one."""
+    """Node budget of the completion search, from STRUCTURA_MAX_SEARCH;
+    exhaustion names the atom being completed, the nodes spent and the
+    limit."""
 
-    __slots__ = ("limit", "left", "exc", "stage", "atom")
+    __slots__ = ("limit", "left", "atom")
 
-    def __init__(self, limit: int, exc, stage: str):
-        self.limit = self.left = limit
-        self.exc, self.stage, self.atom = exc, stage, None
+    def __init__(self):
+        self.limit = self.left = _search_budget()
+        self.atom = None
 
-    def spend(self, n: int = 1):
-        self.left -= n
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
-            at = "" if self.atom is None else f" at atom {self.atom}"
-            raise self.exc(
-                f"{self.stage} budget exhausted{at}: "
+            raise CompletionSearchExhausted(
+                f"completion search budget exhausted at atom {self.atom}: "
                 f"{self.limit - self.left} nodes spent, limit {self.limit}; "
                 "raise STRUCTURA_MAX_SEARCH to retry"
             )
@@ -185,39 +185,23 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
 # -- invariant-factor distribution ----------------------------------------------
 
 
-def _distribution_candidates(m_desc, quotas, budget):
-    """All caps-respecting, majorized ways to spread one root's multiplicity."""
-    r = len(quotas)
-    out = []
-
-    def rec(pos, remaining, partial):
-        if pos == r:
-            if remaining == 0 and majorizes(sorted(partial, reverse=True), m_desc):
-                out.append(tuple(partial))
-            return
-        cap = min(quotas[pos], remaining)
-        for v in range(cap + 1):
-            partial.append(v)
-            rec(pos + 1, remaining - v, partial)
-            partial.pop()
-
-    rec(0, sum(m_desc), [])
-    # greedy preference: largest multiplicities onto the largest open quotas
-    slots = sorted(range(r), key=lambda idx: (-quotas[idx], idx))
-    greedy = [0] * r
-    for v, idx in zip(m_desc, slots):
-        greedy[idx] = v
-    out.sort(key=lambda vec: (sum(abs(a - b) for a, b in zip(vec, greedy)), vec))
-    budget.spend(len(out))
-    return out
-
-
 def distribute_invariant_factors(alpha, h: Sequence[int]):
     """Monic delta_i with deg delta_i = h_i whose k-fold product gcds absorb
     the invariant-factor chain and whose product equals the chain's product.
 
     Requires split (over Q) invariant factors; the decreasing reordering of h
     must be majorized by the reversed degree sequence.
+
+    Root by root, most frequent first, the root's exponents y and the summed
+    exponents z of the later roots go in decreasing order onto the slots
+    sorted by open quota. While y + z misses the quotas, one unit moves from
+    the last slot over quota to the first later slot under it, out of z when
+    z is larger there and out of y otherwise: always from a larger entry to a
+    smaller one, so y stays majorized by the root's exponents (the Sa-Thompson
+    condition at that root) and z, the next quotas, by the later roots'. Prefix
+    sums of y + z never drop below the quotas', so the target slot exists
+    (Marshall, Olkin and Arnold, "Inequalities: Theory of Majorization and
+    Its Applications", 2011, Lemma 2.B.1); a root takes at most sum(h) moves.
     """
     r = len(alpha)
     if len(h) != r:
@@ -251,25 +235,21 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
         )
 
     order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
-    budget = _Budget(_search_budget(), SearchExhausted,
-                     "invariant-factor distribution search")
-
-    def rec(idx: int, quotas):
-        """{root: vector} for order[idx:] that uses up quotas, or None."""
-        budget.spend()
-        if idx == len(order):
-            return {} if all(x == 0 for x in quotas) else None
-        rt = order[idx]
-        m_desc = sorted(mult[rt], reverse=True)
-        for vec in _distribution_candidates(m_desc, quotas, budget):
-            rest = rec(idx + 1, [q - v for q, v in zip(quotas, vec)])
-            if rest is not None:
-                return {rt: vec, **rest}
-        return None
-
-    assign = rec(0, hh)
-    if assign is None:
-        raise SearchExhausted("no distribution found within the explored space")
+    quotas, later, assign = hh, degs, {}
+    for rt in order:
+        later = [a - b for a, b in zip(later, mult[rt])]
+        slots = sorted(range(r), key=lambda i: (-quotas[i], i))
+        q = [quotas[i] for i in slots]
+        y, z = sorted(mult[rt], reverse=True), sorted(later, reverse=True)
+        while any(a + b != c for a, b, c in zip(y, z, q)):
+            j = max(t for t in range(r) if y[t] + z[t] > q[t])
+            k = next(t for t in range(j + 1, r) if y[t] + z[t] < q[t])
+            src = z if z[j] > z[k] else y
+            src[j] -= 1
+            src[k] += 1
+        assign[rt], quotas = [0] * r, [0] * r
+        for t, i in enumerate(slots):
+            assign[rt][i], quotas[i] = y[t], z[t]
     return [math.prod((Poly((-rt, 1)) ** assign[rt][i] for rt in roots if assign[rt][i]),
                       start=ONE) for i in range(r)]
 
@@ -441,8 +421,7 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
                 "2x2 realization has the wrong invariant factors")
         return PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
 
-    budget = _Budget(_search_budget(), CompletionSearchExhausted,
-                     "completion search")
+    budget = _Budget()
     E = PolyMatrix.identity(r)
     for atom, x, m in exponents:
         budget.atom = atom

@@ -21,7 +21,6 @@ from structura.errors import (
     ParseError,
     PreconditionViolated,
     RankDeficient,
-    SearchExhausted,
     ShapeMismatch,
     SingularInput,
     StructuraError,
@@ -72,11 +71,10 @@ from structura.minors import (
     validate_index_tuple,
 )
 from structura.synthesis import (
+    DEFAULT_SEARCH_BUDGET,
     _beta_candidates,
     _Budget,
-    _distribution_candidates,
     _gamma_candidates,
-    _search_budget,
 )
 
 # Every property draws the same examples on every run and Python version:
@@ -867,7 +865,7 @@ def smith_checked_triangular_realization(alpha, delta) -> PolyMatrix:
         require(invariant_factors(E) == tuple(alpha),
                 "2x2 realization has the wrong invariant factors")
         return E
-    budget = _Budget(_search_budget(), CompletionSearchExhausted, "completion search")
+    budget = _Budget()
     E = PolyMatrix.identity(r)
     for atom, x, m in exponents:
         budget.atom = atom
@@ -1054,9 +1052,62 @@ def fieldwise_verify(matrix, prescription) -> VerificationReport:
     return VerificationReport(passed=not mismatches, mismatches=tuple(mismatches))
 
 
+class SearchExhausted(StructuraError):
+    """The distribution search below spent its node budget."""
+
+
+class _DistributionBudget:
+    """DEFAULT_SEARCH_BUDGET nodes for one distribution search."""
+
+    def __init__(self):
+        self.left = DEFAULT_SEARCH_BUDGET
+
+    def spend(self, n: int = 1):
+        self.left -= n
+        if self.left < 0:
+            raise SearchExhausted("invariant-factor distribution search budget exhausted")
+
+
+def _distribution_candidates(m_desc, quotas, budget):
+    """All caps-respecting, majorized ways to spread one root's multiplicity,
+    nearest to the greedy vector first. No entry of a majorized vector exceeds
+    the largest multiplicity, so the caps are cut to it, and prefixes whose
+    remaining multiplicity exceeds the remaining caps are dropped: neither
+    cut loses a candidate."""
+    r = len(quotas)
+    caps = [min(q, m_desc[0]) for q in quotas]
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]
+    out = []
+
+    def rec(pos, remaining, partial):
+        if remaining > room[pos]:
+            return
+        if pos == r:
+            if majorizes(sorted(partial, reverse=True), m_desc):
+                out.append(tuple(partial))
+            return
+        cap = min(caps[pos], remaining)
+        for v in range(cap + 1):
+            partial.append(v)
+            rec(pos + 1, remaining - v, partial)
+            partial.pop()
+
+    rec(0, sum(m_desc), [])
+    # greedy preference: largest multiplicities onto the largest open quotas
+    slots = sorted(range(r), key=lambda idx: (-quotas[idx], idx))
+    greedy = [0] * r
+    for v, idx in zip(m_desc, slots):
+        greedy[idx] = v
+    out.sort(key=lambda vec: (sum(abs(a - b) for a, b in zip(vec, greedy)), vec))
+    budget.spend(len(out))
+    return out
+
+
 def per_member_distribute_invariant_factors(alpha, h):
-    """distribute_invariant_factors with split_over_rationals run on every
-    chain member, then a degree-order check before the root-by-root one."""
+    """distribute_invariant_factors as a backtracking search over every
+    majorized distribution of each root, with split_over_rationals run on
+    every chain member, then a degree-order check before the root-by-root
+    one."""
     r = len(alpha)
     if len(h) != r:
         raise LengthMismatch("one target degree per invariant factor")
@@ -1094,8 +1145,7 @@ def per_member_distribute_invariant_factors(alpha, h):
             raise ValueError("invariant factors must be a divisibility chain")
 
     order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
-    budget = _Budget(_search_budget(), SearchExhausted,
-                     "invariant-factor distribution search")
+    budget = _DistributionBudget()
     quotas = list(hh)
     assign: dict = {}
 

@@ -53,17 +53,18 @@ WORKED_PRESCRIPTION = {
     "l": [4, 1],
 }
 
-# construct spends three search nodes on it, so a budget of 1 runs out
+# delta = (s, s, s) goes through the completion search at the atom s, which
+# spends two nodes on it, so a budget of 1 runs out
 SEARCHING_PRESCRIPTION = {
     "variant": "P2_span_indices",
-    "m": 2,
-    "n": 2,
-    "r": 2,
+    "m": 3,
+    "n": 3,
+    "r": 3,
     "d": 1,
-    "alpha": [[0, 1], [0, 1]],
-    "f": [0, 0],
-    "k": [0, 0],
-    "l": [0, 0],
+    "alpha": [[1], [0, 1], [0, 0, 1]],
+    "f": [0, 0, 0],
+    "k": [0, 0, 0],
+    "l": [0, 0, 0],
 }
 
 
@@ -261,6 +262,33 @@ class TestJson:
         with pytest.raises(ParseError, match=f"^{message}$"):
             matrix_from_json(doc)
         assert main(["analyze", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err == f"malformed input: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # would read as s^2 - 1 instead of (s^2 - 1)(s^2 + 5)
+            ("construct", dict(WORKED_PRESCRIPTION, alpha=[[1], {
+                "leading": "1", "factors": [["1", 1], ["-1", 1]], "cofactr": [5, 0, 1]}]),
+             "unknown factored polynomial key 'cofactr'"),
+            ("check", dict(WORKED_PRESCRIPTION, colour="red"),
+             "unknown prescription key 'colour'"),
+            ("check", dict(WORKED_PRESCRIPTION, variant="P1_spans", k=None, l=None,
+                           K={"m": 3, "n": 2, "entries": [[1]] * 6, "degree": 0},
+                           Lt={"m": 3, "n": 2, "entries": [[1]] * 6}),
+             "unknown matrix object key 'degree'"),
+            ("analyze", {"m": 1, "n": 1, "entries": [[1]], "rows": [[1]]},
+             "unknown matrix object key 'rows'"),
+            ("check", dict(WORKED_PRESCRIPTION, alpha=[[1], {"cofactor": [1, 0, 2, 0, 1]}]),
+             "factored polynomial needs leading"),
+            ("check", {key: v for key, v in WORKED_PRESCRIPTION.items() if key != "r"},
+             "prescription needs variant, m, n, r"),
+            ("analyze", {"m": 1, "entries": [[1]]}, "matrix object needs m, n, entries"),
+        ],
+        ids=["factored", "prescription", "basis", "matrix", "no-leading", "no-r", "no-n"],
+    )
+    def test_unknown_or_missing_key_exit_two(self, tmp_path, capsys, command, doc, message):
+        assert main([command, write(tmp_path, "in.json", doc)]) == 2
         assert capsys.readouterr().err == f"malformed input: {message}\n"
 
     def test_rational_entry_den_defaults_to_one(self):
@@ -746,8 +774,8 @@ class TestCli:
         monkeypatch.setenv("STRUCTURA_MAX_SEARCH", "1")
         assert main(["construct", path]) == 4
         assert capsys.readouterr().err.startswith(
-            "search-exhausted: invariant-factor distribution search budget "
-            "exhausted: 2 nodes spent, limit 1;")
+            "search-exhausted: completion search budget exhausted at atom s: "
+            "2 nodes spent, limit 1;")
         monkeypatch.delenv("STRUCTURA_MAX_SEARCH")
         assert main(["construct", path, "-o", str(tmp_path / "out.json")]) == 0
 

@@ -271,6 +271,45 @@ class TestMalformed:
                 l=(0,),
             )
 
+    @pytest.mark.parametrize("base, changes, message", [
+        ("poly", {"alpha": None}, "alpha must list r invariant factors"),
+        ("poly", {"alpha": (ONE,)}, "alpha must list r invariant factors"),
+        ("poly", {"alpha": (ONE, Poly())}, "invariant factors must be monic and nonzero"),
+        ("poly", {"alpha": (ONE, 2 * S)}, "invariant factors must be monic and nonzero"),
+        ("poly", {"f": None}, "f must list r partial multiplicities"),
+        ("poly", {"f": (0, 0, 0)}, "f must list r partial multiplicities"),
+        ("poly", {"k": None}, "index variant requires partitions k and l"),
+        ("poly", {"l": None}, "index variant requires partitions k and l"),
+        ("rational", {"epsilon": None}, "epsilon must list r polynomials"),
+        ("rational", {"epsilon": (ONE,)}, "epsilon must list r polynomials"),
+        ("rational", {"psi": None}, "psi must list r polynomials"),
+        ("rational", {"psi": (ONE, ONE, ONE)}, "psi must list r polynomials"),
+        ("rational", {"epsilon": (ONE, Poly())}, "epsilon entries must be monic and nonzero"),
+        ("rational", {"psi": (Poly([2, 2]), ONE)}, "psi entries must be monic and nonzero"),
+        ("rational", {"q": None}, "q must list r invariant orders"),
+        ("rational", {"q": (0,)}, "q must list r invariant orders"),
+        ("spans", {"K": None}, "spans variant requires bases K and Lt"),
+        ("spans", {"Lt": None}, "spans variant requires bases K and Lt"),
+        ("full", {"right": None}, "full variant requires right and left partitions"),
+        ("full", {"left": None}, "full variant requires right and left partitions"),
+    ])
+    def test_guard_messages(self, base, changes, message):
+        # each guard is "x is None or <x is wrong>", so both halves are hit
+        valid = {
+            "poly": paper_example_prescription(),
+            "rational": Prescription(
+                variant="R2_span_indices", m=2, n=2, r=2, epsilon=(ONE, S),
+                psi=(S + ONE, ONE), q=(0, 0), k=(0, 0), l=(0, 0)),
+            "spans": Prescription(
+                variant="P1_spans", m=2, n=2, r=1, d=1, alpha=(S,), f=(0,),
+                K=M([[1], [0]]), Lt=M([[1], [0]])),
+            "full": Prescription(
+                variant="P3_full", m=2, n=2, r=1, d=1, alpha=(S,), f=(0,),
+                k=(0,), l=(0,), right=(0,), left=(0,)),
+        }[base]
+        with pytest.raises(MalformedPrescription, match=f"^{message}$"):
+            replace(valid, **changes)
+
     def test_non_minimal_basis_rejected(self):
         with pytest.raises(MalformedPrescription):
             Prescription(
