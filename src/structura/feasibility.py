@@ -45,10 +45,10 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
     if len(a) != len(b):
         raise LengthMismatch("majorization needs equal lengths")
     sa = sb = 0
-    for i in range(len(a)):
-        sa += a[i]
-        sb += b[i]
-        if i < len(a) - 1 and sa > sb:
+    for x, y in zip(a, b):
+        sa += x
+        sb += y
+        if sa > sb:
             return False
     return sa == sb
 

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BothZero, DivisionByZeroPoly, RootAtA, require
+from .errors import BothZero, DivisionByZeroPoly, RootAtA
 
 NEG_INF = float("-inf")
 
@@ -279,10 +279,6 @@ class Poly:
             return _reduced([-c for c in nums], -lead)
         return _reduced(list(nums), lead)
 
-    def derivative(self) -> "Poly":
-        return _reduced([i * c for i, c in enumerate(self.numerators) if i],
-                        self.denominator)
-
     def shift(self, a: Scalar) -> "Poly":
         """Compose with s + a, i.e. return p(s + a).
 
@@ -315,11 +311,6 @@ class Poly:
         while out and not out[-1]:
             out.pop()
         return _make(tuple(out), self.denominator)
-
-    def shift_down(self, k: int) -> "Poly":
-        """Divide by s^k assuming the first k coefficients vanish."""
-        require(not any(self.numerators[:k]), "shift_down past a nonzero coefficient")
-        return _make(self.numerators[k:], self.denominator)
 
     # -- comparisons and hashing -------------------------------------------
 
@@ -444,52 +435,115 @@ class FactoredPoly:
         return "FactoredPoly(" + " * ".join(parts) + ")"
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _linear_valuation(nums, a: int, b: int) -> tuple:
+    """(k, quotient) with k the exponent of b*s - a (b > 0, gcd(a, b) = 1) in
+    the integer polynomial nums, by synthetic division over Z; b*s - a is
+    primitive, so exact quotients are integral (Gauss's lemma)."""
+    k = 0
+    while len(nums) > 1:
+        quo, t = [0] * (len(nums) - 1), 0
+        for i in range(len(nums) - 1, 0, -1):
+            t, rem = divmod(nums[i] + a * t, b)
+            if rem:
+                return k, nums
+            quo[i - 1] = t
+        if nums[0] + a * t:
+            return k, nums
+        nums, k = quo, k + 1
+    return k, nums
 
 
-def _rational_root_candidates(p: Poly):
-    """Candidate rational roots of p via divisors of its extreme coefficients."""
-    ints = p.numerators
-    g = math.gcd(*ints)
-    a0, an = ints[0] // g, ints[-1] // g
-    cands = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            cands.add(Fraction(num, den))
-            cands.add(Fraction(-num, den))
-    return sorted(cands)
+def _linear_product(powers) -> Poly:
+    """prod (s - root)^k over (root, k) pairs, on integers: the product of
+    the b*s - a, root = a/b, over its leading coefficient."""
+    nums = [1]
+    for root, k in powers:
+        a, b = root.numerator, root.denominator
+        for _ in range(k):
+            nums = [b * hi - a * lo for lo, hi in zip(nums + [0], [0] + nums)]
+    return _reduced(nums, nums[-1])
+
+
+def _horner(p: list, y: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * y + c
+    return acc
+
+
+def _rational_roots(f: list) -> list:
+    """Rational roots, ascending, of the integer polynomial f of degree n >= 1
+    with f(0) != 0, by Sturm-sequence bisection on integers. The chain is f,
+    f' and the negated pseudo-remainders (_pdivmod scales by a positive
+    factor), made primitive and divided exactly by the last, gcd(f, f'):
+    the Sturm chain of the squarefree part. With L its leading coefficient,
+    y = L*s puts every rational root at an integer y. Integer intervals
+    (lo, hi] inside Fujiwara's bound 2^(e+1) on L^n f(y/L), e at most its
+    largest coefficient bit length, are halved while their sign variations
+    count a root, so a root costs at most e + 2 halvings of at most one
+    Sturm evaluation (n + 1 integer Horner evaluations) each: polynomial in
+    the bit length. An interval with one root is halved on the sign of
+    L^n f(y/L) alone."""
+    chain = [f, [i * c for i, c in enumerate(f) if i]]
+    while True:
+        g = math.gcd(*chain[-1])
+        chain[-1] = [c // g for c in chain[-1]]
+        rem = _pdivmod(chain[-2], chain[-1])[2]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    if len(chain[-1]) > 1:
+        chain = [[c // scale for c in quo] for quo, scale, _ in
+                 (_pdivmod(p, chain[-1]) for p in chain)]
+    lead = abs(chain[0][-1])
+    chain = [[c * lead ** (len(p) - 1 - i) for i, c in enumerate(p)] for p in chain]
+    p, n = chain[0], len(chain[0]) - 1
+    top = p[-1].bit_length() - 1
+    e = max(0, *(-((top - c.bit_length()) // (n - i)) for i, c in enumerate(p[:-1]) if c))
+
+    def variations(y):
+        signs = [v > 0 for v in (_horner(q, y) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots, bound = [], 2 ** (e + 1)
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if not _horner(p, hi):
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        if vlo - vhi == 1:
+            # one simple root: in (mid, hi] iff it is hi or p changes sign
+            # between mid and hi
+            ph, pm = _horner(p, hi), _horner(p, mid)
+            vmid = vhi + bool(not ph or pm and (pm > 0) != (ph > 0))
+        else:
+            vmid = variations(mid)
+        stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+    return roots
 
 
 def split_over_rationals(p: Poly) -> FactoredPoly:
-    """Peel off every rational root (with exact multiplicity) of a nonzero p."""
+    """Peel off every rational root (with exact multiplicity) of a nonzero p,
+    on its integer numerators. The roots come from Sturm-sequence bisection
+    over integer intervals (_rational_roots): at most e + 2 halvings per root
+    for coefficients of e bits, so the cost grows with the bit length, not
+    with the divisors of the coefficients. Each multiplicity comes from
+    synthetic division by b*s - a (_linear_valuation)."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    leading = p.lc
-    q = p.monic()
-    factors = []
-    v = 0
-    while not q.numerators[v]:
-        v += 1
-    if v:
-        factors.append((Fraction(0), v))
-        q = q.shift_down(v)
-    if q.degree >= 1:
-        sf = q // poly_gcd(q, q.derivative()) if q.degree >= 2 else q
-        for cand in _rational_root_candidates(sf):
-            if sf(cand) == 0:
-                mult, q = atom_valuation(q, Poly((-cand, 1)))
-                factors.append((cand, mult))
-    return FactoredPoly(leading, sorted(factors), q.monic())
+    nums = p.numerators
+    v = next(i for i, c in enumerate(nums) if c)
+    nums = list(nums[v:]) if nums[-1] > 0 else [-c for c in nums[v:]]
+    factors = [(Fraction(0), v)] if v else []
+    for root in _rational_roots(nums) if len(nums) > 1 else ():
+        mult, nums = _linear_valuation(nums, root.numerator, root.denominator)
+        factors.append((root, mult))
+    return FactoredPoly(p.lc, sorted(factors), _reduced(nums, 1).monic())
 
 
 def mobius_tilde(p: Poly, a: Scalar):

@@ -38,6 +38,8 @@ from .qpoly import (
     ONE,
     ZERO,
     Poly,
+    _linear_product,
+    _linear_valuation,
     atom_valuation,
     coprime_basis,
     mobius_tilde,
@@ -185,7 +187,14 @@ def build_dual_minimal_bases(deg_m: Sequence[int], deg_n: Sequence[int]):
 # -- invariant-factor distribution ----------------------------------------------
 
 
-def distribute_invariant_factors(alpha, h: Sequence[int]):
+class Diagonal(list):
+    """The delta_i, with the root table (root, exponents of delta, exponents
+    of alpha) they were built from, for triangular_realization's table=."""
+
+    __slots__ = ("table",)
+
+
+def distribute_invariant_factors(alpha, h: Sequence[int]) -> Diagonal:
     """Monic delta_i with deg delta_i = h_i whose k-fold product gcds absorb
     the invariant-factor chain and whose product equals the chain's product.
 
@@ -214,16 +223,18 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
             f"the chain end {_quoted(str(end))} does not split into linear "
             "factors over Q"
         )
+    # root w of the chain end has the exponents mult[w] in alpha
     roots = [rt for rt, _ in top.factors]
-    mult = {rt: [0] * r for rt in roots}
+    mult = [[0] * r for _ in roots]
     for i, a in enumerate(alpha):
         if not a.is_monic:
             raise ValueError("invariant factors must be monic")
-        for rt in roots:
-            mult[rt][i] = atom_valuation(a, Poly((-rt, 1)))[0]
+        nums = a.numerators
+        for v, rt in zip(mult, roots):
+            v[i], nums = _linear_valuation(nums, rt.numerator, rt.denominator)
     degs = [int(a.degree) for a in alpha]
-    if (any(sum(mult[rt][i] for rt in roots) != degs[i] for i in range(r))
-            or any(v[i] > v[i + 1] for v in mult.values() for i in range(r - 1))):
+    if (any(sum(v[i] for v in mult) != degs[i] for i in range(r))
+            or any(v[i] > v[i + 1] for v in mult for i in range(r - 1))):
         raise ValueError("invariant factors must be a divisibility chain")
     hh = [int(x) for x in h]
     if any(x < 0 for x in hh):
@@ -234,24 +245,27 @@ def distribute_invariant_factors(alpha, h: Sequence[int]):
             f"degree reordering {g} is not majorized by {tuple(reversed(degs))}"
         )
 
-    order = sorted(roots, key=lambda rt: (-sum(mult[rt]), rt))
-    quotas, later, assign = hh, degs, {}
-    for rt in order:
-        later = [a - b for a, b in zip(later, mult[rt])]
+    order = sorted(range(len(roots)), key=lambda w: (-sum(mult[w]), roots[w]))
+    quotas, later, assign = hh, degs, [None] * len(roots)
+    for w in order:
+        later = [a - b for a, b in zip(later, mult[w])]
         slots = sorted(range(r), key=lambda i: (-quotas[i], i))
         q = [quotas[i] for i in slots]
-        y, z = sorted(mult[rt], reverse=True), sorted(later, reverse=True)
+        y, z = sorted(mult[w], reverse=True), sorted(later, reverse=True)
         while any(a + b != c for a, b, c in zip(y, z, q)):
             j = max(t for t in range(r) if y[t] + z[t] > q[t])
             k = next(t for t in range(j + 1, r) if y[t] + z[t] < q[t])
             src = z if z[j] > z[k] else y
             src[j] -= 1
             src[k] += 1
-        assign[rt], quotas = [0] * r, [0] * r
+        assign[w], quotas = [0] * r, [0] * r
         for t, i in enumerate(slots):
-            assign[rt][i], quotas[i] = y[t], z[t]
-    return [math.prod((Poly((-rt, 1)) ** assign[rt][i] for rt in roots if assign[rt][i]),
-                      start=ONE) for i in range(r)]
+            assign[w][i], quotas[i] = y[t], z[t]
+    delta = Diagonal(_linear_product(zip(roots, (x[i] for x in assign))) for i in range(r))
+    # roots descending lists the atoms s - root in Poly.sort_key order, as the
+    # gcd-free basis of triangular_realization does
+    delta.table = [(rt, tuple(x), tuple(m)) for rt, x, m in zip(roots, assign, mult)][::-1]
+    return delta
 
 
 # -- triangular realization -----------------------------------------------------
@@ -375,11 +389,13 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
     return None
 
 
-def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> PolyMatrix:
+def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
+                           table=None) -> PolyMatrix:
     """Upper triangular r x r with diagonal delta and invariant factors alpha.
 
-    Works atom by atom over a gcd-free basis (one triangular factor per atom,
-    multiplied together), so inputs need not split into linear factors. Such
+    Works atom by atom (one triangular factor per atom, multiplied together)
+    over the s - root of a table as Diagonal.table gives it, or else over a
+    gcd-free basis, so inputs need not split into linear factors. Such
     a matrix exists iff the k-fold prefix products of alpha divide every
     k-fold product of delta, with equal totals (Sa 1979, Thompson 1979): at
     each atom, the exponents of alpha are majorized by the ascending
@@ -402,10 +418,13 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
     for p in list(alpha) + list(delta):
         if p.is_zero or not p.is_monic:
             raise PreconditionViolated("diagonals and invariants must be monic")
-    # (atom, exponents of delta, exponents of alpha) over a gcd-free basis
-    exponents = [(atom, tuple(atom_valuation(d, atom)[0] for d in delta),
-                  tuple(atom_valuation(a, atom)[0] for a in alpha))
-                 for atom in coprime_basis(list(alpha) + list(delta))]
+    # (atom, exponents of delta, exponents of alpha)
+    if table is not None:
+        exponents = [(Poly((-rt, 1)), x, m) for rt, x, m in table]
+    else:
+        exponents = [(atom, tuple(atom_valuation(d, atom)[0] for d in delta),
+                      tuple(atom_valuation(a, atom)[0] for a in alpha))
+                     for atom in coprime_basis(list(alpha) + list(delta))]
     if any(list(m) != sorted(m) for _, _, m in exponents):
         raise PreconditionViolated("invariant factors must form a chain")
     for atom, x, m in exponents:
@@ -423,18 +442,20 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly]) -> Poly
 
     budget = _Budget()
     E = PolyMatrix.identity(r)
-    for atom, x, m in exponents:
+    for w, (atom, x, m) in enumerate(exponents):
         budget.atom = atom
         T = _atom_triangular(x, m, atom, budget)
         if T is None:
             raise CompletionSearchExhausted(
                 f"no completion found for atom {atom}"
             )
-        E = E @ T
+        E = E @ T if w else T
     require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
             "triangular realization has the wrong diagonal")
     atoms = [atom for atom, _, _ in exponents]
-    require(all(poly_gcd(a, b) == ONE for a, b in itertools.combinations(atoms, 2)),
+    # distinct monic linear atoms are coprime
+    require(len(set(atoms)) == len(atoms) if all(a.degree == 1 for a in atoms) else
+            all(poly_gcd(a, b) == ONE for a, b in itertools.combinations(atoms, 2)),
             "triangular realization needs pairwise coprime atoms")
     require(all(math.prod((atom ** m[i] for atom, _, m in exponents), start=ONE) == alpha[i]
                 for i in range(r)),
@@ -494,7 +515,7 @@ def _realize_zero_inf(alpha, d: int, K: PolyMatrix, Lt: PolyMatrix) -> PolyMatri
     Lt_desc = _sorted_columns(Lt, ascending=False)
     h = [d - (k + l) for k, l in zip(K_asc.column_degrees(), Lt_desc.column_degrees())]
     delta = distribute_invariant_factors(list(alpha), h)
-    E = shape_degrees(triangular_realization(list(alpha), delta), h)
+    E = shape_degrees(triangular_realization(list(alpha), delta, table=delta.table), h)
     return K_asc @ E @ Lt_desc.transpose()
 
 

@@ -33,6 +33,7 @@ from structura.qpoly import (
     NEG_INF,
     ONE,
     ZERO,
+    FactoredPoly,
     Poly,
     _reduced,
     atom_valuation,
@@ -1179,6 +1180,48 @@ def per_member_distribute_invariant_factors(alpha, h):
         delta.append(p)
 
     return delta
+
+
+# -- rational-root oracle -------------------------------------------------------
+
+
+def _divisors(n: int):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def divisor_split_over_rationals(p: Poly) -> FactoredPoly:
+    """split_over_rationals by the rational root theorem: every +-a/b with a
+    dividing the constant and b the leading coefficient of the primitive
+    squarefree part is tried by evaluation, and each root found is divided
+    out by Poly division. Its cost grows with the divisor search, about the
+    square root of the extreme coefficients, so it suits small inputs only."""
+    if p.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    v = next(i for i, c in enumerate(p.coeffs) if c)
+    q = Poly(p.coeffs[v:]).monic()
+    factors = [(Fraction(0), v)] if v else []
+    if q.degree >= 1:
+        dq = Poly([i * c for i, c in enumerate(q.coeffs) if i])
+        sf = q // poly_gcd(q, dq) if q.degree >= 2 else q
+        ints = sf.numerators
+        g = math.gcd(*ints)
+        cands = {Fraction(sign * num, den)
+                 for num in _divisors(ints[0] // g) for den in _divisors(ints[-1] // g)
+                 for sign in (1, -1)}
+        for cand in sorted(cands):
+            if sf(cand) == 0:
+                mult, q = atom_valuation(q, Poly((-cand, 1)))
+                factors.append((cand, mult))
+    return FactoredPoly(p.lc, sorted(factors), q.monic())
 
 
 # -- JSON reading oracle --------------------------------------------------------

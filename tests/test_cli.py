@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -484,6 +485,16 @@ class TestCli:
         assert err.startswith("field-not-split: the chain end '")
         assert len(err.encode()) < 200
         assert err.count("algebraically closed") == 1 and err.count("over Q") == 1
+
+    def test_construct_not_split_with_a_large_constant_is_fast(self, tmp_path, capsys):
+        # the divisors of 10^18 + 3 are out of reach of a trial search; the
+        # Sturm count finds no real root at once
+        doc = dict(WORKED_PRESCRIPTION, alpha=[[1], [10**18 + 3, 0, 1, 0, 1]])
+        path = write(tmp_path, "p.json", doc)
+        t0 = time.perf_counter()
+        assert main(["construct", path]) == 3
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().err.startswith("field-not-split: the chain end '")
 
     def test_construct_infeasible_exit_one(self, tmp_path):
         doc = dict(WORKED_PRESCRIPTION)

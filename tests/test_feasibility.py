@@ -58,6 +58,9 @@ class TestMajorizes:
     def test_prefix_violation(self):
         assert not majorizes((5, 0), (4, 1))
 
+    def test_only_the_final_partial_sum_exceeds(self):
+        assert not majorizes((1, 1, 2), (1, 1, 1))
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             majorizes((1, 0), (1,))

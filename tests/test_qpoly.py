@@ -2,11 +2,17 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+
+try:
+    import sympy
+except ImportError:  # the comparison with sympy runs where it is installed
+    sympy = None
 
 from structura.errors import BothZero, DivisionByZeroPoly, RootAtA
 from structura.qpoly import (
@@ -15,6 +21,7 @@ from structura.qpoly import (
     X,
     Poly,
     RatFn,
+    _linear_valuation,
     atom_valuation,
     coprime_basis,
     mobius_tilde,
@@ -22,7 +29,7 @@ from structura.qpoly import (
     split_over_rationals,
 )
 
-from conftest import RefPoly
+from conftest import RefPoly, divisor_split_over_rationals
 
 S = X
 TWO = Poly.constant(2)
@@ -35,6 +42,37 @@ def lin(root) -> Poly:
 small_polys = hst.lists(
     hst.integers(min_value=-4, max_value=4), min_size=0, max_size=7
 ).map(Poly)
+
+
+@hst.composite
+def rational_root_polys(draw):
+    """A negative or fractional leading coefficient times linear factors
+    (q*s - p)^k with |p|, |q| <= 50, a power of s and, sometimes, a quadratic
+    with negative discriminant, irreducible over Q."""
+    lead = Fraction(draw(hst.integers(-6, 6).filter(bool)), draw(hst.integers(1, 6)))
+    p = Poly.constant(lead) * S ** draw(hst.integers(0, 2))
+    for _ in range(draw(hst.integers(0, 3))):
+        num, den = draw(hst.integers(-50, 50)), draw(hst.integers(1, 50))
+        p = p * Poly((-num, den)) ** draw(hst.integers(1, 3))
+    if draw(hst.booleans()):
+        b = draw(hst.integers(-5, 5))
+        p = p * Poly((draw(hst.integers(b * b // 4 + 1, b * b // 4 + 20)), b, 1))
+    return p
+
+
+def sympy_rational_roots(p: Poly) -> tuple:
+    """(root, multiplicity) of the linear factors of sympy's factorization of
+    p over QQ, ascending."""
+    s = sympy.Symbol("s")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, facs = sympy.Poly(coeffs, s, domain=sympy.QQ).factor_list()
+    out = []
+    for g, k in facs:
+        if g.degree() == 1:
+            c1, c0 = g.all_coeffs()
+            root = -c0 / c1
+            out.append((Fraction(int(root.p), int(root.q)), k))
+    return tuple(sorted(out))
 
 
 class TestPolyBasics:
@@ -222,17 +260,18 @@ class TestSplit:
         assert f.leading == 1 and f.cofactor == ONE
 
     def test_each_root_divided_out_once(self, monkeypatch):
-        # the valuation hands back its quotient, so no root is divided again
-        calls = []
-        divmod_ = Poly.__divmod__
+        # one integer valuation per nonzero root, which hands back its
+        # quotient, so no root is divided again; no Poly division at all
+        import structura.qpoly as qpoly
 
-        def counted(a, b):
-            calls.append(b)
-            return divmod_(a, b)
-
-        monkeypatch.setattr(Poly, "__divmod__", counted)
+        valuations, divisions = [], []
+        valuation, divmod_ = qpoly._linear_valuation, Poly.__divmod__
+        monkeypatch.setattr(qpoly, "_linear_valuation",
+                            lambda nums, a, b: valuations.append((a, b)) or valuation(nums, a, b))
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: divisions.append(b) or divmod_(a, b))
         split_over_rationals(S * Poly([Fraction(-1, 2), 1]) ** 3 * (S + Poly.constant(2)) ** 2)
-        assert len(calls) == 10
+        assert valuations == [(-2, 1), (1, 2)]
+        assert divisions == []
 
     def test_valuation_quotient(self):
         half = Poly([Fraction(-1, 2), 1])
@@ -252,6 +291,43 @@ class TestSplit:
         if p.is_zero:
             return
         assert split_over_rationals(p).expand() == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_root_polys())
+    @example(S * lin(Fraction(1, 2)))  # y = 2s puts the root 1/2 at y = 1, a midpoint
+    @example(lin(7) * lin(-7))
+    def test_matches_divisor_oracle_and_sympy(self, p):
+        got = split_over_rationals(p)
+        assert got == divisor_split_over_rationals(p)
+        assert got.expand() == p
+        if sympy is not None:
+            assert got.factors == sympy_rational_roots(p)
+
+    def test_large_root_pair(self):
+        # the divisor oracle would try every divisor of (10^18 + 9)^2
+        r = 10**18 + 9
+        p = S * S - Poly.constant(r * r)
+        got = split_over_rationals(p)
+        assert got.factors == ((Fraction(-r), 1), (Fraction(r), 1)) and got.is_split
+        if sympy is not None:
+            assert got.factors == sympy_rational_roots(p)
+
+    @pytest.mark.parametrize("c", [10**18 + 3, 10**30 + 7])
+    def test_large_constant_without_roots_is_fast(self, c):
+        t0 = time.perf_counter()
+        got = split_over_rationals(Poly([c, 0, 1]))
+        assert time.perf_counter() - t0 < 0.5
+        assert got.factors == () and got.cofactor == Poly([c, 0, 1])
+
+    @pytest.mark.parametrize("nums, a, b, want", [
+        ((0, 0, 1), 0, 1, (2, [1])),
+        ((-1, 2), 1, 2, (1, [1])),
+        ((1, 0, 1), 1, 1, (0, (1, 0, 1))),
+        ((2, -3, 1), 3, 2, (0, (2, -3, 1))),  # (s - 1)(s - 2) has no root 3/2
+        ((-4, 4, 3, -4, 1), 2, 1, (2, [-1, 0, 1])),
+    ])
+    def test_linear_valuation(self, nums, a, b, want):
+        assert _linear_valuation(nums, a, b) == want
 
 
 class TestMobiusTilde:

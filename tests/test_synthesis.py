@@ -19,7 +19,7 @@ from structura.errors import (
     PreconditionViolated,
     SumMismatch,
 )
-from structura.qpoly import ONE, X, ZERO, Poly
+from structura.qpoly import ONE, X, ZERO, Poly, coprime_basis
 from structura.polymat import PolyMatrix, invariant_factors, is_minimal_basis, smith_form
 from structura.extract import verify
 from structura.feasibility import Prescription, check_feasibility
@@ -292,6 +292,14 @@ class TestDistribute:
         assert seen == [chain[-1]]
         assert delta == per_member_distribute_invariant_factors(chain, [3, 2, 2])
 
+    def test_root_table(self):
+        # one row per root of the chain end: delta and alpha exponents
+        alpha = [ONE, lin(1) * lin(2), (lin(1) * lin(2)) ** 2]
+        delta = distribute_invariant_factors(alpha, [2, 2, 2])
+        assert delta == [lin(1) * lin(2)] * 3
+        assert delta.table == [(Fraction(2), (1, 1, 1), (0, 1, 2)),
+                               (Fraction(1), (1, 1, 1), (0, 1, 2))]
+
     def test_empty_chain(self):
         assert distribute_invariant_factors([], []) == []
 
@@ -390,6 +398,38 @@ class TestTriangular:
         E = triangular_realization(alpha, delta)
         assert tuple(E.rows[i][i] for i in range(4)) == tuple(delta)
         assert smith_form(E).diag == tuple(alpha)
+
+    def test_root_table_where_the_gcd_free_basis_merges_roots(self):
+        # the roots 1 and 2 always occur together, so the gcd-free basis has
+        # the one atom (s - 1)(s - 2); the table keeps one atom per root
+        alpha = [ONE, lin(1) * lin(2), (lin(1) * lin(2)) ** 2]
+        delta = distribute_invariant_factors(alpha, [2, 2, 2])
+        assert coprime_basis(alpha + delta) == [lin(1) * lin(2)]
+        E = triangular_realization(alpha, delta, table=delta.table)
+        assert E != triangular_realization(alpha, delta)
+        assert tuple(E.rows[i][i] for i in range(3)) == tuple(delta)
+        assert smith_form(E).diag == tuple(alpha)
+        p = Prescription(variant="P2_span_indices", m=3, n=3, r=3, d=2,
+                         alpha=tuple(alpha), f=(0, 0, 0), k=(0, 0, 0), l=(0, 0, 0))
+        assert verify(realize_span(p), p).passed
+
+    def test_certificate_refuses_a_table_with_swapped_exponents(self):
+        alpha = [ONE, lin(1), lin(1) ** 2 * lin(2) ** 3]
+        delta = [lin(1) * lin(2)] * 3
+        table = [(Fraction(1), (1, 1, 1), (0, 1, 2)), (Fraction(2), (1, 1, 1), (0, 0, 3))]
+        E = triangular_realization(alpha, delta, table=table)
+        assert smith_form(E).diag == tuple(alpha)
+        # both rows still pass the chain and majorization checks
+        swapped = [(rt, x, m) for (rt, x, _), (_, _, m) in zip(table, table[::-1])]
+        with pytest.raises(InternalInvariantError, match="wrong invariant factors"):
+            triangular_realization(alpha, delta, table=swapped)
+
+    def test_certificate_refuses_a_table_with_a_repeated_root(self):
+        alpha = [ONE, ONE, S ** 2]
+        delta = [ONE, S, S]
+        table = [(Fraction(0), (0, 1, 0), (0, 0, 1)), (Fraction(0), (0, 0, 1), (0, 0, 1))]
+        with pytest.raises(InternalInvariantError, match="pairwise coprime"):
+            triangular_realization(alpha, delta, table=table)
 
     def test_certificate_refuses_atoms_that_share_a_factor(self, monkeypatch):
         # s(s - 1) divides nothing here, so the realization itself is right,
