@@ -2,9 +2,9 @@
 verify realizations, and demonstrate the bounded minor selection.
 
 Exit codes: 0 success/feasible/pass, 1 infeasible or verification failure,
-2 malformed input, 3 non-split invariant data, 4 completion search budget
-exhausted, 5 internal error (an identity the library checks on its own output
-failed).
+2 malformed input, 3 non-split invariant data, 5 internal error (an identity
+the library checks on its own output failed). Exit code 4 is retired and
+not reused.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 
 from . import __version__
 from .errors import (
-    CompletionSearchExhausted,
     FieldNotSplit,
     Infeasible,
     InternalInvariantError,
@@ -50,7 +49,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_MALFORMED = 2
 EXIT_NOT_SPLIT = 3
-EXIT_SEARCH = 4
 EXIT_INTERNAL = 5
 
 
@@ -225,9 +223,6 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except CompletionSearchExhausted as exc:
-        print(f"search-exhausted: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
     except (ParseError, MalformedPrescription, ZeroMatrix, SingularInput) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -95,10 +95,6 @@ class MajorizationFails(StructuraError):
     pass
 
 
-class CompletionSearchExhausted(StructuraError):
-    pass
-
-
 class PreconditionViolated(StructuraError):
     pass
 

@@ -6,31 +6,27 @@ Euclidean column replacements, assemble between minimal bases, and lift
 nonzero infinite structure through a Mobius substitution. Rational targets
 wrap the polynomial construction in a denominator clearing.
 
-The distribution is a direct construction. The one search, the triangular
-completion, is deterministic and bounded by the STRUCTURA_MAX_SEARCH node
-budget (default 10^6); exhaustion is reported, never silently mis-answered.
+Every step is a direct construction, with no search: the distribution moves
+units between slots, and the triangular completion borders one slot at a
+time by the pair rule of _atom_triangular.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
-    CompletionSearchExhausted,
     FieldNotSplit,
     ImpossibleSquareCase,
     Infeasible,
     LengthMismatch,
     MajorizationFails,
     NonMonicDiagonal,
-    ParseError,
     PreconditionViolated,
     SumMismatch,
-    _ascii_int,
     _quoted,
     require,
 )
@@ -59,44 +55,6 @@ from .polymat import (
 from .extract import RationalMatrix
 from .qpoly import RatFn
 from .feasibility import FAIL, Prescription, check_feasibility, majorizes
-
-DEFAULT_SEARCH_BUDGET = 10**6
-
-
-def _search_budget() -> int:
-    """Node budget from STRUCTURA_MAX_SEARCH, the default when it is unset;
-    anything but a positive integer in ASCII digits is malformed input."""
-    raw = os.environ.get("STRUCTURA_MAX_SEARCH", "")
-    if not raw:
-        return DEFAULT_SEARCH_BUDGET
-    limit = _ascii_int(raw)
-    if not limit:
-        raise ParseError(
-            f"STRUCTURA_MAX_SEARCH must be a positive integer, got {_quoted(raw)}"
-        )
-    return limit
-
-
-class _Budget:
-    """Node budget of the completion search, from STRUCTURA_MAX_SEARCH;
-    exhaustion names the atom being completed, the nodes spent and the
-    limit."""
-
-    __slots__ = ("limit", "left", "atom")
-
-    def __init__(self):
-        self.limit = self.left = _search_budget()
-        self.atom = None
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise CompletionSearchExhausted(
-                f"completion search budget exhausted at atom {self.atom}: "
-                f"{self.limit - self.left} nodes spent, limit {self.limit}; "
-                "raise STRUCTURA_MAX_SEARCH to retry"
-            )
-
 
 # -- minimal-basis builders ----------------------------------------------------
 
@@ -271,48 +229,9 @@ def distribute_invariant_factors(alpha, h: Sequence[int]) -> Diagonal:
 # -- triangular realization -----------------------------------------------------
 
 
-def _beta_candidates(size, total, lows, bots):
-    """Ascending exponent chains with bounded prefix sums, lexicographic."""
-    out = []
-
-    def rec(prefix, acc):
-        kk = len(prefix)
-        if kk == size - 1:
-            last = total - acc
-            if last >= (prefix[-1] if prefix else 0):
-                out.append(tuple(prefix) + (last,))
-            return
-        start = prefix[-1] if prefix else 0
-        for v in range(start, total - acc + 1):
-            s = acc + v
-            if not lows[kk] <= s <= bots[kk]:
-                continue
-            prefix.append(v)
-            rec(prefix, s)
-            prefix.pop()
-
-    if size == 0:
-        return [()]
-    rec([], 0)
-    return out
-
-
-def _gamma_candidates(size, gmax):
-    """Bordered-column valuation profiles, sparsest first (None = zero entry)."""
-    yield (None,) * size
-    for nnz in range(1, size + 1):
-        for positions in itertools.combinations(range(size), nnz):
-            for vals in itertools.product(range(gmax + 1), repeat=nnz):
-                prof = [None] * size
-                for p, v in zip(positions, vals):
-                    prof[p] = v
-                yield tuple(prof)
-
-
 def _bordered_exponents(beta, prof, xr) -> tuple:
     """Invariant-factor exponents of N(t) = [[diag(t^beta), z], [0, t^xr]],
-    z_i = t^prof[i], or 0 where prof[i] is None; beta is ascending, as
-    _beta_candidates gives it.
+    z_i = t^prof[i], or 0 where prof[i] is None; beta is ascending.
 
     Every nonzero minor of this diagonal-plus-last-column shape is one
     signed monomial: a principal minor of the diagonal, times t^xr when it
@@ -341,12 +260,43 @@ def _bordered_exponents(beta, prof, xr) -> tuple:
     return tuple(out)
 
 
-def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
+def _pair_rule(m: tuple, t: int):
+    """The pair rule of _atom_triangular for the corner t: the block's
+    exponents beta and the border's profile (None = zero entry)."""
+    if t in m:
+        j = m.index(t)
+        return m[:j] + m[j + 1:], (None,) * (len(m) - 1)
+    j = next(i for i in range(len(m) - 1) if m[i] < t < m[i + 1])
+    prof = (None,) * j + (m[j],) + (None,) * (len(m) - j - 2)
+    return m[:j] + (m[j] + m[j + 1] - t,) + m[j + 2:], prof
+
+
+def _atom_triangular(x, m, atom) -> PolyMatrix:
     """Upper triangular matrix with diagonal atom^x_i and invariant-factor
-    exponents m (ascending) in the single atom; None when the complete
-    candidate space is exhausted. Candidates are decided from their
-    exponents by _bordered_exponents; matrices are built only for the
-    accepted one."""
+    exponents m (ascending, majorized by sorted(x)) in the single atom.
+
+    With t = x[-1], a block built for x[:-1] and the exponents beta borders
+    the corner atom^t; _pair_rule picks beta and the border z. If t is in m,
+    beta is m less one t and z = 0. Else m_j < t < m_(j+1) for an adjacent
+    pair, beta is m with the pair replaced by w = m_j + m_(j+1) - t (in slot
+    j), and z is atom^m_j in slot j: the bordered matrix is the rest of
+    diag(atom^beta) next to [[a^w, a^m_j], [0, a^t]], whose invariants are
+    a^m_j and a^m_(j+1) as m_j <= min(w, t). The pair exists, since
+    m_1 <= s_1 <= t <= s_r <= m_r for s = sorted(x).
+
+    beta is majorized by y = sorted(x[:-1]), so the recursion may go on.
+    With indices from 1, P_k the sum of the k smallest entries, j the slot
+    the rule takes out of m and p the position of t in s: P_k(beta) is
+    P_k(m) for k < j and P_(k+1)(m) - t for k >= j, and P_k(y) is P_k(s)
+    for k < p and P_(k+1)(s) - t for k >= p. So P_k(beta) <= P_k(y) is the
+    hypothesis for k < min(j, p), and the hypothesis at k + 1, less t, for
+    k >= max(j, p); for p <= k < j it follows from s_(k+1) >= t, and for
+    j <= k < p from s_(k+1) <= t.
+
+    Each level is certified: _bordered_exponents reads the bordered
+    matrix's invariants from its exponents, and the block's Smith diagonal
+    must be atom^beta before its transform carries the border over.
+    """
     r = len(x)
     if r == 1:
         return PolyMatrix([[atom ** x[0]]])
@@ -354,39 +304,26 @@ def _atom_triangular(x, m, atom, budget) -> Optional[PolyMatrix]:
         return PolyMatrix(
             [[atom ** x[0], atom ** m[0]], [ZERO, atom ** x[1]]], n=2
         )
-    size = r - 1
-    xr = x[-1]
-    mtot = list(itertools.accumulate(m))
-    bots = list(itertools.accumulate(sorted(x[:-1])))
-    total_b = sum(x[:-1])
-    lows = []
-    for kk in range(1, size):
-        lows.append(max(mtot[kk - 1], mtot[kk] - xr, 0))
-    lows.append(total_b)
-
-    gmax = sum(m)
-    for beta in _beta_candidates(size, total_b, lows, bots):
-        budget.spend()
-        block = _atom_triangular(x[:-1], beta, atom, budget)
-        if block is None:
-            continue
-        for prof in _gamma_candidates(size, gmax):
-            budget.spend()
-            if _bordered_exponents(beta, prof, xr) == m:
-                # block has Smith form U block V = D = diag(atom^beta), so
-                # T = [[block, y], [0, atom^xr]] with y = U^-1 z is equivalent
-                # to diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^xr]], the
-                # bordered matrix whose exponents were just read
-                diag, _, right = _smith_core(block, track=True)
-                require(diag == tuple(atom ** b for b in beta),
-                        "completed block has the wrong invariant factors")
-                z = [ZERO if gv is None else atom ** gv for gv in prof]
-                Ui = _column_matrix(
-                    *_left_inverse_columns(_integer_lines(block.rows), right, diag), size)
-                y = Ui @ PolyMatrix([[e] for e in z], n=1)
-                rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
-                return PolyMatrix(rows + [[ZERO] * size + [atom ** xr]], n=r)
-    return None
+    size, t = r - 1, x[-1]
+    beta, prof = _pair_rule(m, t)
+    require(_bordered_exponents(beta, prof, t) == m,
+            "bordered matrix has the wrong invariant factors")
+    block = _atom_triangular(x[:-1], beta, atom)
+    if t in m:
+        y = [ZERO] * size
+    else:
+        # block has Smith form U block V = D = diag(atom^beta), so
+        # T = [[block, y], [0, atom^t]] with y = U^-1 z is equivalent to
+        # diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^t]], the bordered matrix
+        diag, _, right = _smith_core(block, track=True)
+        require(diag == tuple(atom ** b for b in beta),
+                "completed block has the wrong invariant factors")
+        Ui = _column_matrix(
+            *_left_inverse_columns(_integer_lines(block.rows), right, diag), size)
+        j = next(i for i, g in enumerate(prof) if g is not None)
+        y = [row[j] * atom ** prof[j] for row in Ui.rows]
+    rows = [list(block.rows[i]) + [y[i]] for i in range(size)]
+    return PolyMatrix(rows + [[ZERO] * size + [atom ** t]], n=r)
 
 
 def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
@@ -440,15 +377,9 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
                 "2x2 realization has the wrong invariant factors")
         return PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
 
-    budget = _Budget()
     E = PolyMatrix.identity(r)
     for w, (atom, x, m) in enumerate(exponents):
-        budget.atom = atom
-        T = _atom_triangular(x, m, atom, budget)
-        if T is None:
-            raise CompletionSearchExhausted(
-                f"no completion found for atom {atom}"
-            )
+        T = _atom_triangular(tuple(x), tuple(m), atom)
         E = E @ T if w else T
     require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
             "triangular realization has the wrong diagonal")
@@ -549,8 +480,6 @@ def _realize_poly(p: Prescription, alpha, f, d: int, avoid=ONE) -> PolyMatrix:
 
 
 def _gate(p: Prescription) -> None:
-    # a malformed budget is bad input even when the search never starts
-    _search_budget()
     rep = check_feasibility(p)
     if not rep.feasible:
         failing = [c.label for c in rep.conditions.values() if c.status == FAIL]

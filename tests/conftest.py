@@ -14,7 +14,6 @@ from typing import Sequence
 from hypothesis import settings
 
 from structura.errors import (
-    CompletionSearchExhausted,
     FieldNotSplit,
     LengthMismatch,
     MajorizationFails,
@@ -37,7 +36,6 @@ from structura.qpoly import (
     Poly,
     _reduced,
     atom_valuation,
-    coprime_basis,
     divides,
     poly_gcd,
     split_over_rationals,
@@ -53,7 +51,6 @@ from structura.polymat import (
     invariant_factors,
     is_minimal_basis,
     rank,
-    smith_form,
 )
 from structura.extract import (
     RationalMatrix,
@@ -70,12 +67,6 @@ from structura.minors import (
     minor_at,
     star_dual,
     validate_index_tuple,
-)
-from structura.synthesis import (
-    DEFAULT_SEARCH_BUDGET,
-    _beta_candidates,
-    _Budget,
-    _gamma_candidates,
 )
 
 # Every property draws the same examples on every run and Python version:
@@ -803,84 +794,6 @@ def rationalize_prescription(rng, p: Prescription) -> Prescription:
     )
 
 
-# -- completion search oracle -------------------------------------------------
-
-
-def _smith_checked_atom_triangular(x, m, atom, budget):
-    """synthesis._atom_triangular with each bordered candidate decided by a
-    Smith elimination of the candidate matrix instead of its exponents."""
-    r = len(x)
-    if r == 1:
-        return PolyMatrix([[atom ** x[0]]])
-    if r == 2:
-        return PolyMatrix([[atom ** x[0], atom ** m[0]], [ZERO, atom ** x[1]]], n=2)
-    size, xr = r - 1, x[-1]
-    mtot = list(itertools.accumulate(m))
-    bots = list(itertools.accumulate(sorted(x[:-1])))
-    lows = [max(mtot[kk - 1], mtot[kk] - xr, 0) for kk in range(1, size)] + [sum(x[:-1])]
-    target = tuple(atom ** mi for mi in m)
-    corner = [ZERO] * size + [atom ** xr]
-    for beta in _beta_candidates(size, sum(x[:-1]), lows, bots):
-        budget.spend()
-        block = _smith_checked_atom_triangular(x[:-1], beta, atom, budget)
-        if block is None:
-            continue
-        D = [[atom ** b if i == j else ZERO for j, b in enumerate(beta)] for i in range(size)]
-        for prof in _gamma_candidates(size, sum(m)):
-            budget.spend()
-            z = [ZERO if gv is None else atom ** gv for gv in prof]
-            bordered = [D[i] + [z[i]] for i in range(size)]
-            if invariant_factors(PolyMatrix(bordered + [corner], n=r)) == target:
-                sm = smith_form(block)
-                require(tuple(sm.diag) == tuple(atom ** b for b in beta),
-                        "completed block has the wrong invariant factors")
-                Ui = left_inverse_matrix(block, sm.right, sm.diag)
-                y = Ui @ PolyMatrix([[e] for e in z], n=1)
-                rows = [list(block.rows[i]) + [y.rows[i][0]] for i in range(size)]
-                return PolyMatrix(rows + [corner], n=r)
-    return None
-
-
-def smith_checked_triangular_realization(alpha, delta) -> PolyMatrix:
-    """triangular_realization with every candidate and the result checked by
-    Smith elimination instead of exponent arithmetic and certificates."""
-    r = len(alpha)
-    if len(delta) != r:
-        raise LengthMismatch("diagonal and invariant lists differ in length")
-    for p in list(alpha) + list(delta):
-        if p.is_zero or not p.is_monic:
-            raise PreconditionViolated("diagonals and invariants must be monic")
-    exponents = [(atom, tuple(atom_valuation(d, atom)[0] for d in delta),
-                  tuple(atom_valuation(a, atom)[0] for a in alpha))
-                 for atom in coprime_basis(list(alpha) + list(delta))]
-    if any(list(m) != sorted(m) for _, _, m in exponents):
-        raise PreconditionViolated("invariant factors must form a chain")
-    for atom, x, m in exponents:
-        if not majorizes(m, tuple(sorted(x))):
-            raise PreconditionViolated(
-                f"at atom {atom}, invariant exponents {m} are not "
-                f"majorized by the diagonal exponents {tuple(sorted(x))}"
-            )
-    if r == 2:
-        E = PolyMatrix([[delta[0], alpha[0]], [ZERO, delta[1]]], n=2)
-        require(invariant_factors(E) == tuple(alpha),
-                "2x2 realization has the wrong invariant factors")
-        return E
-    budget = _Budget()
-    E = PolyMatrix.identity(r)
-    for atom, x, m in exponents:
-        budget.atom = atom
-        T = _smith_checked_atom_triangular(x, m, atom, budget)
-        if T is None:
-            raise CompletionSearchExhausted(f"no completion found for atom {atom}")
-        E = E @ T
-    require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
-            "triangular realization has the wrong diagonal")
-    require(invariant_factors(E) == tuple(alpha),
-            "triangular realization has the wrong invariant factors")
-    return E
-
-
 # -- dual minimal basis oracle -----------------------------------------------
 
 
@@ -1058,10 +971,10 @@ class SearchExhausted(StructuraError):
 
 
 class _DistributionBudget:
-    """DEFAULT_SEARCH_BUDGET nodes for one distribution search."""
+    """10^6 nodes for one distribution search."""
 
     def __init__(self):
-        self.left = DEFAULT_SEARCH_BUDGET
+        self.left = 10**6
 
     def spend(self, n: int = 1):
         self.left -= n

@@ -237,6 +237,39 @@ class TestCheckFeasibility:
         rep = check_feasibility(p)
         assert rep.status("eqx0") == FAIL and not rep.feasible
 
+    def test_y_condition_binds_at_r_equal_m(self):
+        p = Prescription(
+            variant="P2_span_indices",
+            m=2,
+            n=3,
+            r=2,
+            d=2,
+            alpha=(ONE, ONE),
+            f=(0, 0),
+            k=(1, 0),  # r == m forces zero column-span indices
+            l=(1, 0),
+        )
+        rep = check_feasibility(p)
+        assert rep.status("eqy0") == FAIL and not rep.feasible
+        assert rep.status("eqx0") == PASS  # r < n
+
+    def test_x_and_y_conditions_not_applicable_to_spans_and_full(self):
+        # both bind only where the indices alone are prescribed: spans
+        # variants get them from the basis shape, full ones from eqsums
+        from structura.synthesis import build_minimal_basis
+
+        spans = Prescription(
+            variant="P1_spans", m=2, n=2, r=2, d=1, alpha=(ONE, S * S), f=(0, 0),
+            K=build_minimal_basis((0, 0), 2), Lt=build_minimal_basis((0, 0), 2),
+        )
+        full = Prescription(
+            variant="P3_full", m=2, n=2, r=2, d=2, alpha=(ONE, S * S), f=(0, 2),
+            k=(0, 0), l=(0, 0), right=(), left=(),
+        )
+        for p in (spans, full):
+            rep = check_feasibility(p)
+            assert (rep.status("eqx0"), rep.status("eqy0")) == (NA, NA), p.variant
+
 
 class TestMalformed:
     def test_prescription_is_immutable(self):

@@ -1,5 +1,6 @@
 """Constructors: builders, distribution, triangular realization, pipelines."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from structura.errors import (
-    CompletionSearchExhausted,
     FieldNotSplit,
     ImpossibleSquareCase,
     Infeasible,
@@ -22,10 +22,11 @@ from structura.errors import (
 from structura.qpoly import ONE, X, ZERO, Poly, coprime_basis
 from structura.polymat import PolyMatrix, invariant_factors, is_minimal_basis, smith_form
 from structura.extract import verify
-from structura.feasibility import Prescription, check_feasibility
+from structura.feasibility import Prescription, check_feasibility, majorizes
 from structura.synthesis import (
     _bordered_exponents,
     _mobius_point,
+    _pair_rule,
     build_dual_minimal_bases,
     build_minimal_basis,
     distribute_invariant_factors,
@@ -39,10 +40,10 @@ from conftest import (
     _check_sa_conditions,
     max_minor_degree,
     per_member_distribute_invariant_factors,
+    poly_smith_core,
     random_feasible_poly_prescription,
     rationalize_prescription,
     segmented_dual_minimal_bases,
-    smith_checked_triangular_realization,
 )
 
 S = X
@@ -503,47 +504,78 @@ def completion_cases(draw):
     return alpha, delta
 
 
-def _completion_outcome(fn, alpha, delta):
-    """fn's result, the message of a CompletionSearchExhausted, or the
-    type of anything else it raised."""
+def _check_completion(alpha, delta):
+    """triangular_realization of (alpha, delta) against the brute-force
+    conditions of conftest._check_sa_conditions: where they hold, an upper
+    triangular matrix with diagonal delta whose Smith form, by the Poly
+    elimination of conftest.poly_smith_core, is alpha; else a
+    PreconditionViolated."""
     try:
-        return fn(list(alpha), list(delta))
-    except CompletionSearchExhausted as exc:
-        return str(exc)
-    except Exception as exc:
-        return type(exc)
+        _check_sa_conditions(alpha, delta)
+    except PreconditionViolated:
+        with pytest.raises(PreconditionViolated):
+            triangular_realization(alpha, delta)
+        return False
+    E = triangular_realization(alpha, delta)
+    r = len(alpha)
+    assert all(E.rows[i][j].is_zero for i in range(r) for j in range(i))
+    assert tuple(E.rows[i][i] for i in range(r)) == tuple(delta)
+    assert poly_smith_core(E, False)[0] == tuple(alpha)
+    return True
 
 
-class TestSmithCheckedOracle:
-    """triangular_realization against conftest's search, which decides every
-    candidate and the result by Smith elimination."""
+class TestCompletionOracle:
+    """The pair-rule completion against Smith elimination in Poly arithmetic."""
+
+    @pytest.mark.parametrize("atom", [S, Poly([1, 0, 1])], ids=["s", "s^2+1"])
+    def test_exhaustive_grid(self, atom):
+        # r <= 4, ascending exponents m <= 3 of alpha and every exponent
+        # tuple x of delta with the same total, in every order
+        built = refused = 0
+        for r in range(1, 5):
+            for m in itertools.combinations_with_replacement(range(4), r):
+                for x in itertools.product(range(4), repeat=r):
+                    if sum(x) != sum(m):
+                        continue
+                    if _check_completion([atom ** e for e in m], [atom ** e for e in x]):
+                        built += 1
+                    else:
+                        refused += 1
+        assert (built, refused) == (662, 490)
 
     @settings(max_examples=120, deadline=None)
-    @given(completion_cases(), hst.sampled_from(["1", "4", "15", "60", "400"]))
-    @example(([ONE, lin(1), (S ** 2) * lin(1) ** 2],
-              [S * lin(1), lin(1), S * lin(1)]), "3")
-    @example(([ONE, S, S, S ** 3], [S, S, S, S * S]), "400")
-    def test_same_matrix_or_message(self, case, budget):
-        alpha, delta = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("STRUCTURA_MAX_SEARCH", budget)
-            got = _completion_outcome(triangular_realization, alpha, delta)
-            want = _completion_outcome(smith_checked_triangular_realization, alpha, delta)
-        assert got == want
+    @given(completion_cases())
+    @example(([ONE, lin(1), (S ** 2) * lin(1) ** 2], [S * lin(1), lin(1), S * lin(1)]))
+    @example(([ONE, S, S, S ** 3], [S, S, S, S * S]))
+    def test_completion_cases(self, case):
+        _check_completion(*case)
 
-    def test_same_matrix_at_the_default_budget(self):
-        rng = random.Random(16)
-        for _ in range(12):
-            r = rng.randint(1, 4)
-            alpha, delta = [ONE] * r, [ONE] * r
-            for atom in SA_ATOMS:
-                m = sorted(rng.randint(0, 2) for _ in range(r))
-                # delta's exponents: m reversed majorizes m (Sa-Thompson holds)
-                alpha = [a * atom ** e for a, e in zip(alpha, m)]
-                delta = [d * atom ** e for d, e in zip(delta, rng.sample(m, r))]
-            E = triangular_realization(alpha, delta)
-            assert E == smith_checked_triangular_realization(alpha, delta)
-            assert smith_form(E).diag == tuple(alpha)
+
+class TestPairRule:
+    def test_majorization_grid(self):
+        # every ascending m <= 4 majorized by sorted(x), x in {0..4}^r, r <= 5:
+        # beta is majorized by the rest of the diagonal, and the bordered
+        # matrix has the invariant exponents m
+        pairs = 0
+        for r in range(2, 6):
+            for m in itertools.combinations_with_replacement(range(5), r):
+                for x in itertools.product(range(5), repeat=r):
+                    if not majorizes(m, tuple(sorted(x))):
+                        continue
+                    beta, prof = _pair_rule(m, x[-1])
+                    assert list(beta) == sorted(beta)
+                    assert majorizes(beta, tuple(sorted(x[:-1]))), (m, x)
+                    assert _bordered_exponents(beta, prof, x[-1]) == m, (m, x)
+                    pairs += 1
+        assert pairs == 15348
+
+    @pytest.mark.parametrize("m, t, beta, prof", [
+        ((0, 1, 3), 1, (0, 3), (None, None)),  # t in m: zero border
+        ((0, 1, 3), 2, (0, 2), (None, 1)),  # 1 < 2 < 3: w = 2 at slot 1
+        ((0, 0, 4), 3, (0, 1), (None, 0)),  # 0 < 3 < 4: w = 1 at slot 1
+    ])
+    def test_examples(self, m, t, beta, prof):
+        assert _pair_rule(m, t) == (beta, prof)
 
 
 @hst.composite
@@ -582,35 +614,12 @@ class TestSaThompsonCheck:
             expected = True
         except PreconditionViolated:
             expected = False
-        # a budget of one node ends the completion search right after the
-        # check, so only PreconditionViolated reports a rejection
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("STRUCTURA_MAX_SEARCH", "1")
-            try:
-                triangular_realization(alpha, delta)
-                accepted = True
-            except CompletionSearchExhausted:
-                accepted = True
-            except PreconditionViolated:
-                accepted = False
-        assert accepted == expected
-
-
-class TestSearchBudget:
-    """Exhaustion names the atom being completed and the nodes spent against
-    the limit."""
-
-    @pytest.mark.parametrize("limit, atom, spent", [(1, "s - 1", 2), (3, "s", 4)])
-    def test_completion_search_message(self, monkeypatch, limit, atom, spent):
-        # atoms are completed in order s - 1, then s
-        monkeypatch.setenv("STRUCTURA_MAX_SEARCH", str(limit))
-        alpha = [ONE, lin(1), (S ** 2) * lin(1) ** 2]
-        delta = [S * lin(1), lin(1), S * lin(1)]
-        with pytest.raises(CompletionSearchExhausted) as info:
+        try:
             triangular_realization(alpha, delta)
-        assert str(info.value) == (
-            f"completion search budget exhausted at atom {atom}: "
-            f"{spent} nodes spent, limit {limit}; raise STRUCTURA_MAX_SEARCH to retry")
+            accepted = True
+        except PreconditionViolated:
+            accepted = False
+        assert accepted == expected
 
 
 class TestShapeDegrees:
