@@ -14,7 +14,7 @@ from .qpoly import ONE, ZERO, RatFn, _reduced, poly_lcm
 from .polymat import (
     PolyMatrix,
     _DenseMatrix,
-    _frac_rank,
+    _echelon_insert,
     _integer_columns,
     _integer_lines,
     _over_lcm,
@@ -124,18 +124,24 @@ def _multiplicities_at_zero(rows, r: int) -> tuple:
     rank T_j - rank T_(j-1) counts the f_i below j (Gohberg-Lancaster-Rodman
     1982, Matrix Polynomials); the scan stops once that count reaches r. The
     f_i sum to at most the degree of a nonzero r x r minor, r * deg P.
+
+    T_j is T_(j-1) with one more block row [A_(j-1) ... A_0] and one more
+    block column, which is zero above A_0. So the rows of T_(j-1), padded
+    with zeros, are rows of T_j: one running echelon form holds them, and
+    step j only reduces the rows of the new block row into it. rank T_j is
+    the number of echelon rows.
     """
     coeffs = [_over_lcm(row)[0] for row in rows]  # scales rows of every T_j
     top = max(len(cs) for row in coeffs for cs in row) - 1
-    f, prev, j = [], 0, 0
+    echelon, f, j = {}, [], 0
     while len(f) < r:
         j += 1
         require(j <= r * top + 1, "partial multiplicities exceed the rank bound")
-        now = _frac_rank([[cs[b - k] if 0 <= b - k < len(cs) else 0
-                           for k in range(j) for cs in row]
-                          for b in range(j) for row in coeffs])
-        f.extend([j - 1] * (now - prev - len(f)))
-        prev = now
+        prev = len(echelon)
+        for row in coeffs:
+            _echelon_insert(echelon, [cs[j - 1 - k] if j - 1 - k < len(cs) else 0
+                                      for k in range(j) for cs in row])
+        f.extend([j - 1] * (len(echelon) - prev - len(f)))
     return tuple(f)
 
 
@@ -233,23 +239,17 @@ def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
 
 
 def clear_denominators(R: RationalMatrix):
-    """(psi1, P): monic least common denominator and the polynomial psi1 * R."""
+    """(psi1, P): monic least common denominator and the polynomial psi1 * R.
+    The lcm and each quotient psi1 / den are taken once per distinct
+    denominator."""
     if R.is_zero:
         raise ZeroMatrix("cannot clear denominators of the zero matrix")
+    dens = list(dict.fromkeys(e.den for row in R.rows for e in row if not e.is_zero))
     psi1 = ONE
-    for row in R.rows:
-        for e in row:
-            if not e.is_zero:
-                psi1 = poly_lcm(psi1, e.den)
-    rows = []
-    for row in R.rows:
-        out = []
-        for e in row:
-            if e.is_zero:
-                out.append(ZERO)
-            else:
-                out.append(e.num * (psi1 // e.den))
-        rows.append(out)
+    for den in dens:
+        psi1 = poly_lcm(psi1, den)
+    quotients = {den: psi1 // den for den in dens}
+    rows = [[ZERO if e.is_zero else e.num * quotients[e.den] for e in row] for row in R.rows]
     return psi1, PolyMatrix(rows, n=R.n)
 
 

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, _quoted, require
-from .qpoly import FactoredPoly, Poly, RatFn, _reduced, split_over_rationals
+from .qpoly import FactoredPoly, Poly, RatFn, _reduced, rational_roots
 from .polymat import PolyMatrix
 from .extract import (
     PolyStructuralData,
@@ -257,8 +257,7 @@ def _rational_eigenvalues(polys) -> list:
     for p in polys:
         if p.is_zero or p.is_constant:
             continue
-        for root, _ in split_over_rationals(p).factors:
-            roots.add(root)
+        roots.update(rational_roots(p))
     return [fraction_to_json(r) for r in sorted(roots)]
 
 

@@ -3,8 +3,11 @@
 Given a nonsingular square matrix over an integral domain and a strictly
 increasing index tuple Z, produces row/column tuples I <= Z*, J <= Z with a
 nonzero minor, by induction on the matrix size. Whether a matrix or a minor
-is singular is read from its rank at integer points, not from a determinant.
-A brute-force enumerator of all admissible pairs doubles as the test oracle.
+is singular is read from the rank of a submatrix of one integer matrix, the
+value E(2^b) past the Cauchy bound of the minors of E
+(polymat._kronecker_values), not from a determinant: no Poly submatrix is
+built. A brute-force enumerator of all admissible pairs doubles as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InternalInvariantError, ParseError, SingularInput, require
-from .polymat import PolyMatrix, det, rank
+from .polymat import PolyMatrix, _echelon, _frac_rank, _kronecker_values, det
 
 
 def validate_index_tuple(Z: Sequence[int], r: int) -> tuple:
@@ -37,36 +40,35 @@ def star_dual(Z: Sequence[int], r: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _dependency_chain(E: PolyMatrix) -> tuple:
-    """Reduction chain ((matrix, u), ...) down to size 2; u marks the first
-    column of the top r-1 rows that depends on its predecessors.
+    """(V, chain): V is _kronecker_values(E), an integer matrix whose
+    submatrices are singular exactly where those of E are, and chain is the
+    reduction chain ((values, u), ...) down to size 2. Each level's values
+    are those of its matrix, read from V; u marks the first column of their
+    top r-1 rows that depends on its predecessors.
 
-    The chain and the check that E is nonsingular depend only on the matrix,
-    not on the index tuple, so they are cached and shared across queries on
-    equal matrices.
+    V, the chain and the check that E is nonsingular depend only on the
+    matrix, not on the index tuple, so they are cached and shared across
+    queries on equal matrices.
     """
-    if rank(E) < E.m:
+    V = tuple(map(tuple, _kronecker_values(E)))
+    if _frac_rank(V) < E.m:
         raise SingularInput("matrix is singular")
     chain = []
-    cur = E
-    while cur.m >= 3:
-        r = cur.m
-        X = cur.submatrix(range(r - 1), range(r))
-        u = None
-        for i in range(1, r + 1):
-            if rank(X.submatrix(range(r - 1), range(i))) == i - 1:
-                u = i
-                break
-        require(u is not None,
-                "top rows of a nonsingular matrix must have a dependency")
+    cur = V
+    while len(cur) >= 3:
+        # r - 1 rows have at most r - 1 pivots among r columns, so some
+        # column is not one; the first is the first dependent column
+        pivots = sorted(_echelon(cur[:-1]))
+        u = next((c for c, p in enumerate(pivots) if c != p), len(pivots)) + 1
         chain.append((cur, u))
-        cur = cur.submatrix(range(r - 1), [j for j in range(r) if j != u - 1])
+        cur = tuple(row[:u - 1] + row[u:] for row in cur[:-1])
     chain.append((cur, None))
-    return tuple(chain)
+    return V, tuple(chain)
 
 
 def _select(chain, level: int, Z: tuple):
-    E, u = chain[level]
-    r = E.m
+    W, u = chain[level]
+    r = len(W)
     k = len(Z)
     if k == r:
         full = tuple(range(1, r + 1))
@@ -75,7 +77,7 @@ def _select(chain, level: int, Z: tuple):
         z1 = Z[0]
         for i in range(r - z1 + 1):
             for j in range(z1):
-                if not E[i, j].is_zero:
+                if W[i][j]:
                     return (i + 1,), (j + 1,)
         raise InternalInvariantError("full-rank matrix with a zero leading block")
 
@@ -103,17 +105,19 @@ def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
     """(I, J) with J <= Z, I <= Z* componentwise and det(E(I, J)) != 0.
 
     Indices are 1-based, matching the Q_{k,r} convention. Nonsingularity of
-    E and of E(I, J) is tested by the exact polymat.rank, not by det.
+    E and of E(I, J) is tested by the rank of the same rows and columns of
+    the integer value V of E (see polymat.rank), not by det.
     """
     if not E.is_square:
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
-    I, J = _select(_dependency_chain(E), 0, Z)
+    V, chain = _dependency_chain(E)
+    I, J = _select(chain, 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")
     require(all(j <= b for j, b in zip(J, Z)), "column bound violated")
-    require(rank(E.submatrix([i - 1 for i in I], [j - 1 for j in J])) == len(I),
+    require(_frac_rank([[V[i - 1][j - 1] for j in J] for i in I]) == len(I),
             "selected minor vanished")
     return I, J
 

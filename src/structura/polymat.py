@@ -8,8 +8,9 @@ pivot step as the same row steps on the transposed working matrix; its
 transformers, like the columns that column reduction and basis
 normalization take, are integer lists over one denominator per line. det is
 a fraction-free elimination of the rows over their lcms. The rank is read
-from values of the matrix at distinct rationals by forward elimination over
-Q, with no polynomial elimination; column_reduce detects rank deficiency by
+from one integer value of the matrix, taken past the Cauchy bound of its
+minors and built by Kronecker substitution, by forward elimination over Q,
+with no polynomial elimination; column_reduce detects rank deficiency by
 itself.
 
 All operations are pure; matrices are immutable value objects. det and the
@@ -21,7 +22,6 @@ produce identical transformers.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -265,39 +265,52 @@ def det(P: PolyMatrix) -> Poly:
     return _reduced(_bareiss(rows), math.prod(dens))
 
 
-def rank(P: PolyMatrix) -> int:
-    """Rank over Q(s), read from the values of P at 0, 1, -1, 2, -2, ...
+def _kronecker_values(P: PolyMatrix) -> list:
+    """The integer matrix P(2^b), each row times the lcm of its denominators,
+    with 2^b past the Cauchy bound of every minor of P (see rank): a minor
+    of any size of P vanishes exactly when the same minor of this matrix
+    does. Each value is built by shifts, as in Kronecker substitution."""
+    rows = [_over_lcm(row)[0] for row in P.rows]
 
-    Every term of a rho x rho minor takes one entry from each of its rows and
-    each of its columns, so the minor has degree at most the sum of the rho
-    largest column degrees of P, and at most the same sum over the row
-    degrees (a zero column or row counts as degree 0). With D the smaller of
-    the two sums for rho = min(m, n), no nonzero minor can vanish at D + 1
-    distinct points (the deterministic form of DeMillo-Lipton 1978 /
-    Schwartz 1980 / Zippel 1979). The largest rank of P(x) over that many
-    points is therefore the rank of P; no value exceeds it, so the scan stops
-    once it reaches min(m, n).
-    """
+    def norms(lines):
+        return sorted((max(1, sum(abs(c) for cs in line for c in cs)) for line in lines),
+                      reverse=True)
+
     full = min(P.m, P.n)
-    if full == 0 or P.is_zero:
-        return 0
+    bound = min(math.prod(norms(rows)[:full]), math.prod(norms(zip(*rows))[:full]))
+    b = (bound + 1).bit_length()
 
-    def top_sum(degs):
-        return sum(sorted((int(max(d, 0)) for d in degs), reverse=True)[:full])
+    def value(cs):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc << b) + c
+        return acc
 
-    row_degs = (max(e.degree for e in row) for row in P.rows)
-    bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
-    coeffs, width = [_over_lcm(row)[0] for row in P.rows], int(P.degree) + 1
-    best = 0
-    for k in range(bound + 1):
-        x = (k + 1) // 2 if k % 2 else -(k // 2)
-        powers = [x ** t for t in range(width)]
-        # the rows of P(x), each times a positive integer
-        best = max(best, _frac_rank([[sum(map(operator.mul, cs, powers)) for cs in row]
-                                     for row in coeffs]))
-        if best == full:
-            break
-    return best
+    return [[value(cs) for cs in row] for row in rows]
+
+
+def rank(P: PolyMatrix) -> int:
+    """Rank over Q(s), read from the single integer matrix _kronecker_values.
+
+    Scale each row of P by the lcm of its denominators, and let N_i be the
+    larger of 1 and the sum of the absolute values of the coefficients
+    of row i. A k x k minor, k <= min(m, n), is a signed sum over
+    permutations of products of one entry from each of its k rows. The
+    coefficient sum of a product is at most the product of the coefficient
+    sums, and expanding the product of the N_i of those rows counts every
+    such term, so each coefficient of the minor has absolute value at most
+    that product, and at most the product H of the min(m, n) largest N_i
+    since no N_i is below 1. Read over the columns, the same argument bounds
+    the minors by the product of the column sums, so H may be the smaller of
+    the two products. By Cauchy's bound a nonzero integer polynomial with
+    coefficients of absolute value at most H has no root of modulus above
+    H + 1 (von zur Gathen and Gerhard, Modern Computer Algebra). At x = 2^b
+    with b = (H + 1).bit_length(), so x > H + 1, every nonzero minor of P
+    is nonzero, and the rank of P(x) is the rank of P. The same holds for
+    every submatrix of P(x), which is how minors.select_nonzero_minor reads
+    the ranks of submatrices without building them over Q[s].
+    """
+    return _frac_rank(_kronecker_values(P))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -597,25 +610,42 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
+def _echelon_insert(echelon: dict, row: list) -> None:
+    """Reduce an integer row into an echelon form over Q, in place.
+
+    echelon maps each pivot column to a primitive integer row that is zero
+    before it; rows may be shorter than row, and read as padded with zeros.
+    row is made primitive, and while its first nonzero column c has a
+    pivot row e, it becomes e[c] * row - row[c] * e, made primitive again. A
+    row left nonzero joins echelon under its first nonzero column."""
+    row, c = _primitive(row), 0
+    while True:
+        while c < len(row) and not row[c]:
+            c += 1
+        if c == len(row):
+            return
+        e = echelon.get(c)
+        if e is None:
+            echelon[c] = row
+            return
+        p, f = e[c], row[c]
+        row = _primitive([p * x - f * y for x, y in zip(row, e)]
+                         + [p * x for x in row[len(e):]])
+
+
+def _echelon(rows) -> dict:
+    """The echelon form of an integer matrix, as _echelon_insert builds it
+    row by row. Its keys are the pivot columns: column c is one exactly when
+    it is not in the span of the columns before it."""
+    echelon = {}
+    for row in rows:
+        _echelon_insert(echelon, row)
+    return echelon
+
+
 def _frac_rank(rows) -> int:
-    """Rank over Q of an integer matrix by forward elimination: each row is
-    made primitive, and each row below a pivot becomes p * row_i - f * row_r,
-    made primitive again, a nonzero multiple of the rational row."""
-    M = [_primitive(row) for row in rows]
-    r = 0
-    for c in range(len(M[0]) if M else 0):
-        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        prow = M[r]
-        p = prow[c]
-        for i in range(r + 1, len(M)):
-            f = M[i][c]
-            if f:
-                M[i] = _primitive([p * x - f * y for x, y in zip(M[i], prow)])
-        r += 1
-    return r
+    """Rank over Q of an integer matrix: the number of its echelon rows."""
+    return len(_echelon(rows))
 
 
 def _over_lcm(polys):

@@ -527,23 +527,40 @@ def _rational_roots(f: list) -> list:
     return roots
 
 
-def split_over_rationals(p: Poly) -> FactoredPoly:
-    """Peel off every rational root (with exact multiplicity) of a nonzero p,
-    on its integer numerators. The roots come from Sturm-sequence bisection
-    over integer intervals (_rational_roots): at most e + 2 halvings per root
-    for coefficients of e bits, so the cost grows with the bit length, not
-    with the divisors of the coefficients. Each multiplicity comes from
-    synthetic division by b*s - a (_linear_valuation)."""
+def _root_free_numerators(p: Poly) -> tuple:
+    """(v, nums): the valuation v of a nonzero p at 0, and the integer
+    numerators of p / s^v with a positive leading coefficient."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     nums = p.numerators
     v = next(i for i, c in enumerate(nums) if c)
-    nums = list(nums[v:]) if nums[-1] > 0 else [-c for c in nums[v:]]
-    factors = [(Fraction(0), v)] if v else []
-    for root in _rational_roots(nums) if len(nums) > 1 else ():
-        mult, nums = _linear_valuation(nums, root.numerator, root.denominator)
+    return v, list(nums[v:]) if nums[-1] > 0 else [-c for c in nums[v:]]
+
+
+def rational_roots(p: Poly) -> list:
+    """The rational roots of a nonzero p, ascending, 0 among them when
+    p(0) = 0: those of p / s^v by Sturm-sequence bisection over integer
+    intervals (_rational_roots), at most e + 2 halvings per root for
+    coefficients of e bits, so the cost grows with the bit length, not with
+    the divisors of the coefficients. No multiplicity is counted."""
+    v, nums = _root_free_numerators(p)
+    roots = _rational_roots(nums) if len(nums) > 1 else []
+    return sorted(roots + [Fraction(0)]) if v else roots
+
+
+def split_over_rationals(p: Poly) -> FactoredPoly:
+    """Peel off every rational root (with exact multiplicity) of a nonzero p,
+    on its integer numerators: the roots come from rational_roots, and each
+    multiplicity from synthetic division by b*s - a (_linear_valuation)."""
+    v, nums = _root_free_numerators(p)
+    factors = []
+    for root in rational_roots(p):
+        if root:
+            mult, nums = _linear_valuation(nums, root.numerator, root.denominator)
+        else:
+            mult = v
         factors.append((root, mult))
-    return FactoredPoly(p.lc, sorted(factors), _reduced(nums, 1).monic())
+    return FactoredPoly(p.lc, factors, _reduced(nums, 1).monic())
 
 
 def mobius_tilde(p: Poly, a: Scalar):

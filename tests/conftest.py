@@ -44,9 +44,11 @@ from structura.polymat import (
     ColumnReduction,
     PolyMatrix,
     _column_matrix,
+    _frac_rank,
     _integer_columns,
     _integer_lines,
     _left_inverse_columns,
+    _over_lcm,
     det,
     invariant_factors,
     is_minimal_basis,
@@ -62,7 +64,6 @@ from structura.extract import (
 from structura.feasibility import Prescription, g_sequence, majorizes
 from structura.jsonio import _scalar_pair
 from structura.minors import (
-    _dependency_chain,
     _select,
     minor_at,
     star_dual,
@@ -107,15 +108,26 @@ def cofactor_det(rows) -> Poly:
 
 
 def det_select_nonzero_minor(E: PolyMatrix, Z):
-    """select_nonzero_minor with its vanishing tests read from polynomial
-    determinants instead of ranks: the same selection, checked the old way."""
+    """select_nonzero_minor with every vanishing test read over Q[s]: E and
+    the chosen minor by polynomial determinants, and the dependency chain by
+    scanned_rank on Poly submatrices. _select reads a level only through its
+    shape and which entries are nonzero, so each level is passed as its
+    nonzero pattern."""
     if not E.is_square:
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
     if det(E).is_zero:
         raise SingularInput("matrix is singular")
-    I, J = _select(_dependency_chain(E), 0, Z)
+    chain, cur = [], E
+    while cur.m >= 3:
+        n = cur.m
+        u = next(i for i in range(1, n + 1)
+                 if scanned_rank(cur.submatrix(range(n - 1), range(i))) == i - 1)
+        chain.append(([[not e.is_zero for e in row] for row in cur.rows], u))
+        cur = cur.submatrix(range(n - 1), [j for j in range(n) if j != u - 1])
+    chain.append(([[not e.is_zero for e in row] for row in cur.rows], None))
+    I, J = _select(tuple(chain), 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")
     require(all(j <= b for j, b in zip(J, Z)), "column bound violated")
@@ -123,8 +135,42 @@ def det_select_nonzero_minor(E: PolyMatrix, Z):
     return I, J
 
 
-# the first points at which polymat.rank evaluates, in its order
+# the first points at which the scan oracle scanned_rank evaluates, in its
+# order
 FIRST_RANK_POINTS = (0, 1, -1, 2, -2)
+
+
+def scanned_rank(P: PolyMatrix) -> int:
+    """Rank over Q(s), read from the values of P at 0, 1, -1, 2, -2, ...
+
+    A rho x rho minor takes one entry from each of its rows and columns, so
+    it has degree at most the sum of the rho largest column degrees of P,
+    and at most the same sum over the row degrees (a zero line counts as
+    degree 0). With D the smaller of the two sums for rho = min(m, n), no
+    nonzero minor vanishes at D + 1 distinct points, so the largest rank of
+    P(x) over that many points is the rank of P; the scan stops once a value
+    reaches min(m, n).
+    """
+    full = min(P.m, P.n)
+    if full == 0 or P.is_zero:
+        return 0
+
+    def top_sum(degs):
+        return sum(sorted((int(max(d, 0)) for d in degs), reverse=True)[:full])
+
+    row_degs = (max(e.degree for e in row) for row in P.rows)
+    bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
+    coeffs, width = [_over_lcm(row)[0] for row in P.rows], int(P.degree) + 1
+    best = 0
+    for k in range(bound + 1):
+        x = (k + 1) // 2 if k % 2 else -(k // 2)
+        powers = [x ** t for t in range(width)]
+        # the rows of P(x), each times a positive integer
+        best = max(best, _frac_rank([[sum(c * y for c, y in zip(cs, powers)) for cs in row]
+                                     for row in coeffs]))
+        if best == full:
+            break
+    return best
 
 
 def nested_sum_matrix(diag) -> PolyMatrix:

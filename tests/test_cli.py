@@ -755,6 +755,18 @@ class TestCli:
         path = write(tmp_path, "s.json", doc)
         assert main(["minor-select", path, "--z", "1"]) == 2
 
+    def test_minor_select_rank_one_of_degree_1000_exits_two_at_once(self, tmp_path, capsys):
+        # rank 1 with entries of degree 1000: a scan over small integer
+        # points would read about 3000 of them before it could stop
+        c, q = (1, 2, 3), list(range(1, 1002))
+        doc = {"m": 3, "n": 3, "entries": [[c[i] * c[j] * x for x in q]
+                                           for i in range(3) for j in range(3)]}
+        path = write(tmp_path, "e.json", doc)
+        t0 = time.perf_counter()
+        assert main(["minor-select", path, "--z", "1"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "matrix is singular" in capsys.readouterr().err
+
     @pytest.mark.parametrize("z", ["3", "2,1", ","])
     def test_minor_select_bad_index_tuple_exit_two(self, tmp_path, capsys, z):
         path = write(tmp_path, "e.json", {"m": 2, "n": 2, "entries": [[1], [0], [0], [1]]})

@@ -106,6 +106,26 @@ def local_structure_cases(draw):
     return P.map_entries(lambda e: e.shift(-lam)), lam
 
 
+@hst.composite
+def high_multiplicity_cases(draw):
+    """(P, lam, f): P = U @ D @ V, m x n with 1 <= m, n <= 4, U and V
+    unimodular, D diagonal with r entries (s - lam)^f_i * g_i, where g_i is
+    1 or s - lam - 1, and zeros after them. The largest f_i is 4 to 6, so
+    the running Toeplitz elimination reaches T_5 to T_7."""
+    lam = draw(hst.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 2)]))
+    m, n = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    r = draw(hst.integers(1, min(m, n)))
+    f = draw(hst.lists(hst.integers(0, 6), min_size=r - 1, max_size=r - 1))
+    f.insert(draw(hst.integers(0, r - 1)), draw(hst.integers(4, 6)))
+    at, off = Poly((-lam, 1)), Poly((-lam - 1, 1))
+    rows = [[ZERO] * n for _ in range(m)]
+    for i, fi in enumerate(f):
+        rows[i][i] = at ** fi * (off if draw(hst.booleans()) else ONE)
+    rng = random.Random(draw(hst.integers(0, 2 ** 16)))
+    P = random_unimodular(rng, m) @ PolyMatrix(rows, n=n) @ random_unimodular(rng, n)
+    return P, lam, tuple(sorted(f))
+
+
 class TestLocalStructureOracle:
     """The Toeplitz-rank multiplicities against the valuation of each Smith
     invariant factor at the point (tests/conftest.py)."""
@@ -115,6 +135,12 @@ class TestLocalStructureOracle:
     def test_partial_multiplicities(self, case):
         P, lam = case
         assert partial_multiplicities(P, lam) == smith_partial_multiplicities(P, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(high_multiplicity_cases())
+    def test_partial_multiplicities_up_to_six(self, case):
+        P, lam, f = case
+        assert partial_multiplicities(P, lam) == smith_partial_multiplicities(P, lam) == f
 
     @settings(max_examples=300, deadline=None)
     @given(local_structure_cases())

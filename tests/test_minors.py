@@ -128,8 +128,10 @@ class TestSelect:
                     assert select_nonzero_minor(E, Z) in found
 
 
-# s(s^2 - 1)(s^2 - 4) vanishes at the first five points at which rank
-# evaluates; a 5x5 of entry degree 1 lets rank read six points
+# s(s^2 - 1)(s^2 - 4) vanishes at 0, 1, -1, 2 and -2, so a 5x5 with this
+# determinant looks singular at each of those small integer points (the
+# first five of the scan oracle scanned_rank); rank reads it at one point
+# past the Cauchy bound of its minors instead
 VANISHING_DIAG = [S - Poly([c]) for c in FIRST_RANK_POINTS]
 
 

@@ -1,5 +1,6 @@
 """Matrix kernel: rank, Smith form, reduction, reversal, minors, Mobius frames."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -48,6 +49,7 @@ from conftest import (
     random_matrix,
     random_rational_matrix,
     random_unimodular,
+    scanned_rank,
 )
 
 S = X
@@ -78,13 +80,14 @@ def check_smith(P):
 
 
 @hst.composite
-def small_matrices(draw):
-    """0-4 x 0-4 matrices of degree <= 2 over small integers; about half are
-    a product through k <= min(m, n) columns, so rank k or less."""
+def small_matrices(draw, coeff=hst.integers(-3, 3)):
+    """0-4 x 0-4 matrices of degree <= 2 with coefficients drawn from coeff,
+    small integers by default; about half are a product through
+    k <= min(m, n) columns, so rank k or less."""
     m, n = draw(hst.integers(0, 4)), draw(hst.integers(0, 4))
 
     def block(rows, cols, deg):
-        coeffs = hst.lists(hst.integers(-3, 3), min_size=0, max_size=deg + 1)
+        coeffs = hst.lists(coeff, min_size=0, max_size=deg + 1)
         return PolyMatrix(
             [[Poly(draw(coeffs)) for _ in range(cols)] for _ in range(rows)], n=cols
         )
@@ -363,25 +366,10 @@ class TestMinors:
         assert det(P) == cofactor_det(P.rows)
 
 
-# s(s - 1)(s + 1)(s - 2)(s + 2) vanishes at the first five evaluation points
+# s(s - 1)(s + 1)(s - 2)(s + 2) vanishes at the first five points of the scan
+# oracle scanned_rank
 TWO = Poly.constant(2)
 ROOTS_AT_FIVE_POINTS = S * (S - ONE) * (S + ONE) * (S - TWO) * (S + TWO)
-
-
-@pytest.fixture
-def evaluated_points(monkeypatch):
-    """Record the value matrix of every evaluation point rank reads."""
-    import structura.polymat as polymat
-
-    seen = []
-    frac_rank = polymat._frac_rank
-
-    def counting(rows):
-        seen.append(rows)
-        return frac_rank(rows)
-
-    monkeypatch.setattr(polymat, "_frac_rank", counting)
-    return seen
 
 
 rational_rows = hst.integers(1, 4).flatmap(
@@ -408,36 +396,81 @@ class TestIntegerGaussJordan:
         assert _frac_rank(int_rows) == len(fraction_rref(rows)[1])
 
 
+def largest_nonzero_minor_order(P: PolyMatrix) -> int:
+    """The largest k with a nonzero k x k minor, by cofactor expansion."""
+    return max(
+        k for k in range(min(P.m, P.n) + 1)
+        if any(not cofactor_det([[P.rows[i][j] for j in J] for i in I]).is_zero
+               for I in itertools.combinations(range(P.m), k)
+               for J in itertools.combinations(range(P.n), k))
+    )
+
+
+BIG = 10 ** 30
+large_rationals = hst.builds(
+    Fraction, hst.integers(-BIG, BIG), hst.sampled_from([1, 3, BIG + 7]))
+
+
 class TestRank:
     def test_zero_and_empty(self):
         assert rank(PolyMatrix.zeros(2, 3)) == 0
-        assert rank(PolyMatrix.zeros(0, 3)) == 0
-        assert rank(PolyMatrix.zeros(3, 0)) == 0
+        for k in range(4):
+            assert rank(PolyMatrix.zeros(0, k)) == 0
+            assert rank(PolyMatrix.zeros(k, 0)) == 0
 
-    def test_only_the_sixth_point_shows_the_rank(self, evaluated_points):
-        # deg P + 1 = 6 points are needed, and enough
-        assert rank(M([[ROOTS_AT_FIVE_POINTS]])) == 1
-        assert len(evaluated_points) == 6
-        assert [row[0] for (row,) in evaluated_points[:5]] == [0] * 5
+    def test_zero_rows_and_columns(self):
+        P = M([[0, 0, 0, 0], [S, 0, 1, 0], [0, 0, 0, 0], [S * S, 0, S, 0]])
+        assert rank(P) == 1
+        assert rank(P.transpose()) == 1
+        assert rank(M([[0, 0], [0, S - Poly.constant(3)], [0, 0]])) == 1
+        assert rank(M([[0, 1, 0], [0, 0, S]])) == 2
 
     def test_diagonal_with_roots_at_five_points(self):
         assert rank(M([[1, 0], [0, ROOTS_AT_FIVE_POINTS]])) == 2
 
-    def test_rank_one_reads_every_point(self, evaluated_points):
-        p = S ** 5
-        q = S + ONE
-        assert rank(M([[p, q], [p.scale(2), q.scale(2)]])) == 1
-        # column degrees 5 + 1 bound every minor below the row degrees 5 + 5
-        assert len(evaluated_points) == 5 + 1 + 1
+    def test_root_at_a_power_of_two(self):
+        # [[s - 2^k]] has H = 2^k + 1, so for k >= 2 it is read at
+        # 2^(k + 1); one bit less would read it at its root
+        for k in range(1, 81):
+            assert rank(M([[S - Poly.constant(2 ** k)]])) == 1
 
-    def test_point_count_from_column_and_row_degrees(self, evaluated_points):
-        # det = p: the column and the row degrees both sum to 5, so 6 points
-        # are read where min(m, n) * deg P + 1 would allow 11, and the sixth
-        # is the first at which the rank is full
-        P = M([[ROOTS_AT_FIVE_POINTS, 1], [0, 1]])
-        assert rank(P) == 2
-        assert len(evaluated_points) == 6
-        assert [_frac_rank(v) for v in evaluated_points] == [1] * 5 + [2]
+    def test_large_root(self):
+        assert rank(M([[S - Poly.constant(Fraction(BIG + 7, 3))]])) == 1
+        assert rank(M([[S - Poly.constant(BIG), 1], [0, S + Poly.constant(BIG)]])) == 2
+
+    def test_rank_deficient_products_with_large_coefficients(self):
+        rng = random.Random(24)
+        for _ in range(30):
+            m, n = rng.randint(2, 5), rng.randint(2, 5)
+            k = rng.randint(1, min(m, n) - 1)
+
+            def factor(rows, cols):
+                return PolyMatrix(
+                    [[Poly([Fraction(rng.randint(-BIG, BIG), rng.choice([1, 3, BIG + 7]))
+                            for _ in range(2)]) for _ in range(cols)] for _ in range(rows)],
+                    n=cols,
+                )
+
+            P = factor(m, k) @ factor(k, n)
+            assert rank(P) == scanned_rank(P) == k
+
+    def test_rational_multiple_rows(self):
+        p, q = S * S - Poly.constant(BIG), S + Poly.constant(Fraction(1, BIG))
+        c = Fraction(BIG + 1, 7)
+        P = M([[p, q, 1], [p.scale(c), q.scale(c), c]])
+        assert rank(P) == 1
+        assert rank(P.transpose()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices())
+    @example(M([[ROOTS_AT_FIVE_POINTS, 1], [0, 1]]))
+    def test_matches_scan_and_minors(self, P):
+        assert rank(P) == scanned_rank(P) == largest_nonzero_minor_order(P)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(large_rationals))
+    def test_matches_scan_and_minors_with_large_rational_coefficients(self, P):
+        assert rank(P) == scanned_rank(P) == largest_nonzero_minor_order(P)
 
 
 @hst.composite

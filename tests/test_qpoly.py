@@ -19,6 +19,7 @@ from structura.qpoly import (
     NEG_INF,
     ONE,
     X,
+    ZERO,
     Poly,
     RatFn,
     _linear_valuation,
@@ -26,6 +27,7 @@ from structura.qpoly import (
     coprime_basis,
     mobius_tilde,
     poly_gcd,
+    rational_roots,
     split_over_rationals,
 )
 
@@ -302,6 +304,26 @@ class TestSplit:
         assert got.expand() == p
         if sympy is not None:
             assert got.factors == sympy_rational_roots(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_root_polys())
+    @example(Poly([0, 0, -1, 1]))
+    @example(Poly.constant(Fraction(-3, 2)))
+    def test_rational_roots_are_the_split_roots(self, p):
+        assert rational_roots(p) == [root for root, _ in split_over_rationals(p).factors]
+
+    def test_rational_roots_count_no_multiplicity(self, monkeypatch):
+        import structura.qpoly as qpoly
+
+        def valuation(*args):
+            raise AssertionError("rational_roots counted a multiplicity")
+
+        monkeypatch.setattr(qpoly, "_linear_valuation", valuation)
+        p = S * S * Poly([Fraction(-1, 2), 1]) ** 3 * (S + Poly.constant(2))
+        assert rational_roots(p.scale(Fraction(-2, 3))) == [-2, 0, Fraction(1, 2)]
+        assert rational_roots(Poly([1, 0, 2, 0, 1])) == []
+        with pytest.raises(ValueError):
+            rational_roots(ZERO)
 
     def test_large_root_pair(self):
         # the divisor oracle would try every divisor of (10^18 + 9)^2
