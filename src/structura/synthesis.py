@@ -6,9 +6,9 @@ Euclidean column replacements, assemble between minimal bases, and lift
 nonzero infinite structure through a Mobius substitution. Rational targets
 wrap the polynomial construction in a denominator clearing.
 
-Every step is a direct construction, with no search: the distribution moves
-units between slots, and the triangular completion borders one slot at a
-time by the pair rule of _atom_triangular.
+Every step is a direct construction, with no search and no Smith elimination:
+the distribution moves units between slots, and the triangular completion
+borders one slot at a time by the pair rule, carrying its own transforms.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from .qpoly import (
 )
 from .polymat import (
     PolyMatrix,
-    _column_matrix,
-    _integer_lines,
-    _left_inverse_columns,
-    _smith_core,
     is_column_proper,
     mobius_frame,
     scale_basis_mobius,
@@ -271,9 +267,10 @@ def _pair_rule(m: tuple, t: int):
     return m[:j] + (m[j] + m[j + 1] - t,) + m[j + 2:], prof
 
 
-def _atom_triangular(x, m, atom) -> PolyMatrix:
-    """Upper triangular matrix with diagonal atom^x_i and invariant-factor
-    exponents m (ascending, majorized by sorted(x)) in the single atom.
+def _atom_triangular(x, m, atom):
+    """(T, R, V) as row lists: T upper triangular with diagonal atom^x_i and
+    T V = R diag(atom^m), R and V products of elementary matrices, for the
+    invariant-factor exponents m (ascending, majorized by sorted(x)).
 
     With t = x[-1], a block built for x[:-1] and the exponents beta borders
     the corner atom^t; _pair_rule picks beta and the border z. If t is in m,
@@ -293,37 +290,37 @@ def _atom_triangular(x, m, atom) -> PolyMatrix:
     k >= max(j, p); for p <= k < j it follows from s_(k+1) >= t, and for
     j <= k < p from s_(k+1) <= t.
 
-    Each level is certified: _bordered_exponents reads the bordered
-    matrix's invariants from its exponents, and the block's Smith diagonal
-    must be atom^beta before its transform carries the border over.
+    The block's transforms carry the border over. With B V_B = R_B D_beta
+    and y = a^m_j R_B[:, j], T diag(V_B, 1) = diag(R_B, 1) N for the
+    bordered matrix N, whose pair a^m_j [[p, 1], [0, q]], p = a^(w - m_j),
+    q = a^(t - m_j), L = [[1, 0], [q, -1]] (its own inverse) and
+    C = [[0, 1], [1, -p]] take to a^m_j diag(1, pq) = diag(a^m_j, a^m_(j+1)):
+    R takes L and V takes C, and their last columns move into m's order.
+    Each level is also certified from exponents by _bordered_exponents.
     """
     r = len(x)
     if r == 1:
-        return PolyMatrix([[atom ** x[0]]])
-    if r == 2:
-        return PolyMatrix(
-            [[atom ** x[0], atom ** m[0]], [ZERO, atom ** x[1]]], n=2
-        )
+        return [[atom ** x[0]]], [[ONE]], [[ONE]]
     size, t = r - 1, x[-1]
     beta, prof = _pair_rule(m, t)
     require(_bordered_exponents(beta, prof, t) == m,
             "bordered matrix has the wrong invariant factors")
-    block = _atom_triangular(x[:-1], beta, atom)
-    if t in m:
-        y = [ZERO] * size
-    else:
-        # block has Smith form U block V = D = diag(atom^beta), so
-        # T = [[block, y], [0, atom^t]] with y = U^-1 z is equivalent to
-        # diag(U, 1) T diag(V, 1) = [[D, z], [0, atom^t]], the bordered matrix
-        diag, _, right = _smith_core(block, track=True)
-        require(diag == tuple(atom ** b for b in beta),
-                "completed block has the wrong invariant factors")
-        Ui = _column_matrix(
-            *_left_inverse_columns(_integer_lines(block.rows), right, diag), size)
-        j = next(i for i, g in enumerate(prof) if g is not None)
-        y = [row[j] * atom ** prof[j] for row in Ui.rows]
-    rows = [list(block.rows[i]) + [y[i]] for i in range(size)]
-    return PolyMatrix(rows + [[ZERO] * size + [atom ** t]], n=r)
+    T, R, V = _atom_triangular(x[:-1], beta, atom)
+    T, R, V = ([row + [ZERO] for row in A] + [[ZERO] * size + [corner]]
+               for A, corner in ((T, atom ** t), (R, ONE), (V, ONE)))
+    # t sorts into m at slot, or m_(j+1) does for j = slot - 1
+    slot = sum(g < t for g in m)
+    if t not in m:
+        j = slot - 1
+        p, q, z = atom ** (beta[j] - m[j]), atom ** (t - m[j]), atom ** m[j]
+        for i in range(size):
+            T[i][size] = R[i][j] * z
+        R[size][j], R[size][size] = q, -ONE
+        for row in V:
+            row[j], row[size] = row[size], row[j] - p * row[size]
+    for row in R + V:
+        row.insert(slot, row.pop())
+    return T, R, V
 
 
 def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
@@ -341,10 +338,10 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
     The result carries an exact certificate instead of a Smith
     re-extraction. For r = 2, [[delta_1, alpha_1], [0, delta_2]] has the
     determinantal divisors gcd(delta_1, alpha_1, delta_2) and
-    delta_1 delta_2, checked with one gcd. For other r, each atom's factor is
-    equivalent to a bordered matrix whose invariant factors are read from
-    its exponents (_bordered_exponents), the atoms are checked pairwise
-    coprime, and the product of their powers is checked against alpha: the
+    delta_1 delta_2, checked with one gcd. For other r, T V = R diag(atom^m)
+    is checked exactly for each atom's factor T; R and V are unimodular by
+    construction, so T is equivalent to diag(atom^m). The atoms are checked
+    pairwise coprime and the product of their powers against alpha: the
     factors' determinants are then pairwise coprime, and the Smith form of
     such a product is the product of the Smith forms, because at each prime
     every factor but one is a unit.
@@ -379,7 +376,10 @@ def triangular_realization(alpha: Sequence[Poly], delta: Sequence[Poly],
 
     E = PolyMatrix.identity(r)
     for w, (atom, x, m) in enumerate(exponents):
-        T = _atom_triangular(tuple(x), tuple(m), atom)
+        T, R, V = (PolyMatrix(A, n=r) for A in _atom_triangular(tuple(x), tuple(m), atom))
+        D = PolyMatrix([[atom ** k if i == j else ZERO for j in range(r)]
+                        for i, k in enumerate(m)])
+        require(T @ V == R @ D, "triangular factor is not equivalent to diag(atom^m)")
         E = E @ T if w else T
     require(tuple(E.rows[i][i] for i in range(r)) == tuple(delta),
             "triangular realization has the wrong diagonal")

@@ -23,7 +23,9 @@ from structura.qpoly import ONE, X, ZERO, Poly, coprime_basis
 from structura.polymat import PolyMatrix, invariant_factors, is_minimal_basis, smith_form
 from structura.extract import verify
 from structura.feasibility import Prescription, check_feasibility, majorizes
+from structura import polymat, synthesis
 from structura.synthesis import (
+    _atom_triangular,
     _bordered_exponents,
     _mobius_point,
     _pair_rule,
@@ -38,6 +40,7 @@ from structura.synthesis import (
 )
 from conftest import (
     _check_sa_conditions,
+    cofactor_det,
     max_minor_degree,
     per_member_distribute_invariant_factors,
     poly_smith_core,
@@ -524,6 +527,58 @@ def _check_completion(alpha, delta):
     return True
 
 
+def _check_transforms(x, m, atom):
+    """_atom_triangular's (T, R, V) has T V = R diag(atom^m), and R and V
+    have nonzero constant determinants by cofactor expansion."""
+    r = len(x)
+    T, R, V = (PolyMatrix(A, n=r) for A in _atom_triangular(x, m, atom))
+    D = PolyMatrix([[atom ** m[i] if i == j else ZERO for j in range(r)]
+                    for i in range(r)], n=r)
+    assert T @ V == R @ D, (x, m)
+    for A in (R, V):
+        det = cofactor_det(A.rows)
+        assert not det.is_zero and det.degree == 0, (x, m)
+
+
+class TestCompletionCertificate:
+    # (1, 1, s^3, s^3) on the diagonal (s^2, s, s^2, s): borders at sizes 4
+    # and 2, a zero border at size 3
+    ALPHA = [ONE, ONE, S ** 3, S ** 3]
+    DELTA = [S ** 2, S, S ** 2, S]
+
+    def test_changed_border_is_refused(self, monkeypatch):
+        # T V = R diag(s^m) is the only check that reads T's border: the
+        # diagonal and the bordered exponents are unchanged
+        real = synthesis._atom_triangular
+
+        def changed(x, m, atom):
+            T, R, V = real(x, m, atom)
+            if len(x) == 3:
+                T[0][2] = T[0][2] + ONE
+            return T, R, V
+
+        monkeypatch.setattr(synthesis, "_atom_triangular", changed)
+        with pytest.raises(InternalInvariantError, match="not equivalent"):
+            triangular_realization([ONE, S, S ** 2], [S, S, S])
+
+    def test_runs_no_smith_elimination(self, monkeypatch):
+        calls = []
+        real = polymat._smith_core
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # a by-name import in synthesis would not see the polymat patch
+        for module in (polymat, synthesis):
+            monkeypatch.setattr(module, "_smith_core", counted, raising=False)
+        E = triangular_realization(self.ALPHA, self.DELTA)
+        assert calls == []
+        monkeypatch.undo()
+        assert tuple(E.rows[i][i] for i in range(4)) == tuple(self.DELTA)
+        assert poly_smith_core(E, False)[0] == tuple(self.ALPHA)
+
+
 class TestCompletionOracle:
     """The pair-rule completion against Smith elimination in Poly arithmetic."""
 
@@ -539,6 +594,7 @@ class TestCompletionOracle:
                         continue
                     if _check_completion([atom ** e for e in m], [atom ** e for e in x]):
                         built += 1
+                        _check_transforms(x, m, atom)
                     else:
                         refused += 1
         assert (built, refused) == (662, 490)
@@ -949,3 +1005,32 @@ class TestRealizeRational:
             rep = verify(R, p)
             assert rep.passed, rep.mismatches
             done += 1
+
+
+class TestCensusSlice:
+    """Every P2_span_indices prescription of a small grid that check
+    accepts gets built and verified (ROADMAP item 6): r = 3, (m, n) in
+    {(3, 3), (3, 4), (4, 3)}, d <= 3, the 40 length-3 divisibility chains
+    over the divisors of s^2 (s - 1), f ascending <= 2 with f_1 = 0, and
+    k, l descending <= 2 (all zero where m = r or n = r)."""
+
+    def test_accepted_prescriptions_verify(self):
+        divisors = [S ** a * lin(1) ** b for a in range(3) for b in range(2)]
+        chains = [c for c in itertools.product(divisors, repeat=3)
+                  if (c[1] % c[0]).is_zero and (c[2] % c[1]).is_zero]
+        fs = [f for f in itertools.product(range(3), repeat=3)
+              if f[0] == 0 and list(f) == sorted(f)]
+        falling = [k for k in itertools.product(range(3), repeat=3)
+                   if list(k) == sorted(k, reverse=True)]
+        total = accepted = 0
+        for m, n in ((3, 3), (3, 4), (4, 3)):
+            ks = falling if m > 3 else [(0, 0, 0)]
+            ls = falling if n > 3 else [(0, 0, 0)]
+            for d, alpha, f, k, l in itertools.product(range(4), chains, fs, ks, ls):
+                p = Prescription(variant="P2_span_indices", m=m, n=n, r=3, d=d,
+                                 alpha=alpha, f=f, k=k, l=l)
+                total += 1
+                if check_feasibility(p).feasible:
+                    accepted += 1
+                    assert verify(realize_span(p), p).passed, p
+        assert (len(chains), total, accepted) == (40, 20160, 1039)
