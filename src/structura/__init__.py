@@ -23,6 +23,7 @@ from .qpoly import (
 from .polymat import (
     ColumnReduction,
     PolyMatrix,
+    RationalMatrix,
     SmithDecomposition,
     column_reduce,
     det,
@@ -36,7 +37,6 @@ from .polymat import (
 )
 from .extract import (
     PolyStructuralData,
-    RationalMatrix,
     RatStructuralData,
     VerificationReport,
     clear_denominators,

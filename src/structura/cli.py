@@ -106,14 +106,13 @@ def _cmd_construct(args) -> int:
         "seed": args.seed,
         "matrix": matrix_doc,
     }
+    code = EXIT_OK
     if not args.no_verify:
         rep = verify(result, p)
         doc["verification"] = verification_report_json(rep)
-        if not rep.passed:
-            _emit(doc, args.output)
-            return EXIT_INFEASIBLE
+        code = EXIT_OK if rep.passed else EXIT_INFEASIBLE
     _emit(doc, args.output)
-    return EXIT_OK
+    return code
 
 
 def _cmd_verify(args) -> int:

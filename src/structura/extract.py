@@ -10,19 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ShapeMismatch, ZeroMatrix, require
-from .qpoly import ONE, ZERO, RatFn, _reduced, poly_lcm
-from .polymat import (
-    PolyMatrix,
-    _DenseMatrix,
-    _echelon_insert,
-    _integer_columns,
-    _integer_lines,
-    _over_lcm,
-    _left_inverse_columns,
-    _popov,
-    _smith_core,
-    rank,
-)
+from .qpoly import ONE, ZERO, RatFn, poly_lcm
+from .polymat import PolyMatrix, RationalMatrix, _minimal_bases, _multiplicities_at_zero, rank
+
 
 @dataclass(frozen=True)
 class _SubspaceData:
@@ -77,21 +67,6 @@ def _checked(data):
     return data
 
 
-class RationalMatrix(_DenseMatrix):
-    """Dense matrix of rational functions."""
-
-    __slots__ = ()
-    entry_type = RatFn
-
-    @staticmethod
-    def from_poly_matrix(P: PolyMatrix) -> "RationalMatrix":
-        return RationalMatrix([[RatFn(e) for e in row] for row in P.rows], n=P.n)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(e.is_polynomial for row in self.rows for e in row)
-
-
 @dataclass(frozen=True)
 class RatStructuralData(_SubspaceData):
     numerators: tuple  # eps_1 | ... | eps_r
@@ -112,37 +87,6 @@ class RatStructuralData(_SubspaceData):
 
 
 # -- pieces -------------------------------------------------------------------
-
-
-def _multiplicities_at_zero(rows, r: int) -> tuple:
-    """Valuations at 0 of the invariant factors of a rank-r matrix of Polys.
-
-    With A_k the s^k coefficients, T_j is the block lower-triangular Toeplitz
-    matrix with j block rows, A_0 on its diagonal and A_k on its k-th block
-    subdiagonal. The local Smith form P = E diag(s^f_i, 0) F, E and F
-    invertible at 0, gives rank T_j = sum_i max(0, j - f_i), so
-    rank T_j - rank T_(j-1) counts the f_i below j (Gohberg-Lancaster-Rodman
-    1982, Matrix Polynomials); the scan stops once that count reaches r. The
-    f_i sum to at most the degree of a nonzero r x r minor, r * deg P.
-
-    T_j is T_(j-1) with one more block row [A_(j-1) ... A_0] and one more
-    block column, which is zero above A_0. So the rows of T_(j-1), padded
-    with zeros, are rows of T_j: one running echelon form holds them, and
-    step j only reduces the rows of the new block row into it. rank T_j is
-    the number of echelon rows.
-    """
-    coeffs = [_over_lcm(row)[0] for row in rows]  # scales rows of every T_j
-    top = max(len(cs) for row in coeffs for cs in row) - 1
-    echelon, f, j = {}, [], 0
-    while len(f) < r:
-        j += 1
-        require(j <= r * top + 1, "partial multiplicities exceed the rank bound")
-        prev = len(echelon)
-        for row in coeffs:
-            _echelon_insert(echelon, [cs[j - 1 - k] if j - 1 - k < len(cs) else 0
-                                      for k in range(j) for cs in row])
-        f.extend([j - 1] * (len(echelon) - prev - len(f)))
-    return tuple(f)
 
 
 def partial_multiplicities(P: PolyMatrix, lam) -> tuple:
@@ -171,58 +115,20 @@ def inf_structure(P: PolyMatrix):
     return _inf_structure(P, rank(P))
 
 
-def _normalize_basis(cols, dens, m: int) -> tuple:
-    """(basis, indices descending): the column Popov form of the m-row basis
-    whose column j is cols[j] over dens[j], as _popov takes them. Each pivot
-    (the last entry of top degree in its column) is monic and of higher
-    degree than the other entries of its row, and the columns run by degree
-    descending, then by pivot row. The form is unique per module (Kailath 1980, 6.7;
-    Beckermann-Labahn-Villard 2006), so every basis of one module prints the
-    same; that of a unimodular basis is I."""
-    if not cols:
-        return PolyMatrix.zeros(m, 0), ()
-    cols, leads = _popov(cols, dens)
-    out = []
-    for col, (d, p) in zip(cols, leads):
-        lead = col[p][d]
-        sign = 1 if lead > 0 else -1
-        out.append((-d, p, [_reduced([sign * x for x in a], sign * lead) for a in col]))
-    out.sort(key=lambda t: t[:2])
-    basis = PolyMatrix([[t[2][i] for t in out] for i in range(m)], n=len(out))
-    return basis, tuple(-t[0] for t in out)
-
-
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     """Full structural data; every sum identity is checked before returning.
-
-    With U and V the Smith transformers and D the padded diagonal, U P V = D
-    gives P V = U^-1 D and U P = D V^-1 (Kailath 1980, 6.3). The span bases
-    are the first rank columns of U^-1 and of V^-T, obtained from these
-    products by exact division; the null bases are the trailing columns of V
-    and the trailing rows of U. Each basis printed is the column Popov form
-    of its module (_normalize_basis), read from the integer columns that
-    _smith_core and _left_inverse_columns return. A span of full rank is all
-    of Q[s]^m or Q[s]^n, whose Popov form is I with indices all 0, so that
-    span takes I without _left_inverse_columns.
-    """
+    The Smith diagonal and the four minimal bases, each in column Popov
+    form, come from polymat._minimal_bases, and the structure at infinity
+    from Toeplitz ranks."""
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
-    diag, (U, Ud), (Vt, Vd) = _smith_core(P, track=True)
-    r = len(diag)
-    d, f, q = _inf_structure(P, r)
-
-    full = (PolyMatrix.identity(r), (0,) * r)  # the Popov form of a full-rank span
-    col_basis, k_idx = full if r == P.m else _normalize_basis(
-        *_left_inverse_columns(_integer_lines(P.rows), (Vt, Vd), diag), P.m)
-    row_basis, l_idx = full if r == P.n else _normalize_basis(
-        *_left_inverse_columns(_integer_columns(P), (U, Ud), diag), P.n)
-    rnull_basis, d_idx = _normalize_basis(Vt[r:], Vd[r:], P.n)
-    lnull_basis, v_idx = _normalize_basis(U[r:], Ud[r:], P.m)
-
+    diag, (col_basis, k_idx), (row_basis, l_idx), (rnull_basis, d_idx), (
+        lnull_basis, v_idx) = _minimal_bases(P)
+    d, f, q = _inf_structure(P, len(diag))
     return _checked(PolyStructuralData(
         m=P.m,
         n=P.n,
-        rank=r,
+        rank=len(diag),
         degree=d,
         invariant_factors=diag,
         inf_partial_mults=f,

@@ -13,13 +13,8 @@ from fractions import Fraction
 
 from .errors import ParseError, _quoted, require
 from .qpoly import FactoredPoly, Poly, RatFn, _reduced, rational_roots
-from .polymat import PolyMatrix
-from .extract import (
-    PolyStructuralData,
-    RationalMatrix,
-    RatStructuralData,
-    VerificationReport,
-)
+from .polymat import PolyMatrix, RationalMatrix
+from .extract import PolyStructuralData, RatStructuralData, VerificationReport
 from .feasibility import FeasibilityReport, Prescription
 
 

@@ -1,6 +1,7 @@
-"""Polynomial-matrix kernel: determinant, rank, Smith form (with or without
-transformers), weak Popov and Popov forms, reversal, Mobius frames, and the
-minimal-basis test.
+"""Polynomial-matrix kernel: polynomial and rational matrices, determinant,
+rank, Smith form (with or without transformers), the minimal bases of the
+four fundamental subspaces, local multiplicities from Toeplitz ranks, weak
+Popov and Popov forms, reversal, Mobius frames, and the minimal-basis test.
 
 Every elimination runs on integer coefficient lists, by row steps. The
 Smith core keeps primitive integer rows and runs the column half of each
@@ -33,7 +34,7 @@ from .errors import (
     ZeroMatrix,
     require,
 )
-from .qpoly import NEG_INF, ONE, ZERO, Poly, _pdivmod, _reduced, as_fraction
+from .qpoly import NEG_INF, ONE, ZERO, Poly, RatFn, _pdivmod, _reduced, as_fraction
 
 
 class _DenseMatrix:
@@ -204,6 +205,21 @@ class PolyMatrix(_DenseMatrix):
         return PolyMatrix(
             [list(a.rows[i]) + list(b.rows[i]) for i in range(a.m)], n=a.n + b.n
         )
+
+
+class RationalMatrix(_DenseMatrix):
+    """Dense matrix of rational functions."""
+
+    __slots__ = ()
+    entry_type = RatFn
+
+    @staticmethod
+    def from_poly_matrix(P: PolyMatrix) -> "RationalMatrix":
+        return RationalMatrix([[RatFn(e) for e in row] for row in P.rows], n=P.n)
+
+    @property
+    def is_polynomial(self) -> bool:
+        return all(e.is_polynomial for row in self.rows for e in row)
 
 
 # -- determinants, rank -----------------------------------------------------
@@ -540,8 +556,8 @@ def smith_form(P: PolyMatrix) -> SmithDecomposition:
     _smith_core eliminates on integer rows, each rescaled to primitive form
     after every step except when it becomes zero, and keeps each transformer
     row over one denominator; this turns those rows into Polys. Callers that
-    read just the diagonal use invariant_factors, and extraction reads the
-    integer transformers of _smith_core directly.
+    read just the diagonal use invariant_factors, and _minimal_bases reads
+    the integer transformers of _smith_core directly.
     """
     diag, (U, Ud), Vt = _smith_core(P, track=True)
     return SmithDecomposition(
@@ -731,14 +747,14 @@ def _weak_popov(cols, dens):
     return cols, dens, leads
 
 
-def _popov(cols, dens):
+def _popov(cols):
     """(cols, leads) as _weak_popov gives them, in column Popov form up to
     the order and scale of the columns: from the weak Popov form, each column
     cancels by _cancel every term of degree >= d_j in the pivot row of each
     other column j, largest (degree, row) first. That brings in terms of
     lower (degree, row) only and changes no leading term, so one pass per
     column leaves every entry beside a pivot of lower degree."""
-    cols, _, leads = _weak_popov(cols, dens)
+    cols, _, leads = _weak_popov(cols, [1] * len(cols))
     owner = {p: (d, j) for j, (d, p) in enumerate(leads)}
     for k, col in enumerate(cols):
         while True:
@@ -786,6 +802,89 @@ def is_minimal_basis(K: PolyMatrix):
     if len(diag) != K.n or any(a != ONE for a in diag):
         return False, degs
     return is_column_proper(K), degs
+
+
+# -- minimal bases and local multiplicities ----------------------------------
+
+
+def _normalize_basis(cols, m: int) -> tuple:
+    """(basis, indices descending): the column Popov form of the m-row basis
+    whose columns are the integer coefficient lists cols, each up to a
+    constant factor, as _popov takes them. Each pivot (the last entry of top
+    degree in its column) is monic and of higher degree than the other
+    entries of its row, and the columns run by degree descending, then by
+    pivot row. The form is unique per module (Kailath 1980, 6.7;
+    Beckermann-Labahn-Villard 2006), so every basis of one module prints the
+    same; that of a unimodular basis is I."""
+    if not cols:
+        return PolyMatrix.zeros(m, 0), ()
+    cols, leads = _popov(cols)
+    out = []
+    for col, (d, p) in zip(cols, leads):
+        lead = col[p][d]
+        sign = 1 if lead > 0 else -1
+        out.append((-d, p, [_reduced([sign * x for x in a], sign * lead) for a in col]))
+    out.sort(key=lambda t: t[:2])
+    basis = PolyMatrix([[t[2][i] for t in out] for i in range(m)], n=len(out))
+    return basis, tuple(-t[0] for t in out)
+
+
+def _minimal_bases(P: PolyMatrix) -> tuple:
+    """(diag, colspan, rowspan, right null, left null) of a nonzero P: the
+    monic Smith diagonal, then one (basis, indices) pair per subspace, the
+    basis in column Popov form (_normalize_basis).
+
+    With U P V = D the tracked Smith form, P V = U^-1 D and U P = D V^-1
+    (Kailath 1980, 6.3): the span bases are the first rank columns of U^-1
+    and V^-T, read by _left_inverse_columns, and the null bases the trailing
+    columns of V and rows of U. A full-rank span is all of Q[s]^m or Q[s]^n,
+    whose Popov form is I. A square nonsingular P has both spans I and no
+    null basis, so it takes invariant_factors and builds no transformer.
+    """
+    if P.is_square and rank(P) == P.m:
+        full = (PolyMatrix.identity(P.m), (0,) * P.m)
+        empty = (PolyMatrix.zeros(P.m, 0), ())
+        return invariant_factors(P), full, full, empty, empty
+    diag, U, Vt = _smith_core(P, track=True)
+    r = len(diag)
+    full = (PolyMatrix.identity(r), (0,) * r)
+    colspan = full if r == P.m else _normalize_basis(
+        _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0], P.m)
+    rowspan = full if r == P.n else _normalize_basis(
+        _left_inverse_columns(_integer_columns(P), U, diag)[0], P.n)
+    return (diag, colspan, rowspan,
+            _normalize_basis(Vt[0][r:], P.n), _normalize_basis(U[0][r:], P.m))
+
+
+def _multiplicities_at_zero(rows, r: int) -> tuple:
+    """Valuations at 0 of the invariant factors of a rank-r matrix of Polys.
+
+    With A_k the s^k coefficients, T_j is the block lower-triangular Toeplitz
+    matrix with j block rows, A_0 on its diagonal and A_k on its k-th block
+    subdiagonal. The local Smith form P = E diag(s^f_i, 0) F, E and F
+    invertible at 0, gives rank T_j = sum_i max(0, j - f_i), so
+    rank T_j - rank T_(j-1) counts the f_i below j (Gohberg-Lancaster-Rodman
+    1982, Matrix Polynomials); the scan stops once that count reaches r. The
+    f_i sum to at most the degree of a nonzero r x r minor, r * deg P.
+
+    T_j is T_(j-1) with one more block row [A_(j-1) ... A_0] and one more
+    block column, which is zero above A_0. So the rows of T_(j-1), padded
+    with zeros, are rows of T_j: one running echelon form holds them, and
+    step j only reduces the rows of the new block row into it. rank T_j is
+    the number of echelon rows.
+    """
+    coeffs = [_over_lcm(row)[0] for row in rows]  # scales rows of every T_j
+    top = max(len(cs) for row in coeffs for cs in row) - 1
+    echelon, f, j = {}, [], 0
+    while len(f) < r:
+        j += 1
+        require(j <= r * top + 1, "partial multiplicities exceed the rank bound")
+        prev = len(echelon)
+        for row in coeffs:
+            _echelon_insert(echelon, [cs[j - 1 - k] if j - 1 - k < len(cs) else 0
+                                      for k in range(j) for cs in row])
+        f.extend([j - 1] * (len(echelon) - prev - len(f)))
+    return tuple(f)
 
 
 # -- reversal and Mobius frames ----------------------------------------------

@@ -648,8 +648,6 @@ def coprime_basis(polys: Sequence[Poly]):
     queue = [p.monic() for p in polys if not p.is_constant]
     while queue:
         f = queue.pop()
-        if f.is_constant:
-            continue
         placed = False
         for i, b in enumerate(atoms):
             g = poly_gcd(f, b)

@@ -44,11 +44,11 @@ from .qpoly import (
 )
 from .polymat import (
     PolyMatrix,
+    RationalMatrix,
     is_column_proper,
     mobius_frame,
     scale_basis_mobius,
 )
-from .extract import RationalMatrix
 from .qpoly import RatFn
 from .feasibility import FAIL, Prescription, check_feasibility, majorizes
 

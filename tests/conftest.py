@@ -517,7 +517,7 @@ def poly_column_reduce(P: PolyMatrix) -> ColumnReduction:
 def poly_normalize_basis(B: PolyMatrix) -> tuple:
     """Column-reduce, scale leading vectors to a 1 pivot, sort columns, all in
     Poly and Fraction arithmetic: the reference for the degrees of
-    extract._normalize_basis, whose Popov form is another basis of the span.
+    polymat._normalize_basis, whose Popov form is another basis of the span.
 
     Returns (basis, indices descending). The leading vector of a column is
     scaled by the leading coefficient of its first entry of top degree, and

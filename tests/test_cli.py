@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import scalarwise_poly_from_json
-from structura import jsonio
+from structura import cli, jsonio, polymat
 from structura.cli import main
 from structura.errors import ParseError, _quoted
 from structura.qpoly import ONE, X, Poly, RatFn
@@ -20,6 +21,7 @@ from structura.extract import (
     PolyStructuralData,
     RationalMatrix,
     RatStructuralData,
+    VerificationReport,
     extract_poly_structure,
     extract_rational_structure,
 )
@@ -36,6 +38,10 @@ from structura.jsonio import (
     rationalmatrix_to_json,
     structural_report,
 )
+
+# m = n = r = 10, d = 6, f = (0, ..., 0, 1, 1, 2), k = l = 0, and a chain
+# over the roots -1, 0, 1 and 2 with exponents up to 3
+R10_FOUR_ROOTS = pathlib.Path(__file__).parent / "data" / "r10_four_roots.json"
 
 ONE_OVER_S = {"m": 1, "n": 1, "entries": [{"num": [1], "den": [0, 1]}]}
 
@@ -501,6 +507,34 @@ class TestCli:
         doc["d"] = 6
         path = write(tmp_path, "p.json", doc)
         assert main(["construct", path]) == 1
+
+    def test_construct_failed_verification_exit_one(self, tmp_path, monkeypatch):
+        # the matrix is still written, next to the failing verdict
+        failing = VerificationReport(passed=False, mismatches=("rank",))
+        monkeypatch.setattr(cli, "verify", lambda matrix, p: failing)
+        out = tmp_path / "result.json"
+        path = write(tmp_path, "p.json", SEARCHING_PRESCRIPTION)
+        assert main(["construct", path, "-o", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["verification"] == {"verdict": "fail", "mismatches": ["rank"]}
+        assert (doc["matrix"]["m"], doc["matrix"]["n"]) == (3, 3)
+
+    def test_construct_square_r10_tracks_no_transformers(self, tmp_path, monkeypatch):
+        # alpha_i = (s + 1)^a_i s^b_i (s - 1)^c_i (s - 2)^e_i in factored form,
+        # every index 0: verification extracts a square nonsingular 10x10,
+        # which takes its diagonal without the Smith transformers
+        tracked = []
+        real = polymat._smith_core
+
+        def counted(P, track):
+            tracked.append(track)
+            return real(P, track)
+
+        monkeypatch.setattr(polymat, "_smith_core", counted)
+        out = tmp_path / "result.json"
+        assert main(["construct", str(R10_FOUR_ROOTS), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["verification"]["verdict"] == "pass"
+        assert tracked and True not in tracked
 
     def test_construct_and_round_trip(self, tmp_path, capsys):
         doc = {

@@ -17,11 +17,13 @@ from structura.errors import (
     ZeroMatrix,
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
+from structura import polymat
 from structura.polymat import (
     PolyMatrix,
     _integer_columns,
     _integer_lines,
     _left_inverse_columns,
+    _normalize_basis,
     _smith_core,
     is_minimal_basis,
     rank,
@@ -31,7 +33,6 @@ from structura.extract import (
     PolyStructuralData,
     RationalMatrix,
     RatStructuralData,
-    _normalize_basis,
     _SubspaceData,
     clear_denominators,
     extract_poly_structure,
@@ -416,9 +417,9 @@ class TestNormalizeBasis:
             _, want = poly_normalize_basis(B)
         except RankDeficient:
             with pytest.raises(RankDeficient):
-                _normalize_basis(*_integer_columns(B), B.m)
+                _normalize_basis(_integer_columns(B)[0], B.m)
             return
-        basis, indices = _normalize_basis(*_integer_columns(B), B.m)
+        basis, indices = _normalize_basis(_integer_columns(B)[0], B.m)
         assert indices == want
         assert_column_popov(basis, indices)
         assert rank(PolyMatrix.hstack(B, basis)) == B.n
@@ -429,12 +430,12 @@ class TestNormalizeBasis:
         # the Popov form is unique per module, whichever basis reaches it
         BU = B @ random_unimodular(random.Random(seed), B.n, ops=4)
         try:
-            want = _normalize_basis(*_integer_columns(B), B.m)
+            want = _normalize_basis(_integer_columns(B)[0], B.m)
         except RankDeficient:
             with pytest.raises(RankDeficient):
-                _normalize_basis(*_integer_columns(BU), B.m)
+                _normalize_basis(_integer_columns(BU)[0], B.m)
             return
-        assert _normalize_basis(*_integer_columns(BU), B.m) == want
+        assert _normalize_basis(_integer_columns(BU)[0], B.m) == want
 
 
 def _canonical_cases(seed: int, count: int):
@@ -478,15 +479,35 @@ class TestCanonicalBases:
             r = len(diag)
             if r == P.m:
                 got = _normalize_basis(
-                    *_left_inverse_columns(_integer_lines(P.rows), Vt, diag), P.m)
+                    _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0], P.m)
                 assert got == (PolyMatrix.identity(r), (0,) * r)
                 seen[0] += 1
             if r == P.n:
                 got = _normalize_basis(
-                    *_left_inverse_columns(_integer_columns(P), U, diag), P.n)
+                    _left_inverse_columns(_integer_columns(P), U, diag)[0], P.n)
                 assert got == (PolyMatrix.identity(r), (0,) * r)
                 seen[1] += 1
         assert min(seen) >= 10
+
+
+    def test_square_nonsingular_input_tracks_no_transformers(self, monkeypatch):
+        # both spans are I and both null bases empty, so only the diagonal
+        # is eliminated; a singular square input still tracks them
+        tracked = []
+        real = polymat._smith_core
+
+        def counted(P, track):
+            tracked.append(track)
+            return real(P, track)
+
+        monkeypatch.setattr(polymat, "_smith_core", counted)
+        data = extract_poly_structure(M([[S, 1], [0, S * S - ONE]]))
+        assert tracked == [False]
+        assert data.invariant_factors == (ONE, S ** 3 - S)
+        assert data.colspan_basis == data.rowspan_basis == PolyMatrix.identity(2)
+        assert data.right_null_basis == data.left_null_basis == PolyMatrix.zeros(2, 0)
+        extract_poly_structure(M([[S, S], [1, 1]]))
+        assert tracked == [False, True]
 
 
 class TestRationalLayer:

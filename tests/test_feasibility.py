@@ -1,6 +1,7 @@
 """Majorization machinery and the per-variant feasibility checker."""
 
 import random
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -328,6 +329,36 @@ class TestMalformed:
         ("spans", {"Lt": None}, "spans variant requires bases K and Lt"),
         ("full", {"right": None}, "full variant requires right and left partitions"),
         ("full", {"left": None}, "full variant requires right and left partitions"),
+        ("poly", {"variant": "P9"}, "unknown variant 'P9'"),
+        ("poly", {"r": 0}, "rank must satisfy 1 <= r <= min(m, n)"),
+        ("poly", {"r": 4}, "rank must satisfy 1 <= r <= min(m, n)"),
+        ("poly", {"d": None}, "polynomial variant requires a nonnegative degree d"),
+        ("poly", {"d": -1}, "polynomial variant requires a nonnegative degree d"),
+        ("poly", {"alpha": (S, S + ONE)}, "invariant factors must form a divisibility chain"),
+        ("poly", {"f": (1, 0)}, "f must be nonnegative and sorted ascending"),
+        ("poly", {"f": (-1, 0)}, "f must be nonnegative and sorted ascending"),
+        ("poly", {"k": (5,)}, "partition k must have length 2"),
+        ("poly", {"l": (4, 1, 0)}, "partition l must have length 2"),
+        ("poly", {"k": (5, -1)}, "partition k must be nonnegative"),
+        ("poly", {"l": (4, -1)}, "partition l must be nonnegative"),
+        ("poly", {"k": (0, 5)}, "partition k must be sorted descending"),
+        ("poly", {"l": (1, 4)}, "partition l must be sorted descending"),
+        ("rational", {"epsilon": (S, S + ONE)},
+         "epsilon must form an ascending divisibility chain"),
+        ("rational", {"psi": (ONE, S + ONE)}, "psi must form a descending divisibility chain"),
+        ("rational", {"epsilon": (S + ONE, S + ONE)},
+         "invariant rational functions must be irreducible"),
+        ("rational", {"q": (1, 0)}, "q must be sorted ascending"),
+        ("spans", {"K": M([[1], [0], [0]])}, "K must be m x r"),
+        ("spans", {"Lt": M([[1, 0], [0, 1]])}, "Lt must be n x r"),
+        ("spans", {"K": M([[S], [S]])}, "K is not a minimal basis"),
+        ("spans", {"Lt": M([[S], [S]])}, "Lt is not a minimal basis"),
+        ("full", {"right": (0, 0)}, "right partition must have length n - r"),
+        ("full", {"left": ()}, "left partition must have length m - r"),
+        ("full", {"right": (-1,)}, "partition right must be nonnegative"),
+        ("full", {"left": (-1,)}, "partition left must be nonnegative"),
+        ("full", {"n": 3, "right": (0, 1)}, "partition right must be sorted descending"),
+        ("full", {"m": 3, "left": (0, 1)}, "partition left must be sorted descending"),
     ])
     def test_guard_messages(self, base, changes, message):
         # each guard is "x is None or <x is wrong>", so both halves are hit
@@ -343,7 +374,7 @@ class TestMalformed:
                 variant="P3_full", m=2, n=2, r=1, d=1, alpha=(S,), f=(0,),
                 k=(0,), l=(0,), right=(0,), left=(0,)),
         }[base]
-        with pytest.raises(MalformedPrescription, match=f"^{message}$"):
+        with pytest.raises(MalformedPrescription, match=f"^{re.escape(message)}$"):
             replace(valid, **changes)
 
     def test_non_minimal_basis_rejected(self):
