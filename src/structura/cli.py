@@ -134,8 +134,6 @@ def _parse_z(raw: str):
 
 def _cmd_minor_select(args) -> int:
     mat = matrix_from_json(_load_json(args.matrix))
-    if not isinstance(mat, PolyMatrix):
-        raise ParseError("minor-select needs a polynomial matrix")
     Z = _parse_z(args.z)
     I, J = select_nonzero_minor(mat, Z)
     doc = {

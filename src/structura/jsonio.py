@@ -7,19 +7,21 @@ Rational-matrix entries are {"num": [...], "den": [...]} pairs.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import re
 from fractions import Fraction
 
 from .errors import ParseError, _quoted, require
-from .qpoly import FactoredPoly, Poly, RatFn, _reduced, rational_roots
+from .qpoly import FactoredPoly, Poly, RatFn, _make, _reduced, rational_roots
 from .polymat import PolyMatrix, RationalMatrix
 from .extract import PolyStructuralData, RatStructuralData, VerificationReport
 from .feasibility import FeasibilityReport, Prescription
 
 
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_INTS = re.compile(r"(?:[+-]?[0-9]+(?:,[+-]?[0-9]+)*)?")
+_INT_TEXT = re.compile(r"[-+0-9,\[\]]*")
 
 
 def fraction_to_json(x: Fraction) -> str:
@@ -66,19 +68,37 @@ def poly_to_json(p: Poly) -> list:
     return out
 
 
+def _int_polys(arrays: list):
+    """The Poly over 1 of each array when all are lists of JSON integers or
+    of ASCII integer strings, else None. One json.loads reads the strings
+    joined: _INT_TEXT and the count of "[" let in nothing else but a "]",
+    which no parse accepts; the lengths show a comma inside a string or "",
+    and int() reads the "+" signs and leading zeros that JSON lacks."""
+    if not all(type(a) is list for a in arrays):
+        return None
+    ints = None
+    try:
+        text = "],[".join(map(",".join, arrays))
+        if _INT_TEXT.fullmatch(text) and text.count("[") == len(arrays) - 1:
+            ints = json.loads(f"[[{text}]]")
+    except TypeError:  # not all strings
+        if all(type(c) is int for a in arrays for c in a):
+            ints = arrays
+    except ValueError:  # not JSON; int() also reads "+" signs and leading zeros
+        with contextlib.suppress(ValueError):
+            ints = [list(map(int, a)) for a in arrays]
+    if ints is None or list(map(len, ints)) != list(map(len, arrays)):
+        return None
+    return [_make(tuple(c), 1) if c and c[-1] else _reduced(list(c), 1) for c in ints]
+
+
 def poly_from_json(v) -> Poly:
-    """Integers over 1 from all JSON ints, or all strings whose comma-join is one
-    _INTS match that int() reads ("1,2" and "" are not); others per _scalar_pair."""
+    """The Poly of _int_polys, or else one _scalar_pair per coefficient over
+    the lcm of their denominators."""
     if not isinstance(v, list):
         raise ParseError(f"polynomial must be a coefficient array, got {_quoted(v)}")
-    try:
-        if _INTS.fullmatch(",".join(v)):
-            return _reduced(list(map(int, v)), 1)
-    except TypeError:  # not all strings
-        if all(type(c) is int for c in v):
-            return _reduced(list(v), 1)
-    except ValueError:  # a comma inside a scalar, "", or more digits than int() reads
-        pass
+    if polys := _int_polys([v]):
+        return polys[0]
     pairs = [_scalar_pair(c) for c in v]
     den = math.lcm(*(q for _, q in pairs))
     return _reduced([p * (den // q) for p, q in pairs], den)
@@ -113,13 +133,8 @@ def poly_list_from_json(v) -> tuple:
     """Accepts coefficient arrays or factored forms, expanding the latter."""
     if not isinstance(v, list):
         raise ParseError("expected a list of polynomials")
-    out = []
-    for item in v:
-        if isinstance(item, dict):
-            out.append(factored_from_json(item).expand())
-        else:
-            out.append(poly_from_json(item))
-    return tuple(out)
+    return tuple(factored_from_json(item).expand() if isinstance(item, dict)
+                 else poly_from_json(item) for item in v)
 
 
 def polymatrix_to_json(P: PolyMatrix) -> dict:
@@ -159,7 +174,7 @@ def matrix_from_json(obj):
         cls, read = RationalMatrix, _ratfn_from_json
     else:
         cls, read = PolyMatrix, poly_from_json
-    flat = list(map(read, entries))
+    flat = _int_polys(entries) or list(map(read, entries))
     return cls._of_rows(tuple(tuple(flat[k : k + n]) for k in range(0, m * n, n)), n)
 
 
@@ -198,12 +213,9 @@ def prescription_from_json(obj) -> Prescription:
     )
     if "d" in obj and obj["d"] is not None:
         kwargs["d"] = int_from_json(obj["d"], "d")
-    if "alpha" in obj:
-        kwargs["alpha"] = poly_list_from_json(obj["alpha"])
-    if "epsilon" in obj:
-        kwargs["epsilon"] = poly_list_from_json(obj["epsilon"])
-    if "psi" in obj:
-        kwargs["psi"] = poly_list_from_json(obj["psi"])
+    for key in ("alpha", "epsilon", "psi"):
+        if key in obj:
+            kwargs[key] = poly_list_from_json(obj[key])
     for key in ("f", "q", "k", "l", "right", "left"):
         if key in obj:
             kwargs[key] = int_list(obj[key], key)
@@ -220,20 +232,16 @@ def prescription_to_json(p: Prescription) -> dict:
     out = {"variant": p.variant, "m": p.m, "n": p.n, "r": p.r}
     if p.d is not None:
         out["d"] = p.d
-    if p.alpha is not None:
-        out["alpha"] = [poly_to_json(a) for a in p.alpha]
-    if p.epsilon is not None:
-        out["epsilon"] = [poly_to_json(a) for a in p.epsilon]
-    if p.psi is not None:
-        out["psi"] = [poly_to_json(a) for a in p.psi]
+    for key in ("alpha", "epsilon", "psi"):
+        if getattr(p, key) is not None:
+            out[key] = [poly_to_json(a) for a in getattr(p, key)]
     for key in ("f", "q", "k", "l", "right", "left"):
         val = getattr(p, key)
         if val is not None:
             out[key] = list(val)
-    if p.K is not None:
-        out["K"] = polymatrix_to_json(p.K)
-    if p.Lt is not None:
-        out["Lt"] = polymatrix_to_json(p.Lt)
+    for key in ("K", "Lt"):
+        if getattr(p, key) is not None:
+            out[key] = polymatrix_to_json(getattr(p, key))
     return out
 
 
@@ -297,12 +305,9 @@ def structural_report(data) -> dict:
                 [data.numerators[-1], data.denominators[0]]
             ),
         )
-    common["identities"] = {label: _mark(ok) for label, ok in data.identities().items()}
+    common["identities"] = {label: "pass" if ok else "fail"
+                            for label, ok in data.identities().items()}
     return common
-
-
-def _mark(ok: bool) -> str:
-    return "pass" if ok else "fail"
 
 
 def feasibility_report_json(rep: FeasibilityReport, variant: str) -> dict:

@@ -6,8 +6,8 @@ nonzero minor, by induction on the matrix size. Whether a matrix or a minor
 is singular is read from the rank of a submatrix of one integer matrix, the
 value E(2^b) past the Cauchy bound of the minors of E
 (polymat._kronecker_values), not from a determinant: no Poly submatrix is
-built. A brute-force enumerator of all admissible pairs doubles as the test
-oracle.
+built, and the cache of that value is keyed on the integer rows of E. A
+brute-force enumerator of all admissible pairs doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InternalInvariantError, ParseError, SingularInput, require
-from .polymat import PolyMatrix, _echelon, _frac_rank, _kronecker_values, det
+from .polymat import PolyMatrix, _echelon, _frac_rank, _integer_rows, _kronecker_values, det
 
 
 def validate_index_tuple(Z: Sequence[int], r: int) -> tuple:
@@ -39,19 +39,17 @@ def star_dual(Z: Sequence[int], r: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _dependency_chain(E: PolyMatrix) -> tuple:
-    """(V, chain): V is _kronecker_values(E), an integer matrix whose
-    submatrices are singular exactly where those of E are, and chain is the
-    reduction chain ((values, u), ...) down to size 2. Each level's values
-    are those of its matrix, read from V; u marks the first column of their
-    top r-1 rows that depends on its predecessors.
-
-    V, the chain and the check that E is nonsingular depend only on the
-    matrix, not on the index tuple, so they are cached and shared across
-    queries on equal matrices.
+def _dependency_chain(n: int, rows: tuple) -> tuple:
+    """(V, chain) of the n x n matrix E with rows = _integer_rows(E): V is
+    _kronecker_values(rows, n), whose submatrices are singular exactly where
+    those of E are, and chain is the reduction chain ((values, u), ...) down
+    to size 2. Each level's values are those of its matrix, read from V; u
+    marks the first column of their top r-1 rows that depends on its
+    predecessors. All of it depends only on rows, so it is cached on them:
+    tuples of ints, hashed and compared in C.
     """
-    V = tuple(map(tuple, _kronecker_values(E)))
-    if _frac_rank(V) < E.m:
+    V = tuple(map(tuple, _kronecker_values(rows, n)))
+    if _frac_rank(V) < n:
         raise SingularInput("matrix is singular")
     chain = []
     cur = V
@@ -108,11 +106,13 @@ def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
     E and of E(I, J) is tested by the rank of the same rows and columns of
     the integer value V of E (see polymat.rank), not by det.
     """
+    if not isinstance(E, PolyMatrix):
+        raise ParseError("minor-select needs a polynomial matrix")
     if not E.is_square:
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
-    V, chain = _dependency_chain(E)
+    V, chain = _dependency_chain(r, _integer_rows(E))
     I, J = _select(chain, 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")

@@ -113,6 +113,72 @@ MUTATED_SCALARS = hst.one_of(
 )
 
 
+# coefficient arrays: all integers, all integer strings, mixed, fractions,
+# strings broken by a splice, and any scalar at all
+ARRAY_KINDS = (
+    hst.lists(hst.integers(-(10**30), 10**30), max_size=6),
+    hst.lists(INTEGER_STRINGS, max_size=6),
+    hst.lists(hst.one_of(hst.integers(-99, 99), INTEGER_STRINGS), max_size=6),
+    hst.lists(JSON_SCALARS, max_size=6),
+    hst.lists(hst.one_of(INTEGER_STRINGS, SPLICED_STRINGS), min_size=1, max_size=6),
+    hst.lists(hst.one_of(INTEGER_STRINGS, JSON_SCALARS, MUTATED_SCALARS), max_size=6),
+)
+ARRAYS = hst.one_of(ARRAY_KINDS)
+RATIONAL_ENTRIES = hst.fixed_dictionaries(
+    {"num": hst.lists(INTEGER_STRINGS, max_size=3)},
+    optional={"den": hst.lists(INTEGER_STRINGS, max_size=3)})
+
+
+@hst.composite
+def matrix_docs(draw):
+    """Matrix objects up to 7x7. Most draw every entry from one array
+    strategy, so that whole matrices reach the whole-array reader; some mix
+    in a second one, non-list entries, or rational entries."""
+    m, n = draw(hst.integers(1, 7)), draw(hst.integers(1, 7))
+    entry = draw(hst.sampled_from(ARRAY_KINDS))
+    extra = draw(hst.sampled_from([None, ARRAYS, MUTATED_SCALARS, RATIONAL_ENTRIES]))
+    if extra is not None:
+        entry = hst.one_of(entry, extra)
+    entries = draw(hst.lists(entry, min_size=m * n, max_size=m * n))
+    return {"m": m, "n": n, "entries": entries}
+
+
+def entrywise_matrix_from_json(doc):
+    """matrix_from_json with every entry read on its own, its arrays by
+    scalarwise_poly_from_json: the reference for the values and ParseError
+    texts of the whole-matrix reader."""
+    m, n, entries = doc["m"], doc["n"], doc["entries"]
+    if any(isinstance(e, dict) for e in entries):
+        def read(e):
+            if not isinstance(e, dict):
+                return RatFn(scalarwise_poly_from_json(e))
+            num = scalarwise_poly_from_json(e["num"])
+            den = scalarwise_poly_from_json(e.get("den", [1]))
+            if den.is_zero:
+                raise ParseError("entry with zero denominator")
+            return RatFn(num, den)
+        cls = RationalMatrix
+    else:
+        read, cls = scalarwise_poly_from_json, PolyMatrix
+    flat = [read(e) for e in entries]
+    return cls([flat[i * n:(i + 1) * n] for i in range(m)], n=n)
+
+
+def last_entry(v, n=2):
+    """An n x n matrix object of integer strings with v as its last entry."""
+    return {"m": n, "n": n, "entries": [[str(i), "-1"] for i in range(n * n - 1)] + [v]}
+
+
+def matrix_outcome(read, doc):
+    """(type name, m, n, rows) of read(doc), or the text of its ParseError."""
+    try:
+        M = read(doc)
+    except ParseError as exc:
+        return str(exc)
+    assert type(M)(M.rows, n=M.n) == M  # tuples of entry_type, as __init__ builds
+    return type(M).__name__, M.m, M.n, M.rows
+
+
 def read_outcome(read, v):
     """(numerators, denominator) of read(v), or the text of its ParseError."""
     try:
@@ -167,14 +233,7 @@ class TestJson:
             poly_from_json(["1", scalar])
 
     @settings(max_examples=300, deadline=None)
-    @given(hst.one_of(
-        hst.lists(hst.integers(-(10**30), 10**30), max_size=6),
-        hst.lists(INTEGER_STRINGS, max_size=6),
-        hst.lists(hst.one_of(hst.integers(-99, 99), INTEGER_STRINGS), max_size=6),
-        hst.lists(JSON_SCALARS, max_size=6),
-        hst.lists(hst.one_of(INTEGER_STRINGS, SPLICED_STRINGS), min_size=1, max_size=6),
-        hst.lists(hst.one_of(INTEGER_STRINGS, JSON_SCALARS, MUTATED_SCALARS), max_size=6),
-    ))
+    @given(ARRAYS)
     @example(["1_0"])
     @example(["1", " 2"])
     @example(["1,2"])
@@ -220,38 +279,52 @@ class TestJson:
         got = poly_from_json(v)
         assert got == Poly([int(c) for c in v]) and got.denominator == 1
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        hst.integers(1, 3),
-        hst.integers(1, 3),
-        hst.booleans(),
-        hst.data(),
-    )
-    def test_matrix_reader_matches_entrywise_oracle(self, m, n, rational, data):
-        entry = hst.lists(hst.one_of(INTEGER_STRINGS, JSON_SCALARS), max_size=4)
-        if rational:
-            entry = hst.one_of(entry, hst.fixed_dictionaries(
-                {"num": entry}, optional={"den": entry.filter(any)}))
-        entries = data.draw(hst.lists(entry, min_size=m * n, max_size=m * n))
-        try:
-            got = matrix_from_json({"m": m, "n": n, "entries": entries})
-        except ParseError as exc:  # a zero denominator read as such
-            assert str(exc) == "entry with zero denominator"
-            return
-        if any(isinstance(e, dict) for e in entries):
-            def read(e):
-                if not isinstance(e, dict):
-                    return RatFn(scalarwise_poly_from_json(e))
-                return RatFn(scalarwise_poly_from_json(e["num"]),
-                             scalarwise_poly_from_json(e.get("den", [1])))
-            want = RationalMatrix(
-                [[read(entries[i * n + j]) for j in range(n)] for i in range(m)], n=n)
-        else:
-            want = PolyMatrix(
-                [[scalarwise_poly_from_json(entries[i * n + j]) for j in range(n)]
-                 for i in range(m)], n=n)
-        assert got == want and (got.m, got.n) == (m, n)
-        assert type(got)(got.rows, n=n) == got  # tuples of entry_type, as __init__ builds
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_docs())
+    @example(last_entry(["-0"]))
+    @example(last_entry(["00"]))
+    @example(last_entry(["+007", "0"]))
+    @example(last_entry([" 1"]))
+    @example(last_entry(["1,2"]))
+    @example(last_entry(["1],[2"]))
+    @example(last_entry(["[1]"]))
+    @example(last_entry([""]))
+    @example(last_entry(["\u0663"]))
+    @example(last_entry(["7" * 4301]))
+    @example(last_entry([1, "2"]))
+    @example(last_entry([1, 2]))
+    @example(last_entry(["1", "0", "0"]))
+    @example(last_entry("1"))
+    @example(last_entry({"num": ["1"], "den": ["0", "1"]}))
+    def test_matrix_reader_matches_entrywise_oracle(self, doc):
+        assert (matrix_outcome(matrix_from_json, doc)
+                == matrix_outcome(entrywise_matrix_from_json, doc))
+
+    @pytest.mark.parametrize("entries, parses", [
+        ([[1, -2, 0], [], [10**40, 3], [0, 0]], 0),
+        ([["1", "-2", "3", "0"], [], ["-0"], ["12", "0"]], 1),
+        ([["1", "-2", "+007", "0"], [], ["-0"], ["12", "00"]], 1),
+    ], ids=["json-integers", "json-integer-strings", "integer-strings"])
+    def test_integer_matrices_skip_the_scalar_reader(self, entries, parses, monkeypatch):
+        # JSON integers are taken as they are; strings are parsed once for
+        # the whole matrix, and int() reads the arrays when that parse fails
+        def per_scalar(c):
+            raise AssertionError(f"scalar {c!r} read on its own")
+
+        texts = []
+
+        class CountingJson:
+            def loads(self, text):
+                texts.append(text)
+                return json.loads(text)
+
+        monkeypatch.setattr(jsonio, "_scalar_pair", per_scalar)
+        monkeypatch.setattr(jsonio, "json", CountingJson())
+        got = matrix_from_json({"m": 2, "n": 2, "entries": entries})
+        want = [Poly([int(c) for c in e]) for e in entries]
+        assert got.rows == (tuple(want[:2]), tuple(want[2:]))
+        assert all(e.denominator == 1 for row in got.rows for e in row)
+        assert len(texts) == parses
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -783,6 +856,12 @@ class TestCli:
         path = write(tmp_path, "e.json", polymatrix_to_json(E))
         assert main(["minor-select", path, "--z", "1,2,3,4,5"]) == 0
         assert json.loads(capsys.readouterr().out)["minor"] == "s^5 - 5*s^3 + 4*s"
+
+    def test_minor_select_rational_matrix_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", ONE_OVER_S)
+        assert main(["minor-select", path, "--z", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "malformed input: minor-select needs a polynomial matrix\n")
 
     def test_minor_select_singular_exit_two(self, tmp_path):
         doc = {"m": 2, "n": 2, "entries": [[0, 1], [0, 1], [0, 1], [0, 1]]}

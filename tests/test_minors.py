@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from structura.errors import ParseError, SingularInput
-from structura.qpoly import X, ZERO, Poly
-from structura.polymat import PolyMatrix, det, rank
+from structura.qpoly import X, ZERO, Poly, RatFn
+from structura.polymat import PolyMatrix, RationalMatrix, det, rank
 from structura.minors import (
     admissible_pairs,
     minor_at,
@@ -84,6 +85,32 @@ class TestSelect:
         select_nonzero_minor(twin, [2, 4])
         info = _dependency_chain.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_chain_cache_keyed_on_integer_rows(self, monkeypatch):
+        from structura.minors import _dependency_chain
+
+        def unhashed(*args):
+            raise AssertionError("the chain cache hashed or compared a Poly or PolyMatrix")
+
+        E = random_nonsingular(random.Random(23), 5)
+        # row 0 over 2: the same integer rows over their lcms, so the same V
+        half = PolyMatrix([[e * Poly([Fraction(1, 2)]) for e in E.rows[0]], *E.rows[1:]])
+        other = random_nonsingular(random.Random(29), 5)
+        for name, cls in (("__hash__", PolyMatrix), ("__eq__", PolyMatrix),
+                          ("__hash__", Poly)):
+            monkeypatch.setattr(cls, name, unhashed)
+        _dependency_chain.cache_clear()
+        first = [select_nonzero_minor(E, Z) for Z in ([1, 3], [2], [1, 3])]
+        assert _dependency_chain.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert select_nonzero_minor(half, [1, 3]) == first[0]
+        assert _dependency_chain.cache_info()[:2] == (3, 1)
+        select_nonzero_minor(other, [1, 3])
+        assert _dependency_chain.cache_info()[:2] == (3, 2)
+
+    def test_rational_matrix_rejected(self):
+        R = RationalMatrix([[RatFn(Poly([1]), S), RatFn(ZERO)], [RatFn(ZERO), RatFn(S)]])
+        with pytest.raises(ParseError, match="^minor-select needs a polynomial matrix$"):
+            select_nonzero_minor(R, [1])
 
     def test_singular_rejected(self):
         with pytest.raises(SingularInput):

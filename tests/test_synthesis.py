@@ -1012,7 +1012,8 @@ class TestCensusSlice:
     accepts gets built and verified (ROADMAP item 6): r = 3, (m, n) in
     {(3, 3), (3, 4), (4, 3)}, d <= 3, the 40 length-3 divisibility chains
     over the divisors of s^2 (s - 1), f ascending <= 2 with f_1 = 0, and
-    k, l descending <= 2 (all zero where m = r or n = r)."""
+    k, l descending <= 2; where m = r (n = r), k (l) is (0, 0, 0) or
+    (1, 0, 0), which eqy>0 (eqx>0) refuses."""
 
     def test_accepted_prescriptions_verify(self):
         divisors = [S ** a * lin(1) ** b for a in range(3) for b in range(2)]
@@ -1024,8 +1025,8 @@ class TestCensusSlice:
                    if list(k) == sorted(k, reverse=True)]
         total = accepted = 0
         for m, n in ((3, 3), (3, 4), (4, 3)):
-            ks = falling if m > 3 else [(0, 0, 0)]
-            ls = falling if n > 3 else [(0, 0, 0)]
+            ks = falling if m > 3 else [(0, 0, 0), (1, 0, 0)]
+            ls = falling if n > 3 else [(0, 0, 0), (1, 0, 0)]
             for d, alpha, f, k, l in itertools.product(range(4), chains, fs, ks, ls):
                 p = Prescription(variant="P2_span_indices", m=m, n=n, r=3, d=d,
                                  alpha=alpha, f=f, k=k, l=l)
@@ -1033,4 +1034,4 @@ class TestCensusSlice:
                 if check_feasibility(p).feasible:
                     accepted += 1
                     assert verify(realize_span(p), p).passed, p
-        assert (len(chains), total, accepted) == (40, 20160, 1039)
+        assert (len(chains), total, accepted) == (40, 42240, 1039)
