@@ -70,17 +70,18 @@ def poly_to_json(p: Poly) -> list:
 
 def _int_polys(arrays: list):
     """The Poly over 1 of each array when all are lists of JSON integers or
-    of ASCII integer strings, else None. One json.loads reads the strings
-    joined: _INT_TEXT and the count of "[" let in nothing else but a "]",
-    which no parse accepts; the lengths show a comma inside a string or "",
-    and int() reads the "+" signs and leading zeros that JSON lacks."""
+    of ASCII integer strings, else None. One json.loads reads the strings of
+    two or more arrays joined: _INT_TEXT and the count of "[" let in nothing
+    else but a "]", which no parse accepts; the lengths show a comma inside a
+    string or "", and int() reads the "+" signs and leading zeros that JSON
+    lacks. A lone array is read by int() alone, which is faster there."""
     if not all(type(a) is list for a in arrays):
         return None
     ints = None
     try:
         text = "],[".join(map(",".join, arrays))
         if _INT_TEXT.fullmatch(text) and text.count("[") == len(arrays) - 1:
-            ints = json.loads(f"[[{text}]]")
+            ints = json.loads(f"[[{text}]]") if arrays[1:] else [list(map(int, arrays[0]))]
     except TypeError:  # not all strings
         if all(type(c) is int for a in arrays for c in a):
             ints = arrays
@@ -133,8 +134,13 @@ def poly_list_from_json(v) -> tuple:
     """Accepts coefficient arrays or factored forms, expanding the latter."""
     if not isinstance(v, list):
         raise ParseError("expected a list of polynomials")
-    return tuple(factored_from_json(item).expand() if isinstance(item, dict)
-                 else poly_from_json(item) for item in v)
+    out = []
+    for item in v:
+        if isinstance(item, dict):
+            out.append(factored_from_json(item).expand())
+        else:
+            out.append(poly_from_json(item))
+    return tuple(out)
 
 
 def polymatrix_to_json(P: PolyMatrix) -> dict:
@@ -213,9 +219,12 @@ def prescription_from_json(obj) -> Prescription:
     )
     if "d" in obj and obj["d"] is not None:
         kwargs["d"] = int_from_json(obj["d"], "d")
-    for key in ("alpha", "epsilon", "psi"):
-        if key in obj:
-            kwargs[key] = poly_list_from_json(obj[key])
+    if "alpha" in obj:
+        kwargs["alpha"] = poly_list_from_json(obj["alpha"])
+    if "epsilon" in obj:
+        kwargs["epsilon"] = poly_list_from_json(obj["epsilon"])
+    if "psi" in obj:
+        kwargs["psi"] = poly_list_from_json(obj["psi"])
     for key in ("f", "q", "k", "l", "right", "left"):
         if key in obj:
             kwargs[key] = int_list(obj[key], key)
@@ -232,16 +241,20 @@ def prescription_to_json(p: Prescription) -> dict:
     out = {"variant": p.variant, "m": p.m, "n": p.n, "r": p.r}
     if p.d is not None:
         out["d"] = p.d
-    for key in ("alpha", "epsilon", "psi"):
-        if getattr(p, key) is not None:
-            out[key] = [poly_to_json(a) for a in getattr(p, key)]
+    if p.alpha is not None:
+        out["alpha"] = [poly_to_json(a) for a in p.alpha]
+    if p.epsilon is not None:
+        out["epsilon"] = [poly_to_json(a) for a in p.epsilon]
+    if p.psi is not None:
+        out["psi"] = [poly_to_json(a) for a in p.psi]
     for key in ("f", "q", "k", "l", "right", "left"):
         val = getattr(p, key)
         if val is not None:
             out[key] = list(val)
-    for key in ("K", "Lt"):
-        if getattr(p, key) is not None:
-            out[key] = polymatrix_to_json(getattr(p, key))
+    if p.K is not None:
+        out["K"] = polymatrix_to_json(p.K)
+    if p.Lt is not None:
+        out["Lt"] = polymatrix_to_json(p.Lt)
     return out
 
 
@@ -305,9 +318,12 @@ def structural_report(data) -> dict:
                 [data.numerators[-1], data.denominators[0]]
             ),
         )
-    common["identities"] = {label: "pass" if ok else "fail"
-                            for label, ok in data.identities().items()}
+    common["identities"] = {label: _mark(ok) for label, ok in data.identities().items()}
     return common
+
+
+def _mark(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
 def feasibility_report_json(rep: FeasibilityReport, variant: str) -> dict:

@@ -281,25 +281,17 @@ def det(P: PolyMatrix) -> Poly:
     return _reduced(_bareiss(rows), math.prod(dens))
 
 
-def _integer_rows(P: PolyMatrix) -> tuple:
-    """Each row of P over the lcm of its denominators, as _over_lcm gives it,
-    in tuples: hashable, and the form _kronecker_values reads."""
-    if {e.denominator for row in P.rows for e in row} == {1}:
-        return tuple([tuple([e.numerators for e in row]) for row in P.rows])
-    return tuple([tuple(map(tuple, _over_lcm(row)[0])) for row in P.rows])
-
-
-def _kronecker_values(rows, n: int) -> list:
-    """The integer matrix P(2^b) of rows = _integer_rows(P), P with n columns,
-    with 2^b past the Cauchy bound of every minor of P (see rank): a minor
-    of any size of P vanishes exactly when the same minor of this matrix
-    does. Each value is built by shifts, as in Kronecker substitution."""
+def _kronecker_values(rows) -> list:
+    """The integer matrix P(2^b) of rows = _integer_lines(P.rows)[0], with
+    2^b past the Cauchy bound of every minor of P (see rank): a minor of any
+    size of P vanishes exactly when the same minor of this matrix does. Each
+    value is built by shifts, as in Kronecker substitution."""
 
     def norms(lines):
         return sorted((max(1, sum(abs(c) for cs in line for c in cs)) for line in lines),
                       reverse=True)
 
-    full = min(len(rows), n)
+    full = min(len(rows), len(rows[0])) if rows else 0
     bound = min(math.prod(norms(rows)[:full]), math.prod(norms(zip(*rows))[:full]))
     b = (bound + 1).bit_length()
 
@@ -333,7 +325,7 @@ def rank(P: PolyMatrix) -> int:
     every submatrix of P(x), which is how minors.select_nonzero_minor reads
     the ranks of submatrices without building them over Q[s].
     """
-    return _frac_rank(_kronecker_values(_integer_rows(P), P.n))
+    return _frac_rank(_kronecker_values(_integer_lines(P.rows)[0]))
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -272,10 +272,16 @@ class TestJson:
 
     @pytest.mark.parametrize("v", [[], [1, -2, 0], ["1", "-2", "+007", "0"], [10**40, 3]])
     def test_integer_arrays_skip_the_scalar_reader(self, v, monkeypatch):
+        # a lone array is read by int() alone, without the whole-matrix parse
         def per_scalar(c):
             raise AssertionError(f"scalar {c!r} read on its own")
 
+        class NoJson:
+            def loads(self, text):
+                raise AssertionError(f"{text!r} parsed as JSON")
+
         monkeypatch.setattr(jsonio, "_scalar_pair", per_scalar)
+        monkeypatch.setattr(jsonio, "json", NoJson())
         got = poly_from_json(v)
         assert got == Poly([int(c) for c in v]) and got.denominator == 1
 
