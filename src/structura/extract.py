@@ -7,17 +7,20 @@ The index-sum and dual-sum identities are checked on every extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ShapeMismatch, ZeroMatrix, require
 from .qpoly import ONE, ZERO, RatFn, poly_lcm
-from .polymat import PolyMatrix, RationalMatrix, _minimal_bases, _multiplicities_at_zero, rank
+from .polymat import PolyMatrix, RationalMatrix, _minimal_bases, _multiplicities_at_zero
+from .polymat import _normalize_basis, rank
 
 
 @dataclass(frozen=True)
 class _SubspaceData:
     """What both structural-data records hold: the shape, the rank, and the
-    minimal indices and bases of the four fundamental subspaces."""
+    minimal indices and bases of the four fundamental subspaces. Until the
+    last step of extraction (_with_popov_bases), which verify skips, each
+    basis is held in the weak Popov form of polymat._minimal_bases."""
     m: int
     n: int
     rank: int
@@ -115,11 +118,24 @@ def inf_structure(P: PolyMatrix):
     return _inf_structure(P, rank(P))
 
 
+def _with_popov_bases(data):
+    """data with its weak Popov bases in column Popov form (_normalize_basis)."""
+    sizes = {"colspan_basis": data.m, "rowspan_basis": data.n,
+             "right_null_basis": data.n, "left_null_basis": data.m}
+    return replace(data, **{name: _normalize_basis(getattr(data, name), size)
+                            for name, size in sizes.items()})
+
+
 def extract_poly_structure(P: PolyMatrix) -> PolyStructuralData:
     """Full structural data; every sum identity is checked before returning.
     The Smith diagonal and the four minimal bases, each in column Popov
     form, come from polymat._minimal_bases, and the structure at infinity
     from Toeplitz ranks."""
+    return _with_popov_bases(_poly_structure(P))
+
+
+def _poly_structure(P: PolyMatrix) -> PolyStructuralData:
+    """extract_poly_structure before _with_popov_bases."""
     if P.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
     diag, (col_basis, k_idx), (row_basis, l_idx), (rnull_basis, d_idx), (
@@ -163,8 +179,12 @@ def extract_rational_structure(R: RationalMatrix) -> RatStructuralData:
     """Structural data of a rational matrix via denominator clearing."""
     if R.is_zero:
         raise ZeroMatrix("structural data of the zero matrix")
-    psi1, P = clear_denominators(R)
-    data = extract_poly_structure(P)
+    return _with_popov_bases(_rational_structure(*clear_denominators(R)))
+
+
+def _rational_structure(psi1, P: PolyMatrix) -> RatStructuralData:
+    """extract_rational_structure of P / psi1 before _with_popov_bases."""
+    data = _poly_structure(P)
     eps, psi = [], []
     for a in data.invariant_factors:
         fr = RatFn(a, psi1)
@@ -199,15 +219,20 @@ def spans_equal(computed: PolyMatrix, supplied: PolyMatrix) -> bool:
     their rational spans agree, that is when placing them side by side does
     not raise the rank above the number of columns of one.
     """
-    if (computed.m, computed.n) != (supplied.m, supplied.n):
-        return False
-    return rank(PolyMatrix.hstack(computed, supplied)) == computed.n
+    return _spans_within(computed, computed.n, supplied)
+
+
+def _spans_within(A: PolyMatrix, r: int, B: PolyMatrix) -> bool:
+    """Whether B is A.m x r and placing it beside A, of rank r, keeps the
+    rank: spans_equal of B and any minimal basis of the column span of A."""
+    return (B.m, B.n) == (A.m, r) and rank(PolyMatrix.hstack(A, B)) == r
 
 
 def verify(matrix, prescription) -> VerificationReport:
     """Extract the structure of a matrix and compare it against a prescription:
     one table of expected values, then the bases and null indices; exact
-    equality throughout."""
+    equality throughout. It builds no basis: a supplied K or Lt is placed
+    beside the (cleared) matrix or its transpose (_spans_within)."""
     p = prescription
     if p.is_rational:
         if isinstance(matrix, PolyMatrix):
@@ -225,11 +250,12 @@ def verify(matrix, prescription) -> VerificationReport:
         return VerificationReport(passed=False, mismatches=("rank",))
 
     if p.is_rational:
-        data = extract_rational_structure(matrix)
+        psi1, P = clear_denominators(matrix)
+        data = _rational_structure(psi1, P)
         want = {"rank": p.r, "numerators": tuple(p.epsilon),
                 "denominators": tuple(p.psi), "inf_orders": tuple(p.q)}
     else:
-        data = extract_poly_structure(matrix)
+        P, data = matrix, _poly_structure(matrix)
         want = {"rank": p.r, "degree": p.d, "invariant_factors": tuple(p.alpha),
                 "inf_partial_mults": tuple(p.f)}
     k_want, l_want = p.span_degrees()
@@ -237,9 +263,9 @@ def verify(matrix, prescription) -> VerificationReport:
     mismatches = [label for label, value in want.items() if getattr(data, label) != value]
 
     if p.uses_bases and data.rank == p.r:
-        if not spans_equal(data.colspan_basis, p.K):
+        if not _spans_within(P, p.r, p.K):
             mismatches.append("colspan_basis")
-        if not spans_equal(data.rowspan_basis, p.Lt):
+        if not _spans_within(P.transpose(), p.r, p.Lt):
             mismatches.append("rowspan_basis")
 
     if p.uses_null_indices:

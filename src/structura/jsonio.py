@@ -131,9 +131,12 @@ def factored_from_json(v) -> FactoredPoly:
 
 
 def poly_list_from_json(v) -> tuple:
-    """Accepts coefficient arrays or factored forms, expanding the latter."""
+    """Accepts coefficient arrays or factored forms, expanding the latter. A
+    list of integer arrays alone is read by one _int_polys call."""
     if not isinstance(v, list):
         raise ParseError("expected a list of polynomials")
+    if polys := _int_polys(v):
+        return tuple(polys)
     out = []
     for item in v:
         if isinstance(item, dict):

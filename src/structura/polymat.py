@@ -100,13 +100,13 @@ class PolyMatrix(_DenseMatrix):
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        return PolyMatrix._of_rows(
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n
         )
 
     @staticmethod
     def zeros(m: int, n: int) -> "PolyMatrix":
-        return PolyMatrix([[ZERO] * n for _ in range(m)], n=n)
+        return PolyMatrix._of_rows(((ZERO,) * n,) * m, n)
 
     @staticmethod
     def from_scalar_rows(rows) -> "PolyMatrix":
@@ -146,30 +146,26 @@ class PolyMatrix(_DenseMatrix):
         return tuple(self.col_degree(j) for j in range(self.n))
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)],
-            n=self.m,
-        )
+        # zip(*rows) of a 0 x n matrix has no rows, not n empty ones
+        cols = tuple(zip(*self.rows)) if self.m else ((),) * self.n
+        return PolyMatrix._of_rows(cols, self.m)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx)
+        return PolyMatrix._of_rows(
+            tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx), len(col_idx)
         )
 
     def map_entries(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
-        return PolyMatrix([[fn(e) for e in row] for row in self.rows], n=self.n)
+        return PolyMatrix._of_rows(tuple(tuple(map(fn, row)) for row in self.rows), self.n)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.m)
-            ],
-            n=self.n,
+        return PolyMatrix._of_rows(
+            tuple(tuple(x + y for x, y in zip(a, b)) for a, b in zip(self.rows, other.rows)),
+            self.n,
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -195,16 +191,14 @@ class PolyMatrix(_DenseMatrix):
                         continue
                     acc = acc + a * b
                 row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, n=other.n)
+            out.append(tuple(row))
+        return PolyMatrix._of_rows(tuple(out), other.n)
 
     @staticmethod
     def hstack(a: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
         if a.m != b.m:
             raise ValueError("row count mismatch")
-        return PolyMatrix(
-            [list(a.rows[i]) + list(b.rows[i]) for i in range(a.m)], n=a.n + b.n
-        )
+        return PolyMatrix._of_rows(tuple(r + s for r, s in zip(a.rows, b.rows)), a.n + b.n)
 
 
 class RationalMatrix(_DenseMatrix):
@@ -426,10 +420,11 @@ def _combined(W, X, t, i, p, q, den):
     form, and the same step on rows t and i of the transformer X. The content
     G of p * row t + q * row i is den times that rescale, so the transformer
     row is divided by G; a row that comes out zero is not rescaled, and its
-    transformer row is divided by den."""
-    w = [_comb(p, a, q, b) for a, b in zip(W[t], W[i])]
+    transformer row is divided by den. Rows t and i of W are zero left of
+    column t, so only the columns from t on are combined."""
+    w = [_comb(p, a, q, b) for a, b in zip(W[t][t:], W[i][t:])]
     g = _content(w)
-    w = _divided(w, g)
+    w = W[t][:t] + _divided(w, g)
     if X is None:
         return w, None
     nums, dens = X
@@ -450,14 +445,15 @@ def _clear(W, X, t):
 
     An entry b that the pivot a divides is cleared by subtracting b / a
     times the pivot's row; any other by the Bezout block of (a, b), which
-    leaves a constant multiple of their gcd in the pivot.
+    leaves a constant multiple of their gcd in the pivot. A constant pivot's
+    primitive part is +-1, so b over it is +-b.
     """
+    ca, ap = math.gcd(*W[t][t]), _primitive(W[t][t])
     for i in range(t + 1, len(W)):
         b = W[i][t]
         if not b:
             continue
-        ca, ap = math.gcd(*W[t][t]), _primitive(W[t][t])
-        quo = _exact_quotient(b, ap)
+        quo = [ap[0] * c for c in b] if len(ap) == 1 else _exact_quotient(b, ap)
         if quo is not None:
             # row_i - (quo / ca) row_t
             _put(W, X, i, _combined(W, X, t, i, [-c for c in quo], [ca], ca))
@@ -466,6 +462,7 @@ def _clear(W, X, t):
             new_t = _combined(W, X, t, i, x, y, d)
             _put(W, X, i, _combined(W, X, t, i, w, u, e))
             _put(W, X, t, new_t)
+            ca, ap = math.gcd(*W[t][t]), _primitive(W[t][t])
 
 
 def _transposed(W) -> list:
@@ -524,8 +521,10 @@ def _smith_core(P: PolyMatrix, track: bool):
             if any(W[i][t] for i in range(t + 1, m)):
                 continue
             ap = _primitive(W[t][t])
-            bad = next((i for i in range(t + 1, m)
-                        if any(_exact_quotient(e, ap) is None for e in W[i][t + 1:])), None)
+            # a constant pivot divides every entry
+            bad = None if len(ap) == 1 else next(
+                (i for i in range(t + 1, m)
+                 if any(_exact_quotient(e, ap) is None for e in W[i][t + 1:])), None)
             if bad is None:
                 break
             _put(W, U, t, _combined(W, U, t, bad, [1], [1], 1))
@@ -542,9 +541,10 @@ def _smith_core(P: PolyMatrix, track: bool):
 
 def _column_matrix(cols, dens, m: int) -> PolyMatrix:
     """The PolyMatrix whose column j is cols[j] over dens[j]."""
-    return PolyMatrix(
-        [[_reduced(list(col[i]), den) for col, den in zip(cols, dens)] for i in range(m)],
-        n=len(cols),
+    return PolyMatrix._of_rows(
+        tuple(tuple(_reduced(list(col[i]), den) for col, den in zip(cols, dens))
+              for i in range(m)),
+        len(cols),
     )
 
 
@@ -746,14 +746,14 @@ def _weak_popov(cols, dens):
     return cols, dens, leads
 
 
-def _popov(cols):
-    """(cols, leads) as _weak_popov gives them, in column Popov form up to
-    the order and scale of the columns: from the weak Popov form, each column
-    cancels by _cancel every term of degree >= d_j in the pivot row of each
-    other column j, largest (degree, row) first. That brings in terms of
-    lower (degree, row) only and changes no leading term, so one pass per
-    column leaves every entry beside a pivot of lower degree."""
-    cols, _, leads = _weak_popov(cols, [1] * len(cols))
+def _popov(cols, leads):
+    """The columns of the weak Popov form (cols, leads) of _weak_popov in
+    column Popov form, up to their order and scale: each column cancels by
+    _cancel every term of degree >= d_j in the pivot row of each other
+    column j, largest (degree, row) first. That brings in terms of lower
+    (degree, row) only and changes no leading term, so one pass per column
+    leaves every entry beside a pivot of lower degree."""
+    cols = list(cols)
     owner = {p: (d, j) for j, (d, p) in enumerate(leads)}
     for k, col in enumerate(cols):
         while True:
@@ -764,7 +764,7 @@ def _popov(cols):
             d, j = owner[i]
             col = _cancel(col, cols[j], i, e, d)
         cols[k] = col
-    return cols, leads
+    return cols
 
 
 def column_reduce(P: PolyMatrix) -> ColumnReduction:
@@ -790,69 +790,83 @@ def is_minimal_basis(K: PolyMatrix):
     """Minimal-basis test: trivial Smith form plus column properness.
 
     Returns (flag, column_degrees); the degrees are reported regardless of
-    the flag.
+    the flag. Row steps alone (_clear, on the shortest entry of each column)
+    give K = U^-1 [H; 0] with U unimodular and H upper triangular, so the
+    Smith form is trivial exactly when every h_tt is a nonzero constant; the
+    scan stops at the first zero or nonconstant one.
     """
     degs = K.column_degrees()
     if K.n == 0:
         return True, degs
     if K.m < K.n:
         return False, degs
-    diag = invariant_factors(K)
-    if len(diag) != K.n or any(a != ONE for a in diag):
-        return False, degs
+    W = _integer_lines(K.rows)[0]
+    for t in range(K.n):
+        piv = _find_pivot(W, t, K.m, t + 1)
+        if piv is None:
+            return False, degs
+        W[t], W[piv[1]] = W[piv[1]], W[t]
+        _clear(W, None, t)
+        if len(W[t][t]) > 1:
+            return False, degs
     return is_column_proper(K), degs
 
 
 # -- minimal bases and local multiplicities ----------------------------------
 
 
-def _normalize_basis(cols, m: int) -> tuple:
-    """(basis, indices descending): the column Popov form of the m-row basis
-    whose columns are the integer coefficient lists cols, each up to a
-    constant factor, as _popov takes them. Each pivot (the last entry of top
-    degree in its column) is monic and of higher degree than the other
-    entries of its row, and the columns run by degree descending, then by
-    pivot row. The form is unique per module (Kailath 1980, 6.7;
-    Beckermann-Labahn-Villard 2006), so every basis of one module prints the
-    same; that of a unimodular basis is I."""
-    if not cols:
-        return PolyMatrix.zeros(m, 0), ()
-    cols, leads = _popov(cols)
+def _weak_basis(cols) -> tuple:
+    """((cols, leads), indices descending): the weak Popov form of integer
+    columns, each up to a constant factor (_weak_popov), and its pivot
+    degrees, which the column Popov form keeps."""
+    cols, _, leads = _weak_popov(cols, [1] * len(cols))
+    return (cols, leads), tuple(sorted((d for d, _ in leads), reverse=True))
+
+
+def _normalize_basis(weak, m: int) -> PolyMatrix:
+    """The column Popov form of the m-row basis whose weak Popov form is
+    weak = (cols, leads) (_weak_basis), or I for weak None, the basis of all
+    of Q[s]^m. Each pivot (the last entry of top degree in its column) is
+    monic and of higher degree than the other entries of its row, and the
+    columns run by degree descending, then by pivot row. The form is unique
+    per module (Kailath 1980, 6.7; Beckermann-Labahn-Villard 2006), so every
+    basis of one module prints the same; that of a unimodular basis is I."""
+    if weak is None:
+        return PolyMatrix.identity(m)
+    cols, leads = weak
     out = []
-    for col, (d, p) in zip(cols, leads):
+    for col, (d, p) in zip(_popov(cols, leads) if cols else (), leads):
         lead = col[p][d]
         sign = 1 if lead > 0 else -1
         out.append((-d, p, [_reduced([sign * x for x in a], sign * lead) for a in col]))
     out.sort(key=lambda t: t[:2])
-    basis = PolyMatrix([[t[2][i] for t in out] for i in range(m)], n=len(out))
-    return basis, tuple(-t[0] for t in out)
+    return PolyMatrix._of_rows(tuple(tuple(t[2][i] for t in out) for i in range(m)), len(out))
 
 
 def _minimal_bases(P: PolyMatrix) -> tuple:
     """(diag, colspan, rowspan, right null, left null) of a nonzero P: the
-    monic Smith diagonal, then one (basis, indices) pair per subspace, the
-    basis in column Popov form (_normalize_basis).
+    monic Smith diagonal, then one (weak, indices) pair per subspace, weak
+    the weak Popov form of a basis (_weak_basis), which _normalize_basis
+    turns into the column Popov form.
 
     With U P V = D the tracked Smith form, P V = U^-1 D and U P = D V^-1
     (Kailath 1980, 6.3): the span bases are the first rank columns of U^-1
     and V^-T, read by _left_inverse_columns, and the null bases the trailing
     columns of V and rows of U. A full-rank span is all of Q[s]^m or Q[s]^n,
-    whose Popov form is I. A square nonsingular P has both spans I and no
-    null basis, so it takes invariant_factors and builds no transformer.
+    with basis I, so weak None. A square nonsingular P has both spans I and
+    no null basis, so it takes invariant_factors and builds no transformer.
     """
     if P.is_square and rank(P) == P.m:
-        full = (PolyMatrix.identity(P.m), (0,) * P.m)
-        empty = (PolyMatrix.zeros(P.m, 0), ())
+        full, empty = (None, (0,) * P.m), _weak_basis([])
         return invariant_factors(P), full, full, empty, empty
     diag, U, Vt = _smith_core(P, track=True)
     r = len(diag)
-    full = (PolyMatrix.identity(r), (0,) * r)
-    colspan = full if r == P.m else _normalize_basis(
-        _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0], P.m)
-    rowspan = full if r == P.n else _normalize_basis(
-        _left_inverse_columns(_integer_columns(P), U, diag)[0], P.n)
-    return (diag, colspan, rowspan,
-            _normalize_basis(Vt[0][r:], P.n), _normalize_basis(U[0][r:], P.m))
+    full = (None, (0,) * r)
+    colspan = full if r == P.m else _weak_basis(
+        _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0])
+    rowspan = full if r == P.n else _weak_basis(
+        _left_inverse_columns(_integer_columns(P), U, diag)[0])
+    return diag, colspan, rowspan, _weak_basis(Vt[0][r:]), _weak_basis(U[0][r:])
 
 
 def _multiplicities_at_zero(rows, r: int) -> tuple:

@@ -51,6 +51,7 @@ from structura.polymat import (
     _over_lcm,
     det,
     invariant_factors,
+    is_column_proper,
     is_minimal_basis,
     rank,
 )
@@ -540,6 +541,21 @@ def poly_normalize_basis(B: PolyMatrix) -> tuple:
         [[c[3][i] for c in cols] for i in range(red.m)], n=red.n
     )
     return basis, tuple(c[4] for c in cols)
+
+
+def smith_is_minimal_basis(K: PolyMatrix):
+    """The minimal-basis test by the Smith form: K.n invariant factors, all
+    1, plus column properness. The reference for polymat.is_minimal_basis,
+    which reads the same answer from a row echelon form."""
+    degs = K.column_degrees()
+    if K.n == 0:
+        return True, degs
+    if K.m < K.n:
+        return False, degs
+    diag = invariant_factors(K)
+    if len(diag) != K.n or any(a != ONE for a in diag):
+        return False, degs
+    return is_column_proper(K), degs
 
 
 # -- reference polynomial ----------------------------------------------------

@@ -31,6 +31,7 @@ from structura.jsonio import (
     fraction_to_json,
     matrix_from_json,
     poly_from_json,
+    poly_list_from_json,
     poly_to_json,
     polymatrix_to_json,
     prescription_from_json,
@@ -270,6 +271,26 @@ class TestJson:
         assert read_outcome(poly_from_json, v) == want
         assert read_outcome(scalarwise_poly_from_json, v) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(ARRAYS, max_size=4))
+    @example([["1"], ["2/3"]])
+    @example([[1], ["+2"], []])
+    @example([["1"], ["1,2"]])
+    @example([[1], "1"])
+    def test_poly_list_reads_as_its_items(self, vs):
+        # the one-call read of a list gives each item's value, and the first
+        # bad item's ParseError
+        want = []
+        for v in vs:
+            want.append(read_outcome(poly_from_json, v))
+            if isinstance(want[-1], str):
+                break
+        try:
+            got = [(p.numerators, p.denominator) for p in poly_list_from_json(vs)]
+        except ParseError as exc:
+            got = want[:-1] + [str(exc)]
+        assert got == want
+
     @pytest.mark.parametrize("v", [[], [1, -2, 0], ["1", "-2", "+007", "0"], [10**40, 3]])
     def test_integer_arrays_skip_the_scalar_reader(self, v, monkeypatch):
         # a lone array is read by int() alone, without the whole-matrix parse
@@ -284,6 +305,13 @@ class TestJson:
         monkeypatch.setattr(jsonio, "json", NoJson())
         got = poly_from_json(v)
         assert got == Poly([int(c) for c in v]) and got.denominator == 1
+        # a list of arrays (alpha, epsilon, psi) is read by one _int_polys call
+        monkeypatch.setattr(jsonio, "json", json)
+        calls = []
+        real = jsonio._int_polys
+        monkeypatch.setattr(jsonio, "_int_polys", lambda arrays: calls.append(arrays) or real(arrays))
+        assert poly_list_from_json([v, v]) == (got, got)
+        assert calls == [[v, v]]
 
     @settings(max_examples=200, deadline=None)
     @given(matrix_docs())

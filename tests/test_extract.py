@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import strategies as hst
 
 from structura.errors import (
     ImpossibleSquareCase,
+    InternalInvariantError,
     MalformedPrescription,
     RankDeficient,
     ShapeMismatch,
     ZeroMatrix,
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
-from structura import polymat
+from structura import extract, polymat
 from structura.polymat import (
     PolyMatrix,
     _integer_columns,
@@ -25,6 +27,7 @@ from structura.polymat import (
     _left_inverse_columns,
     _normalize_basis,
     _smith_core,
+    _weak_basis,
     is_minimal_basis,
     rank,
     reversal,
@@ -406,6 +409,13 @@ def assert_column_popov(B: PolyMatrix, indices):
     assert tuple(-d for d, _ in keys) == indices
 
 
+def popov_basis(cols, m: int) -> tuple:
+    """(basis, indices): the column Popov form of integer columns, through
+    their weak Popov form, and its degrees."""
+    weak, indices = _weak_basis(cols)
+    return _normalize_basis(weak, m), indices
+
+
 class TestNormalizeBasis:
     @settings(max_examples=200, deadline=None)
     @given(bases_to_normalize())
@@ -417,9 +427,9 @@ class TestNormalizeBasis:
             _, want = poly_normalize_basis(B)
         except RankDeficient:
             with pytest.raises(RankDeficient):
-                _normalize_basis(_integer_columns(B)[0], B.m)
+                popov_basis(_integer_columns(B)[0], B.m)
             return
-        basis, indices = _normalize_basis(_integer_columns(B)[0], B.m)
+        basis, indices = popov_basis(_integer_columns(B)[0], B.m)
         assert indices == want
         assert_column_popov(basis, indices)
         assert rank(PolyMatrix.hstack(B, basis)) == B.n
@@ -430,12 +440,12 @@ class TestNormalizeBasis:
         # the Popov form is unique per module, whichever basis reaches it
         BU = B @ random_unimodular(random.Random(seed), B.n, ops=4)
         try:
-            want = _normalize_basis(_integer_columns(B)[0], B.m)
+            want = popov_basis(_integer_columns(B)[0], B.m)
         except RankDeficient:
             with pytest.raises(RankDeficient):
-                _normalize_basis(_integer_columns(BU)[0], B.m)
+                popov_basis(_integer_columns(BU)[0], B.m)
             return
-        assert _normalize_basis(_integer_columns(BU)[0], B.m) == want
+        assert popov_basis(_integer_columns(BU)[0], B.m) == want
 
 
 def _canonical_cases(seed: int, count: int):
@@ -478,12 +488,12 @@ class TestCanonicalBases:
             diag, U, Vt = _smith_core(P, track=True)
             r = len(diag)
             if r == P.m:
-                got = _normalize_basis(
+                got = popov_basis(
                     _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0], P.m)
                 assert got == (PolyMatrix.identity(r), (0,) * r)
                 seen[0] += 1
             if r == P.n:
-                got = _normalize_basis(
+                got = popov_basis(
                     _left_inverse_columns(_integer_columns(P), U, diag)[0], P.n)
                 assert got == (PolyMatrix.identity(r), (0,) * r)
                 seen[1] += 1
@@ -684,6 +694,90 @@ def _changed_fields(p: Prescription, c: Fraction) -> dict:
 CHANGEABLE = ("d", "alpha", "f", "epsilon", "psi", "q", "k", "l", "right", "left", "K", "Lt")
 VARIANT_NAMES = ("P1_spans", "P2_span_indices", "P3_full",
                  "R1_spans", "R2_span_indices", "R3_full")
+
+
+def _perturbed(p: Prescription) -> dict:
+    """label -> a changed copy of p, for each change p admits: K or Lt with
+    its rows reversed (a minimal basis with the same degrees that spans
+    another module unless the span is everything), a larger first right or
+    left null index, and a larger last f (or q)."""
+    def rows_reversed(B):
+        return PolyMatrix(B.rows[::-1], n=B.n)
+
+    def grown(part):
+        return (part[0] + 1,) + part[1:]
+
+    changes = {"none": {}}
+    if p.uses_bases:
+        changes.update(K={"K": rows_reversed(p.K)}, Lt={"Lt": rows_reversed(p.Lt)})
+    if p.uses_null_indices:
+        changes.update({name: {name: grown(getattr(p, name))}
+                        for name in ("right", "left") if getattr(p, name)})
+    name = "q" if p.is_rational else "f"
+    changes[name] = {name: getattr(p, name)[:-1] + (getattr(p, name)[-1] + 1,)}
+    out = {}
+    for label, fields in changes.items():
+        try:
+            out[label] = dataclasses.replace(p, **fields)
+        except (MalformedPrescription, ImpossibleSquareCase):
+            pass  # not a valid prescription
+    return out
+
+
+class TestVerifyBuildsNoBasis:
+    """verify reads the indices of the weak Popov forms and checks K and Lt
+    against the matrix itself; its verdicts are those of the full extraction
+    with its column Popov bases (conftest.fieldwise_verify)."""
+
+    EXPECTED = {"K": "colspan_basis", "Lt": "rowspan_basis", "right": "right_indices",
+                "left": "left_indices", "f": "inf_partial_mults", "q": "inf_orders"}
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_matches_fieldwise_oracle(self, variant):
+        seen = Counter()
+        for seed in range(8):
+            p, A = realized_case(variant, seed)
+            for label, changed in _perturbed(p).items():
+                rep = verify(A, changed)
+                assert rep == fieldwise_verify(A, changed), (seed, label)
+                if label == "none":
+                    assert rep.passed
+                seen[label] += self.EXPECTED.get(label) in rep.mismatches
+        # each kind of change the variant carries is caught at least once
+        want = {"f" if variant[0] == "P" else "q"}
+        want |= {"K", "Lt"} if "spans" in variant else set()
+        want |= {"right", "left"} if "full" in variant else set()
+        assert {label for label, count in seen.items() if count} == want
+
+    @pytest.mark.parametrize("variant", ["P1_spans", "P3_full", "R2_span_indices"])
+    def test_runs_no_popov_normalization(self, variant, monkeypatch):
+        calls = []
+        for module, name in ((polymat, "_popov"), (extract, "_normalize_basis"),
+                             (extract, "spans_equal")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name) or 1 / 0)
+        for seed in range(3):
+            p, A = realized_case(variant, seed)
+            assert verify(A, p).passed
+        assert calls == []
+        # the public extraction still ends in the column Popov form
+        with pytest.raises(ZeroDivisionError):
+            (extract_rational_structure if p.is_rational else extract_poly_structure)(A)
+        assert calls[0] in ("_popov", "_normalize_basis")
+
+    @pytest.mark.parametrize("variant", ["P3_full", "R3_full"])
+    def test_checks_every_identity(self, variant, monkeypatch):
+        # verify stops short of the column Popov form, not of the identity table
+        p, A = realized_case(variant, 0)
+        cls = RatStructuralData if p.is_rational else PolyStructuralData
+        table = cls.identities
+        extract_ = extract_rational_structure if p.is_rational else extract_poly_structure
+        labels = list(extract_(A).identities())
+        for label in labels:
+            monkeypatch.setattr(cls, "identities",
+                                lambda self, label=label: {**table(self), label: False})
+            with pytest.raises(InternalInvariantError, match=f"identity {label} fails"):
+                verify(A, p)
+        assert len(labels) == (2 if p.is_rational else 4)
 
 
 class TestVerify:

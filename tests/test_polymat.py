@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,9 @@ from structura.errors import (
     ZeroMatrix,
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
+from structura import polymat
 from structura.extract import RationalMatrix
+from structura.synthesis import build_minimal_basis
 from structura.polymat import (
     PolyMatrix,
     _frac_rank,
@@ -50,6 +53,7 @@ from conftest import (
     random_rational_matrix,
     random_unimodular,
     scanned_rank,
+    smith_is_minimal_basis,
 )
 
 S = X
@@ -126,6 +130,51 @@ class TestDenseMatrix:
         R = RationalMatrix.from_poly_matrix(P)
         assert R != P and P != R
         assert R == RationalMatrix([[RatFn(S), RatFn(ONE)]]) and R.is_polynomial
+
+
+class TestUncheckedBuilds:
+    """The builds that skip the entry check keep every shape, empty ones too,
+    and give the rows the public constructor would."""
+
+    @staticmethod
+    def checked(rows, n):
+        return PolyMatrix([list(row) for row in rows], n=n)
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
+    def test_shapes(self, m, n):
+        Z = PolyMatrix.zeros(m, n)
+        assert (Z.m, Z.n, Z.rows) == (m, n, ((ZERO,) * n,) * m)
+        T = Z.transpose()
+        assert (T.m, T.n) == (n, m) and T == self.checked(T.rows, m) == PolyMatrix.zeros(n, m)
+        assert T.transpose() == Z
+        assert Z + Z == Z == Z.map_entries(lambda e: e) == Z.submatrix(range(m), range(n))
+        assert Z.submatrix([], range(n)) == PolyMatrix.zeros(0, n)
+        assert Z.submatrix(range(m), []) == PolyMatrix.zeros(m, 0)
+        assert Z @ PolyMatrix.zeros(n, 2) == PolyMatrix.zeros(m, 2)
+        assert PolyMatrix.hstack(Z, PolyMatrix.zeros(m, 0)) == Z
+        assert PolyMatrix.hstack(PolyMatrix.zeros(m, 1), Z) == PolyMatrix.zeros(m, n + 1)
+
+    def test_transpose_of_no_rows_has_empty_rows(self):
+        T = PolyMatrix.zeros(0, 3).transpose()
+        assert (T.m, T.n, T.rows) == (3, 0, ((), (), ()))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_identity(self, n):
+        I = PolyMatrix.identity(n)
+        assert I == self.checked(I.rows, n) and I.transpose() == I
+
+    def test_entries_and_values(self):
+        A, B = M([[S, 1], [0, S * S]]), M([[1, S], [2, 0]])
+        for C in (A + B, A @ B, A.transpose(), PolyMatrix.hstack(A, B),
+                  A.submatrix([1], [1, 0]), A.map_entries(lambda e: e * S)):
+            assert type(C.rows) is tuple and all(type(row) is tuple for row in C.rows)
+            assert C == self.checked(C.rows, C.n)
+        assert A @ B == M([[S + Poly([2]), S * S], [Poly([0, 0, 2]), 0]])
+        assert PolyMatrix.hstack(A, B).submatrix([0, 1], [1, 2]) == M([[1, 1], [S * S, 2]])
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(TypeError, match="entries must be Poly$"):
+            PolyMatrix([[ONE, 1]], n=2)
 
 
 class TestSmith:
@@ -625,7 +674,86 @@ class TestReversal:
         ]
 
 
+def constant_invertible(rng: random.Random, m: int) -> PolyMatrix:
+    """A unit lower times a unit upper triangular matrix of small constants."""
+    def unit(lower):
+        return PolyMatrix([[Poly.constant(1 if i == j else rng.randint(-2, 2)
+                                          if (i > j) == lower else 0)
+                            for j in range(m)] for i in range(m)], n=m)
+    return unit(True) @ unit(False)
+
+
+def with_column(K: PolyMatrix, j: int, col) -> PolyMatrix:
+    return PolyMatrix([[col[i] if k == j else e for k, e in enumerate(row)]
+                       for i, row in enumerate(K.rows)], n=K.n)
+
+
+MINIMAL_BASIS_KINDS = ("minimal", "unimodular-left", "non-minimal", "rank-deficient",
+                       "unimodular-right")
+
+
+@hst.composite
+def minimal_basis_candidates(draw):
+    """(kind, K), K an m x r matrix, r <= m <= 6: a bidiagonal minimal basis
+    B times a constant invertible C on the left (minimal), times a
+    unimodular factor on the left (trivial Smith form), C B with a column
+    times s - a (not minimal) or replaced by a multiple of another or zero
+    (rank deficient), or B times a unimodular factor on the right, which
+    keeps the span and can break column properness."""
+    rng = random.Random(draw(hst.integers(0, 2 ** 16)))
+    m = draw(hst.integers(1, 6))
+    r = draw(hst.integers(1, m))
+    degs = [0] * r if r == m else draw(hst.lists(hst.integers(0, 2), min_size=r, max_size=r))
+    B = build_minimal_basis(degs, m)
+    kind = draw(hst.sampled_from(MINIMAL_BASIS_KINDS))
+    if kind == "unimodular-left":
+        return kind, random_unimodular(rng, m, ops=4) @ B
+    if kind == "unimodular-right":
+        return kind, B @ random_unimodular(rng, r, ops=4)
+    K = constant_invertible(rng, m) @ B
+    j = draw(hst.integers(0, r - 1))
+    if kind == "non-minimal":
+        a = Poly.constant(draw(hst.integers(-2, 2)))
+        K = with_column(K, j, [e * (S - a) for e in K.col(j)])
+    elif kind == "rank-deficient":
+        i = draw(hst.integers(0, r - 1))
+        q = Poly([draw(hst.integers(-2, 2)) for _ in range(2)])
+        K = with_column(K, j, [ZERO if i == j else e * q for e in K.col(i)])
+    return kind, K
+
+
 class TestMinimalBasisTest:
+    @settings(max_examples=300, deadline=None)
+    @given(minimal_basis_candidates())
+    def test_matches_smith_oracle(self, case):
+        # the row echelon test gives the Smith-form verdict, without a Smith
+        # elimination
+        kind, K = case
+        want = smith_is_minimal_basis(K)
+        with mock.patch.object(polymat, "_smith_core",
+                               side_effect=AssertionError("_smith_core called")):
+            got = is_minimal_basis(K)
+        assert got == want
+        if kind == "minimal":
+            assert got[0]
+        if kind in ("non-minimal", "rank-deficient"):
+            assert not got[0]
+
+    def test_nonconstant_first_pivot_ends_the_scan(self, monkeypatch):
+        # every entry of the first column is a multiple of s - 1, so the
+        # first pivot _clear leaves is nonconstant: one column step, no Smith
+        B = constant_invertible(random.Random(8), 8) @ build_minimal_basis((1, 2, 0, 1), 8)
+        K = with_column(B, 0, [e * (S - ONE) for e in B.col(0)])
+        calls = []
+        for name in ("_smith_core", "_clear"):
+            real = getattr(polymat, name)
+            monkeypatch.setattr(polymat, name, lambda *a, real=real, name=name: (
+                calls.append(name), real(*a))[1])
+        assert is_minimal_basis(K) == (False, (2, 2, 0, 1))
+        assert calls == ["_clear"]
+        monkeypatch.undo()
+        assert smith_is_minimal_basis(K) == (False, (2, 2, 0, 1))
+
     def test_builder_shape(self):
         assert is_minimal_basis(M([[S * S, 0], [1, S], [0, 1]])) == (True, (2, 1))
 
@@ -750,8 +878,6 @@ class TestMobiusFrames:
             scale_basis_mobius(Z, 1)
 
     def test_scale_basis_preserves_minimality_and_degrees(self):
-        from structura.synthesis import build_minimal_basis
-
         B = build_minimal_basis([1, 1], 3)
         out = scale_basis_mobius(B, 1)
         flag, degs = is_minimal_basis(out)
