@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ShapeMismatch, ZeroMatrix, require
-from .qpoly import ONE, ZERO, RatFn, poly_lcm
+from .qpoly import ONE, ZERO, RatFn, _reversed, poly_lcm
 from .polymat import PolyMatrix, RationalMatrix, _minimal_bases, _multiplicities_at_zero
 from .polymat import _normalize_basis, rank
 
@@ -98,14 +98,14 @@ def partial_multiplicities(P: PolyMatrix, lam) -> tuple:
     r = rank(P)
     if not r:
         raise ZeroMatrix("partial multiplicities of the zero matrix")
-    return _multiplicities_at_zero([[e.shift(lam) for e in row] for row in P.rows], r)
+    return _multiplicities_at_zero(P.map_entries(lambda e: e.shift(lam))._ints[0], r)
 
 
 def _inf_structure(P: PolyMatrix, r: int):
     """inf_structure of a nonzero P of rank r, read from the coefficients
     of rev P = P_d + P_(d-1) s + ... + P_0 s^d."""
     d = int(P.degree)
-    f = _multiplicities_at_zero([[e.reverse(d) for e in row] for row in P.rows], r)
+    f = _multiplicities_at_zero([[_reversed(c, d) for c in row] for row in P._ints[0]], r)
     require(f[0] == 0, "smallest partial multiplicity of infinity must vanish")
     q = tuple(fi - d for fi in f)
     return d, f, q

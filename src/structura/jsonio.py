@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, _quoted, require
-from .qpoly import FactoredPoly, Poly, RatFn, _make, _reduced, rational_roots
+from .qpoly import FactoredPoly, Poly, RatFn, _make, _reduced, _stripped, rational_roots
 from .polymat import PolyMatrix, RationalMatrix
 from .extract import PolyStructuralData, RatStructuralData, VerificationReport
 from .feasibility import FeasibilityReport, Prescription
@@ -68,13 +68,14 @@ def poly_to_json(p: Poly) -> list:
     return out
 
 
-def _int_polys(arrays: list):
-    """The Poly over 1 of each array when all are lists of JSON integers or
-    of ASCII integer strings, else None. One json.loads reads the strings of
-    two or more arrays joined: _INT_TEXT and the count of "[" let in nothing
-    else but a "]", which no parse accepts; the lengths show a comma inside a
-    string or "", and int() reads the "+" signs and leading zeros that JSON
-    lacks. A lone array is read by int() alone, which is faster there."""
+def _int_arrays(arrays: list):
+    """The coefficient tuple of each array, trailing zeros stripped, when all
+    are lists of JSON integers or of ASCII integer strings, else None. One
+    json.loads reads the strings of two or more arrays joined: _INT_TEXT and
+    the count of "[" let in nothing else but a "]", which no parse accepts;
+    the lengths show a comma inside a string or "", and int() reads the "+"
+    signs and leading zeros that JSON lacks. A lone array is read by int()
+    alone, which is faster there."""
     if not all(type(a) is list for a in arrays):
         return None
     ints = None
@@ -90,16 +91,16 @@ def _int_polys(arrays: list):
             ints = [list(map(int, a)) for a in arrays]
     if ints is None or list(map(len, ints)) != list(map(len, arrays)):
         return None
-    return [_make(tuple(c), 1) if c and c[-1] else _reduced(list(c), 1) for c in ints]
+    return [tuple(c) if c and c[-1] else _stripped(c) for c in ints]
 
 
 def poly_from_json(v) -> Poly:
-    """The Poly of _int_polys, or else one _scalar_pair per coefficient over
+    """The Poly of _int_arrays, or else one _scalar_pair per coefficient over
     the lcm of their denominators."""
     if not isinstance(v, list):
         raise ParseError(f"polynomial must be a coefficient array, got {_quoted(v)}")
-    if polys := _int_polys([v]):
-        return polys[0]
+    if ints := _int_arrays([v]):
+        return _make(ints[0], 1)
     pairs = [_scalar_pair(c) for c in v]
     den = math.lcm(*(q for _, q in pairs))
     return _reduced([p * (den // q) for p, q in pairs], den)
@@ -132,11 +133,11 @@ def factored_from_json(v) -> FactoredPoly:
 
 def poly_list_from_json(v) -> tuple:
     """Accepts coefficient arrays or factored forms, expanding the latter. A
-    list of integer arrays alone is read by one _int_polys call."""
+    list of integer arrays alone is read by one _int_arrays call."""
     if not isinstance(v, list):
         raise ParseError("expected a list of polynomials")
-    if polys := _int_polys(v):
-        return tuple(polys)
+    if ints := _int_arrays(v):
+        return tuple(_make(c, 1) for c in ints)
     out = []
     for item in v:
         if isinstance(item, dict):
@@ -167,7 +168,8 @@ def rationalmatrix_to_json(R: RationalMatrix) -> dict:
 
 
 def matrix_from_json(obj):
-    """PolyMatrix or RationalMatrix, keyed on the entry encoding."""
+    """PolyMatrix or RationalMatrix, keyed on the entry encoding; integer
+    arrays become the integer form of a PolyMatrix, and no Poly."""
     if not isinstance(obj, dict):
         raise ParseError("matrix object needs m, n, entries")
     _check_keys(obj, "matrix object", ("m", "n", "entries"))
@@ -179,12 +181,13 @@ def matrix_from_json(obj):
         raise ParseError(f"matrix shape must be positive, got m={m}, n={n}")
     if not isinstance(entries, list) or len(entries) != m * n:
         raise ParseError(f"expected {m * n} row-major entries")
-    if any(isinstance(e, dict) for e in entries):
-        cls, read = RationalMatrix, _ratfn_from_json
+    if flat := _int_arrays(entries):
+        build = PolyMatrix._of_integer_rows
+    elif any(isinstance(e, dict) for e in entries):
+        build, flat = RationalMatrix._of_rows, list(map(_ratfn_from_json, entries))
     else:
-        cls, read = PolyMatrix, poly_from_json
-    flat = _int_polys(entries) or list(map(read, entries))
-    return cls._of_rows(tuple(tuple(flat[k : k + n]) for k in range(0, m * n, n)), n)
+        build, flat = PolyMatrix._of_rows, list(map(poly_from_json, entries))
+    return build(tuple(tuple(flat[k : k + n]) for k in range(0, m * n, n)), n)
 
 
 def _ratfn_from_json(e) -> RatFn:

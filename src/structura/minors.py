@@ -6,7 +6,8 @@ nonzero minor, by induction on the matrix size. Whether a matrix or a minor
 is singular is read from the rank of a submatrix of one integer matrix, the
 value E(2^b) past the Cauchy bound of the minors of E
 (polymat._kronecker_values), not from a determinant: no Poly submatrix is
-built, and the cache of that value is keyed on the integer rows of E. A
+built, and the cache of that value is keyed on the integer form of E
+(PolyMatrix._ints, no Poly for a matrix read from JSON integers). A
 brute-force enumerator of all admissible pairs doubles as the test oracle.
 """
 
@@ -17,7 +18,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InternalInvariantError, ParseError, SingularInput, require
-from .polymat import PolyMatrix, _echelon, _frac_rank, _integer_lines, _kronecker_values, det
+from .polymat import PolyMatrix, _echelon, _frac_rank, _kronecker_values, det
 
 
 def validate_index_tuple(Z: Sequence[int], r: int) -> tuple:
@@ -40,11 +41,11 @@ def star_dual(Z: Sequence[int], r: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _dependency_chain(rows: tuple) -> tuple:
-    """(V, chain) of the square matrix E whose rows over their lcms are rows:
-    V is _kronecker_values(rows), whose submatrices are singular exactly
-    where those of E are, and chain is the reduction chain ((values, u), ...)
-    down to size 2. Each level's values are those of its matrix, read from V;
-    u marks the first column of their top r-1 rows that depends on its
+    """(V, chain) of the square matrix E with integer rows E._ints[0]: V is
+    _kronecker_values(rows), whose submatrices are singular exactly where
+    those of E are, and chain is the reduction chain ((values, u), ...) down
+    to size 2. Each level's values are those of its matrix, read from V; u
+    marks the first column of their top r-1 rows that depends on its
     predecessors. All of it depends only on rows, so it is cached on them:
     nested tuples of ints, hashed and compared in C.
     """
@@ -112,13 +113,7 @@ def select_nonzero_minor(E: PolyMatrix, Z: Sequence[int]):
         raise SingularInput("a square matrix is required")
     r = E.m
     Z = validate_index_tuple(Z, r)
-    # over denominators all 1 the rows are the numerators: one pass instead
-    # of a lcm per row (4 us against 14 us on a 7x7, CPython 3.11, x86_64)
-    if {e.denominator for row in E.rows for e in row} == {1}:
-        rows = tuple([tuple([e.numerators for e in row]) for row in E.rows])
-    else:
-        rows = tuple([tuple(map(tuple, row)) for row in _integer_lines(E.rows)[0]])
-    V, chain = _dependency_chain(rows)
+    V, chain = _dependency_chain(E._ints[0])
     I, J = _select(chain, 0, Z)
     zs = star_dual(Z, r)
     require(all(i <= b for i, b in zip(I, zs)), "row bound violated")

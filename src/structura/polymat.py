@@ -3,10 +3,11 @@ rank, Smith form (with or without transformers), the minimal bases of the
 four fundamental subspaces, local multiplicities from Toeplitz ranks, weak
 Popov and Popov forms, reversal, Mobius frames, and the minimal-basis test.
 
-Every elimination runs on integer coefficient lists, by row steps. The
-Smith core keeps primitive integer rows and runs the column half of each
-pivot step as the same row steps on the transposed working matrix; its
-transformers, like the columns that column reduction and basis
+Every elimination runs on integer coefficient lists, by row steps, from the
+one integer form each PolyMatrix keeps (PolyMatrix._ints), copying the rows
+it changes. The Smith core keeps primitive integer rows and runs the column
+half of each pivot step as the same row steps on the transposed working
+matrix; its transformers, like the columns that column reduction and basis
 normalization take, are integer lists over one denominator per line. det is
 a fraction-free elimination of the rows over their lcms. The rank is read
 from one integer value of the matrix, taken past the Cauchy bound of its
@@ -34,7 +35,7 @@ from .errors import (
     ZeroMatrix,
     require,
 )
-from .qpoly import NEG_INF, ONE, ZERO, Poly, RatFn, _pdivmod, _reduced, as_fraction
+from .qpoly import NEG_INF, ONE, ZERO, Poly, RatFn, _make, _pdivmod, _reduced, as_fraction
 
 
 class _DenseMatrix:
@@ -91,10 +92,29 @@ class _DenseMatrix:
 
 
 class PolyMatrix(_DenseMatrix):
-    """Dense matrix of Poly entries."""
+    """Dense matrix of Poly entries and its integer form _ints, the nested
+    tuples (numerators, dens) of _integer_lines(rows). Each is built from the
+    other on first read: a matrix read from JSON integers has no Poly yet."""
 
-    __slots__ = ()
+    __slots__ = ("_ints",)
     entry_type = Poly
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: _of_rows sets rows, _of_integer_rows _ints
+        if name == "_ints":
+            self._ints = _integer_lines(self.rows)
+        elif name == "rows":
+            self.rows = tuple([tuple([_make(c, 1) for c in row]) for row in self._ints[0]])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self, name)
+
+    @classmethod
+    def _of_integer_rows(cls, rows: tuple, n: int) -> "PolyMatrix":
+        """The matrix of integer form (rows, dens all 1), as _integer_lines gives it."""
+        M = object.__new__(cls)
+        M.m, M.n, M._ints = len(rows), n, (rows, (1,) * len(rows))
+        return M
 
     # -- constructors --------------------------------------------------------
 
@@ -131,10 +151,14 @@ class PolyMatrix(_DenseMatrix):
         return self.m == self.n
 
     @property
+    def is_zero(self) -> bool:
+        return not any(map(any, self._ints[0]))
+
+    @property
     def degree(self):
         """Max entry degree; NEG_INF for a zero (or empty) matrix."""
-        degs = [e.degree for row in self.rows for e in row]
-        return max(degs, default=NEG_INF)
+        top = max((len(c) for row in self._ints[0] for c in row), default=0)
+        return top - 1 if top else NEG_INF
 
     def col(self, j: int):
         return tuple(self.rows[i][j] for i in range(self.m))
@@ -271,15 +295,15 @@ def det(P: PolyMatrix) -> Poly:
     of P over their lcms, divided by the product of those lcms."""
     if not P.is_square:
         raise ValueError("determinant of a non-square matrix")
-    rows, dens = _integer_lines(P.rows)
-    return _reduced(_bareiss(rows), math.prod(dens))
+    rows, dens = P._ints
+    return _reduced(list(_bareiss([list(row) for row in rows])), math.prod(dens))
 
 
 def _kronecker_values(rows) -> list:
-    """The integer matrix P(2^b) of rows = _integer_lines(P.rows)[0], with
-    2^b past the Cauchy bound of every minor of P (see rank): a minor of any
-    size of P vanishes exactly when the same minor of this matrix does. Each
-    value is built by shifts, as in Kronecker substitution."""
+    """The integer matrix P(2^b) of rows = P._ints[0], with 2^b past the
+    Cauchy bound of every minor of P (see rank): a minor of any size of P
+    vanishes exactly when the same minor of this matrix does. Each value is
+    built by shifts, as in Kronecker substitution."""
 
     def norms(lines):
         return sorted((max(1, sum(abs(c) for cs in line for c in cs)) for line in lines),
@@ -319,7 +343,7 @@ def rank(P: PolyMatrix) -> int:
     every submatrix of P(x), which is how minors.select_nonzero_minor reads
     the ranks of submatrices without building them over Q[s].
     """
-    return _frac_rank(_kronecker_values(_integer_lines(P.rows)[0]))
+    return _frac_rank(_kronecker_values(P._ints[0]))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -490,7 +514,7 @@ def _smith_core(P: PolyMatrix, track: bool):
     if track:
         U, Vt = (([[[1] if i == j else [] for j in range(k)] for i in range(k)], [1] * k)
                  for k in (m, n))
-    W, dens = _integer_lines(P.rows)
+    W, dens = list(P._ints[0]), P._ints[1]
     for X in (U, Vt):  # the rows of W, then those of W^T; X is the identity
         for i, row in enumerate(W):
             g = _content(row)
@@ -663,24 +687,25 @@ def _frac_rank(rows) -> int:
     return len(_echelon(rows))
 
 
-def _over_lcm(polys):
-    """(numerators, den): the numerators of each Poly over the lcm den of
-    their denominators, so that polys[i] = numerators[i] / den."""
-    den = math.lcm(*(e.denominator for e in polys))
-    return [e.numerators if e.denominator == den
-            else [c * (den // e.denominator) for c in e.numerators] for e in polys], den
-
-
 def _integer_lines(lines):
-    """(numerator lists, dens): each line of Polys over the lcm of its
-    denominators, as _over_lcm gives it."""
-    pairs = [_over_lcm(line) for line in lines]
-    return [nums for nums, _ in pairs], [den for _, den in pairs]
+    """(numerators, dens): each line of Polys as the numerators of its
+    entries over the lcm of their denominators, and those lcms, as nested
+    tuples."""
+    nums, dens = [], []
+    for line in lines:
+        den = math.lcm(*[e.denominator for e in line])
+        nums.append(tuple([e.numerators if e.denominator == den
+                           else tuple([c * (den // e.denominator) for c in e.numerators])
+                           for e in line]))
+        dens.append(den)
+    return tuple(nums), tuple(dens)
 
 
 def _integer_columns(P: PolyMatrix):
     """(cols, dens): column j of P as integer coefficient lists over the lcm
-    dens[j] of its denominators."""
+    dens[j] of its denominators, read from _ints when those are all 1."""
+    if P._ints[1].count(1) == P.m:
+        return (tuple(zip(*P._ints[0])) if P.m else ((),) * P.n), (1,) * P.n
     return _integer_lines(P.col(j) for j in range(P.n))
 
 
@@ -800,7 +825,7 @@ def is_minimal_basis(K: PolyMatrix):
         return True, degs
     if K.m < K.n:
         return False, degs
-    W = _integer_lines(K.rows)[0]
+    W = [list(row) for row in K._ints[0]]
     for t in range(K.n):
         piv = _find_pivot(W, t, K.m, t + 1)
         if piv is None:
@@ -863,14 +888,15 @@ def _minimal_bases(P: PolyMatrix) -> tuple:
     r = len(diag)
     full = (None, (0,) * r)
     colspan = full if r == P.m else _weak_basis(
-        _left_inverse_columns(_integer_lines(P.rows), Vt, diag)[0])
+        _left_inverse_columns(P._ints, Vt, diag)[0])
     rowspan = full if r == P.n else _weak_basis(
         _left_inverse_columns(_integer_columns(P), U, diag)[0])
     return diag, colspan, rowspan, _weak_basis(Vt[0][r:]), _weak_basis(U[0][r:])
 
 
 def _multiplicities_at_zero(rows, r: int) -> tuple:
-    """Valuations at 0 of the invariant factors of a rank-r matrix of Polys.
+    """Valuations at 0 of the invariant factors of a rank-r matrix P, read
+    from integer rows, each a row of P scaled, which leaves every rank below.
 
     With A_k the s^k coefficients, T_j is the block lower-triangular Toeplitz
     matrix with j block rows, A_0 on its diagonal and A_k on its k-th block
@@ -886,14 +912,13 @@ def _multiplicities_at_zero(rows, r: int) -> tuple:
     step j only reduces the rows of the new block row into it. rank T_j is
     the number of echelon rows.
     """
-    coeffs = [_over_lcm(row)[0] for row in rows]  # scales rows of every T_j
-    top = max(len(cs) for row in coeffs for cs in row) - 1
+    top = max(len(cs) for row in rows for cs in row) - 1
     echelon, f, j = {}, [], 0
     while len(f) < r:
         j += 1
         require(j <= r * top + 1, "partial multiplicities exceed the rank bound")
         prev = len(echelon)
-        for row in coeffs:
+        for row in rows:
             _echelon_insert(echelon, [cs[j - 1 - k] if j - 1 - k < len(cs) else 0
                                       for k in range(j) for cs in row])
         f.extend([j - 1] * (len(echelon) - prev - len(f)))

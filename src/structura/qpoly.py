@@ -77,6 +77,19 @@ def _pdivmod(a, b):
     return quo, scale, rem
 
 
+def _stripped(nums) -> tuple:
+    """nums without its trailing zeros, as a tuple."""
+    k = len(nums)
+    while k and not nums[k - 1]:
+        k -= 1
+    return tuple(nums[:k])
+
+
+def _reversed(nums: tuple, deg: int) -> tuple:
+    """The integer coefficients of s^deg * p(1/s) from those of p, deg >= deg(p)."""
+    return _stripped((0,) * (deg + 1 - len(nums)) + nums[::-1])
+
+
 def _make(nums: tuple, den: int) -> "Poly":
     """Poly from numerators and denominator already in normal form."""
     p = object.__new__(Poly)
@@ -306,11 +319,7 @@ class Poly:
         nums = self.numerators
         if deg < len(nums) - 1:
             raise ValueError(f"reversal degree {deg} is below the degree of {self}")
-        out = [0] * (deg + 1 - len(nums))
-        out.extend(nums[::-1])
-        while out and not out[-1]:
-            out.pop()
-        return _make(tuple(out), self.denominator)
+        return _make(_reversed(nums, deg), self.denominator)
 
     # -- comparisons and hashing -------------------------------------------
 
@@ -328,26 +337,23 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms by descending power, each coefficient in lowest terms, read
+        from the numerators over the denominator."""
         if self.is_zero:
             return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+        den, out = self.denominator, []
+        for k in range(len(self.numerators) - 1, -1, -1):
+            c = self.numerators[k]
+            if not c:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
+            g = math.gcd(c, den)
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            if k:
                 var = "s" if k == 1 else f"s^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+                mag = var if mag == "1" else f"{mag}*{var}"
+            sign = "-" if c < 0 else "+"
+            out.append(f" {sign} {mag}" if out else mag if c > 0 else f"-{mag}")
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"Poly({str(self)})"

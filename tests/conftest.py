@@ -48,7 +48,6 @@ from structura.polymat import (
     _integer_columns,
     _integer_lines,
     _left_inverse_columns,
-    _over_lcm,
     det,
     invariant_factors,
     is_column_proper,
@@ -161,7 +160,7 @@ def scanned_rank(P: PolyMatrix) -> int:
 
     row_degs = (max(e.degree for e in row) for row in P.rows)
     bound = min(top_sum(P.column_degrees()), top_sum(row_degs))
-    coeffs, width = [_over_lcm(row)[0] for row in P.rows], int(P.degree) + 1
+    coeffs, width = _integer_lines(P.rows)[0], int(P.degree) + 1
     best = 0
     for k in range(bound + 1):
         x = (k + 1) // 2 if k % 2 else -(k // 2)
@@ -1212,3 +1211,29 @@ def scalarwise_poly_from_json(v) -> Poly:
     pairs = [_scalar_pair(c) for c in v]
     den = math.lcm(*(q for _, q in pairs))
     return _reduced([p * (den // q) for p, q in pairs], den)
+
+
+def fraction_poly_str(p: Poly) -> str:
+    """Poly.__str__ read from one Fraction per coefficient (Poly.coeffs). The
+    reference for Poly.__str__, which reads the numerators over the
+    denominator."""
+    if p.is_zero:
+        return "0"
+    terms = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "s" if k == 1 else f"s^{k}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        terms.append((sign, body))
+    first_sign, first_body = terms[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in terms[1:]:
+        out += f" {sign} {body}"
+    return out

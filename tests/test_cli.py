@@ -305,11 +305,11 @@ class TestJson:
         monkeypatch.setattr(jsonio, "json", NoJson())
         got = poly_from_json(v)
         assert got == Poly([int(c) for c in v]) and got.denominator == 1
-        # a list of arrays (alpha, epsilon, psi) is read by one _int_polys call
+        # a list of arrays (alpha, epsilon, psi) is read by one _int_arrays call
         monkeypatch.setattr(jsonio, "json", json)
         calls = []
-        real = jsonio._int_polys
-        monkeypatch.setattr(jsonio, "_int_polys", lambda arrays: calls.append(arrays) or real(arrays))
+        real = jsonio._int_arrays
+        monkeypatch.setattr(jsonio, "_int_arrays", lambda arrays: calls.append(arrays) or real(arrays))
         assert poly_list_from_json([v, v]) == (got, got)
         assert calls == [[v, v]]
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from structura import jsonio, polymat, qpoly
 from structura.errors import ParseError, SingularInput
 from structura.qpoly import X, ZERO, Poly, RatFn
-from structura.polymat import PolyMatrix, RationalMatrix, det, rank
+from structura.polymat import PolyMatrix, RationalMatrix, _DenseMatrix, det, rank
+from structura.jsonio import poly_from_json
 from structura.minors import (
     admissible_pairs,
     minor_at,
@@ -17,6 +19,7 @@ from structura.minors import (
 )
 from conftest import (
     FIRST_RANK_POINTS,
+    cofactor_det,
     det_select_nonzero_minor,
     nested_sum_matrix,
     random_poly,
@@ -189,3 +192,89 @@ class TestEvaluationPath:
             for k in range(1, r + 1):
                 for Z in itertools.combinations(range(1, r + 1), k):
                     assert select_nonzero_minor(E, Z) == det_select_nonzero_minor(E, Z)
+
+
+def rows_built(E: PolyMatrix) -> bool:
+    """Whether the rows slot of E is set, read past PolyMatrix.__getattr__,
+    which would build the rows of a matrix read as integer arrays."""
+    try:
+        _DenseMatrix.rows.__get__(E)
+    except AttributeError:
+        return False
+    return True
+
+
+def nonsingular_arrays(rng, r):
+    """The entries of an r x r nonsingular matrix as integer coefficient
+    lists without trailing zeros, row-major, some of them empty."""
+    while True:
+        entries = [[] if rng.random() < 0.2 else
+                   list(Poly([rng.randint(-3, 3) for _ in range(3)]).numerators)
+                   for _ in range(r * r)]
+        E = PolyMatrix([[Poly(c) for c in entries[k:k + r]] for k in range(0, r * r, r)])
+        if not det(E).is_zero:
+            return entries
+
+
+def spelled(entries, how):
+    """The JSON entries of one matrix, spelled how."""
+    if how == "strings":
+        return [[str(c) for c in e] for e in entries]
+    if how == "signs":  # "+" signs and leading zeros, which int() reads
+        return [[f"+00{c}" if c >= 0 else f"-0{-c}" for c in e] for e in entries]
+    if how == "trailing":
+        return [e + [0, 0] for e in entries]
+    return entries
+
+
+class TestIntegerForm:
+    """A matrix read from integer arrays holds its integer form and no Poly
+    until its rows are read; the chain cache is keyed on that form."""
+
+    @pytest.mark.parametrize("how", ["ints", "strings"])
+    def test_no_poly_on_the_minor_select_path(self, how, monkeypatch):
+        entries = nonsingular_arrays(random.Random(31), 5)
+        made = []
+        real = qpoly._make
+
+        def counted(nums, den):
+            made.append(nums)
+            return real(nums, den)
+
+        for module in (qpoly, polymat, jsonio):
+            monkeypatch.setattr(module, "_make", counted)
+        E = jsonio.matrix_from_json({"m": 5, "n": 5, "entries": spelled(entries, how)})
+        I, J = select_nonzero_minor(E, [1, 3])
+        assert rank(E) == 5
+        assert made == [] and not rows_built(E)
+        d = det(E)
+        assert made == [d.numerators] and not rows_built(E)
+        monkeypatch.undo()
+        assert E.rows == tuple(tuple(poly_from_json(e) for e in entries[k:k + 5])
+                               for k in range(0, 25, 5))
+        assert d == cofactor_det(E.rows) and not minor_at(E, I, J).is_zero
+
+    def test_each_matrix_gets_one_cache_key(self):
+        from structura.minors import _dependency_chain
+
+        entries = nonsingular_arrays(random.Random(37), 7)
+        mats = [jsonio.matrix_from_json({"m": 7, "n": 7, "entries": spelled(entries, how)})
+                for how in ("ints", "strings", "signs", "trailing")]
+        mats.append(PolyMatrix.from_scalar_rows([entries[k:k + 7] for k in range(0, 49, 7)]))
+        _dependency_chain.cache_clear()
+        found = {select_nonzero_minor(E, [2, 5, 6]) for E in mats}
+        assert len(found) == 1 and _dependency_chain.cache_info().currsize == 1
+        assert len({E._ints for E in mats}) == 1
+        assert len({hash(E) for E in mats}) == 1
+        assert all(E == mats[0] for E in mats)
+
+    def test_rational_coefficients_take_the_poly_path(self):
+        entries = nonsingular_arrays(random.Random(41), 6)
+        # every coefficient over 6: the integer matrix over 6
+        R = jsonio.matrix_from_json(
+            {"m": 6, "n": 6, "entries": [[f"{c}/6" for c in e] for e in entries]})
+        E = jsonio.matrix_from_json({"m": 6, "n": 6, "entries": entries})
+        assert rows_built(R) and not rows_built(E)
+        assert R == E.scale(Poly([Fraction(1, 6)]))
+        for Z in ([1], [2, 4], [1, 5, 6], [3, 4, 5, 6]):
+            assert select_nonzero_minor(R, Z) == select_nonzero_minor(E, Z)

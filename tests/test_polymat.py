@@ -1,5 +1,6 @@
 """Matrix kernel: rank, Smith form, reduction, reversal, minors, Mobius frames."""
 
+import copy
 import itertools
 import math
 import random
@@ -19,12 +20,14 @@ from structura.errors import (
 )
 from structura.qpoly import ONE, ZERO, X, Poly, RatFn
 from structura import polymat
+from structura.jsonio import matrix_from_json
 from structura.extract import RationalMatrix
 from structura.synthesis import build_minimal_basis
 from structura.polymat import (
     PolyMatrix,
     _frac_rank,
     _ext_gcd,
+    _minimal_bases,
     _smith_core,
     column_reduce,
     det,
@@ -175,6 +178,41 @@ class TestUncheckedBuilds:
     def test_public_constructor_still_checks(self):
         with pytest.raises(TypeError, match="entries must be Poly$"):
             PolyMatrix([[ONE, 1]], n=2)
+
+
+def read_back(P: PolyMatrix) -> PolyMatrix:
+    """The integer matrix P as matrix_from_json reads its integer arrays."""
+    return matrix_from_json({"m": P.m, "n": P.n,
+                             "entries": [list(e.numerators) for row in P.rows for e in row]})
+
+
+class TestIntegerForm:
+    """The eliminations read the integer form PolyMatrix._ints, shared by
+    every call on a matrix; those that work in place (_bareiss, _smith_core,
+    _clear) copy the rows they change, so that form stays as it was."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(47)
+        square, tall = random_matrix(rng, 4, 4, 2), random_matrix(rng, 5, 3, 1)
+        low = random_low_rank_matrix(rng, 4, 4, 2)
+        rational = random_rational_matrix(rng, 4, 4, 1)
+        assert not rational.is_zero and max(rational._ints[1]) > 1
+        return [read_back(square), square, read_back(tall), tall, read_back(low), low, rational]
+
+    def test_eliminations_leave_the_integer_form(self):
+        for P in self.cases():
+            before = copy.deepcopy(P._ints)
+            runs = []
+            for _ in range(2):
+                runs.append((det(P) if P.is_square else None, invariant_factors(P),
+                             _minimal_bases(P), is_minimal_basis(P)))
+                assert P._ints == before
+            assert runs[0] == runs[1]
+            d, diag, bases, minimal = runs[0]
+            assert d == (cofactor_det(P.rows) if P.is_square else None)
+            assert diag == bases[0] == poly_smith_core(P, track=False)[0]
+            assert minimal == smith_is_minimal_basis(P)
 
 
 class TestSmith:

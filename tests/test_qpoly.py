@@ -1,9 +1,11 @@
 """Scalar layer: polynomials, factorization, rational functions."""
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +33,7 @@ from structura.qpoly import (
     split_over_rationals,
 )
 
-from conftest import RefPoly, divisor_split_over_rationals
+from conftest import RefPoly, divisor_split_over_rationals, fraction_poly_str
 
 S = X
 TWO = Poly.constant(2)
@@ -104,6 +106,36 @@ class TestPolyBasics:
         assert Poly().reverse(3) == Poly()
         with pytest.raises(ValueError):
             p.reverse(1)
+
+
+def golden_analyze_polys():
+    """Every invariant factor, numerator and denominator of the seed-0
+    analyze pass in bench/golden, as Polys."""
+    doc = json.loads((Path(__file__).parents[1] / "bench/golden/analyze.json").read_text())
+    return [Poly([Fraction(c) for c in p])
+            for item in doc["items"].values()
+            for key in ("invariant_factors", "numerators", "denominators")
+            for p in item["expect"].get(key, ())]
+
+
+class TestStr:
+    def test_examples(self):
+        assert str(Poly()) == "0"
+        assert str(Poly([Fraction(-1, 2), 0, 1])) == "s^2 - 1/2"
+        assert str(Poly([3, -1, Fraction(-4, 6)])) == "-2/3*s^2 - s + 3"
+        assert str(Poly([0, Fraction(1, 3)])) == "1/3*s"
+
+    def test_golden_invariant_factors_print_as_fractions(self):
+        polys = golden_analyze_polys()
+        assert len(polys) > 300 and any(p.denominator > 1 for p in polys)
+        for p in polys:
+            assert str(p) == fraction_poly_str(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.lists(hst.fractions(max_denominator=12), max_size=6))
+    def test_matches_fraction_formatting(self, cs):
+        p = Poly(cs)
+        assert str(p) == fraction_poly_str(p)
 
 
 class TestDivmod:
